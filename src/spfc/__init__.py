@@ -7,20 +7,12 @@ command-line front end.
 from .grid import Grid
 from .spectral import (
     Field,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
     sample,
     grad,
-    div,
     laplacian,
-    apply_symbol,
-    neg_laplacian_pow,
     inner,
     norm_l2,
     norm_lp,
-    norm_hm1,
-    norm_h1,
     norm_h2,
 )
 from .model import (
@@ -28,15 +20,12 @@ from .model import (
     ModelParams,
     StepContext,
     energy,
-    p_laplacian_term,
-    chemical_potential,
-    mu_zero,
     nonlinear_operator,
     rhs,
     objective,
     ManufacturedSolution,
 )
-from .psd import PsdConfig, SolveStats, psd_solve, precondition_solve, solve_cubic_monotone
+from .psd import PsdConfig, SolveStats, psd_solve, solve_cubic_monotone
 from .stepper import SimState, EnergyRecord, ghost_init, initial_state, modified_energy, step, run
 from .harness import (
     PatternConfig,

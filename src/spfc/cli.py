@@ -117,6 +117,7 @@ def _run_simulate(cfg: RunConfig) -> int:
         dt_schedule=cfg.schedule,
         scheme=cfg.scheme,
         site_profile=cfg.site_profile,
+        history=cfg.history,
     )
     records = []
 

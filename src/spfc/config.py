@@ -80,10 +80,6 @@ class RunConfig:
     def reg_a_value(self) -> float:
         return self.epsilon**2 / 16.0 if self.reg_a is None else self.reg_a
 
-    @property
-    def stable_guarantee(self) -> bool:
-        return self.reg_a_value >= self.epsilon**2 / 16.0
-
 
 def _parse_float(raw: str, key: str, line: object) -> float:
     try:

@@ -1,17 +1,19 @@
 """Periodic grid descriptors with cached Fourier-space machinery.
 
 A :class:`Grid` describes a uniform lattice on the periodic box ``(0, L)^dim``
-with the same number of points ``n`` on every axis.  All spectral symbol
-arrays used by the operators in :mod:`spfc.spectral` are precomputed here and
-cached on the (immutable, hashable) grid instance.
+with the same number of points ``n`` on every axis.  Spectral data live in
+numpy's real-FFT (rfft) layout: the last axis keeps the modes
+``0 .. floor(n/2)``, the others the full signed range.  The symbol arrays of
+the operators in :mod:`spfc.spectral` and :mod:`spfc.model` are precomputed
+here in that layout and cached on the (immutable, hashable) grid instance.
 
 Wavenumber convention
 ---------------------
 Physical wavenumbers are ``2*pi*m / L`` for integer modes ``m``.  On grids
 with even ``n`` the unmatched Nyquist mode ``m = -n/2`` is folded to zero in
 every derivative symbol (odd and even order alike).  This keeps the discrete
-calculus self-adjoint: ``div(grad(f)) == laplacian(f)`` and the
-summation-by-parts identities hold to round-off on any grid, at the price of
+calculus self-adjoint: the divergence of a gradient is the Laplacian and
+the summation-by-parts identities hold to round-off on any grid, at the price of
 differential operators annihilating pure-Nyquist content.  On odd ``n`` the
 mode set is the balanced ``{-K, ..., K}`` and the folding is a no-op.
 """
@@ -61,11 +63,6 @@ class Grid:
         return self.length / self.n
 
     @property
-    def half_modes(self) -> int:
-        """``K = floor((n - 1) / 2)``; on odd grids the modes are {-K..K}."""
-        return (self.n - 1) // 2
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
 
@@ -93,30 +90,7 @@ class Grid:
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     # ------------------------------------------------------------------
-    # mode bookkeeping (full complex-FFT layout)
-    # ------------------------------------------------------------------
-    @cached_property
-    def mode_numbers(self) -> np.ndarray:
-        """Signed integer modes in numpy FFT order (Nyquist kept as ``-n/2``)."""
-        return np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-
-    @cached_property
-    def balanced_modes(self) -> np.ndarray:
-        """Integer modes with the unmatched Nyquist mode folded to zero."""
-        m = self.mode_numbers.copy()
-        if self.n % 2 == 0:
-            m[self.n // 2] = 0
-        return m
-
-    def mode_grids(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable balanced-mode arrays, one per axis (full layout)."""
-        return tuple(
-            self.balanced_modes.reshape((1,) * a + (-1,) + (1,) * (self.dim - 1 - a))
-            for a in range(self.dim)
-        )
-
-    # ------------------------------------------------------------------
-    # rfft-layout caches (last axis halved); used by the operator kernels
+    # rfft-layout symbols (last axis halved)
     # ------------------------------------------------------------------
     @property
     def rshape(self) -> tuple[int, ...]:
@@ -124,10 +98,12 @@ class Grid:
 
     @cached_property
     def _rmodes(self) -> tuple[np.ndarray, ...]:
-        """Balanced modes per axis, broadcastable over the rfft layout."""
-        full = self.balanced_modes.astype(np.float64)
+        """Signed integer modes per axis, broadcastable over the rfft layout,
+        with the unmatched Nyquist mode folded to zero."""
+        full = np.rint(np.fft.fftfreq(self.n) * self.n)
         half = np.rint(np.fft.rfftfreq(self.n) * self.n)
         if self.n % 2 == 0:
+            full[self.n // 2] = 0.0
             half[-1] = 0.0
         axes = [full] * (self.dim - 1) + [half]
         return tuple(
@@ -176,17 +152,8 @@ class Grid:
         """``||f||_2^2 = factor * sum(weight * |rfftn(f)|^2)``."""
         return self.volume / self.size**2
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule truncation mask on the rfft layout (True = keep)."""
-        cut = self.n // 3
-        keep = np.ones(self.rshape, dtype=bool)
-        for m in self._rmodes:
-            keep &= np.abs(m) <= cut
-        return keep
-
     # ------------------------------------------------------------------
-    # transforms on raw arrays (module-internal plumbing)
+    # transforms and Parseval on raw rfft coefficients
     # ------------------------------------------------------------------
     def rfft(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(values)

@@ -17,6 +17,7 @@ from .model import (
     ModelParams,
     Scheme,
     StepContext,
+    grad_sq,
     nonlinear_operator,
     objective,
     rhs,
@@ -66,7 +67,9 @@ class PatternConfig:
     ``sites`` are nucleation impulses ``(x, y, magnitude)``; each adds its
     magnitude at the single nearest grid node (``site_profile="node"``) or as
     a periodic Gaussian bump of width ``2 h`` (``"gaussian"``).  ``reg_a``
-    defaults to the stability threshold ``epsilon^2 / 16``.
+    defaults to the stability threshold ``epsilon^2 / 16``.  ``history`` is
+    the start rule of the two-level history, ``"copy"`` or ``"ghost"`` (see
+    :func:`spfc.stepper.initial_state`).
     """
 
     length: float = 100.0
@@ -79,6 +82,7 @@ class PatternConfig:
     dt_schedule: tuple[tuple[float, float], ...] = ((0.05, 100.0),)
     scheme: Scheme = Scheme.BDF2_ES_1
     site_profile: str = "node"
+    history: str = "copy"
 
     def __post_init__(self) -> None:
         for x, y, _ in self.sites:
@@ -231,7 +235,7 @@ def pattern_experiment(
     grid = cfg.grid()
     params = cfg.params()
     phi0 = random_init(cfg, grid)
-    state0 = initial_state(phi0, history="copy")
+    state0 = initial_state(phi0, params, cfg.dt_schedule[0][0], history=cfg.history)
     t_end = cfg.dt_schedule[-1][1]
     times = [t for t in snapshot_times if t <= t_end + 1e-9]
 
@@ -354,10 +358,10 @@ def lemma_inequality_defects(
         v -= v.mean()
         f = Field(grid, v)
         nf = norm_l2(f)
-        ng = norm_l2(Field(grid, np.sqrt(sum(c.values**2 for c in grad(f)))))
+        ng = norm_l2(Field(grid, np.sqrt(grad_sq([c.values for c in grad(f)]))))
         lap_f = laplacian(f)
         nl = norm_l2(lap_f)
-        ngl = norm_l2(Field(grid, np.sqrt(sum(c.values**2 for c in grad(lap_f)))))
+        ngl = norm_l2(Field(grid, np.sqrt(grad_sq([c.values for c in grad(lap_f)]))))
         if ngl == 0.0:
             continue
         worst[0] = max(worst[0], ng / (nf ** (2.0 / 3.0) * ngl ** (1.0 / 3.0)) - 1.0)
@@ -376,7 +380,7 @@ def embedding_ratio_spread(n_list: Sequence[int]) -> float:
         f = sample(
             lambda x, y: np.exp(np.sin(2 * np.pi * x) + 0.5 * np.cos(4 * np.pi * y)), grid
         )
-        g6 = norm_lp(Field(grid, np.sqrt(sum(c.values**2 for c in grad(f)))), 6)
+        g6 = norm_lp(Field(grid, np.sqrt(grad_sq([c.values for c in grad(f)]))), 6)
         ratios.append(g6 / norm_l2(laplacian(f)))
     return (max(ratios) - min(ratios)) / min(ratios)
 

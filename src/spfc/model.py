@@ -13,7 +13,10 @@ equation ``N[phi] = f`` on the mass hyperplane, which in turn is the
 Euler-Lagrange equation of the strictly convex objective implemented in
 :func:`objective`.  :class:`StepOperator` holds the spectral-space form of
 all of this for one step and is shared by the public functions here and the
-iterative solver in :mod:`spfc.psd`.
+iterative solver in :mod:`spfc.psd`.  The gradient, ``|grad phi|^2`` and the
+4-Laplacian flux come from :func:`gradient`, :func:`grad_sq` and
+:func:`p_laplacian_hat` alone, in the step operator, in :func:`energy` and in
+the initial chemical potential of :func:`spfc.stepper.ghost_init`.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ __all__ = [
     "StepContext",
     "StepOperator",
     "MeanMismatchError",
+    "gradient",
+    "grad_sq",
+    "p_laplacian_hat",
     "energy",
-    "p_laplacian_term",
-    "chemical_potential",
-    "mu_zero",
     "nonlinear_operator",
     "rhs",
     "objective",
     "ManufacturedSolution",
-    "manufactured_source",
 ]
 
 MEAN_COMPAT_TOL = 1e-11
@@ -71,7 +73,6 @@ class ModelParams:
     epsilon: float
     reg_a: float
     scheme: Scheme = Scheme.BDF2_ES_1
-    dealias: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -127,6 +128,32 @@ class StepContext:
 # ----------------------------------------------------------------------
 # spectral step kernel
 # ----------------------------------------------------------------------
+def gradient(grid: Grid, spec: np.ndarray) -> list[np.ndarray]:
+    """Physical gradient components of the field with coefficients ``spec``."""
+    return [grid.irfft(ik * spec) for ik in grid.ik]
+
+
+def grad_sq(grad_comps: list[np.ndarray]) -> np.ndarray:
+    """Pointwise ``|grad phi|^2`` from the physical gradient components."""
+    gsq = grad_comps[0] ** 2
+    for comp in grad_comps[1:]:
+        gsq += comp**2
+    return gsq
+
+
+def p_laplacian_hat(grid: Grid, grad_comps: list[np.ndarray]) -> np.ndarray:
+    """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient.
+
+    Gradient and divergence are spectral; the cubic flux is formed pointwise
+    on the grid (plain collocation: its aliased modes are kept).
+    """
+    gsq = grad_sq(grad_comps)
+    acc = np.zeros(grid.rshape, dtype=np.complex128)
+    for comp, ik in zip(grad_comps, grid.ik):
+        acc += ik * grid.rfft(gsq * comp)
+    return -acc
+
+
 @lru_cache(maxsize=16)
 def _scheme_symbols(
     grid: Grid, scheme: Scheme, epsilon: float, reg_a: float, dt: float
@@ -147,9 +174,9 @@ class StepOperator:
     """Spectral-space machinery of one implicit step ``N[phi] = f``.
 
     Works on raw arrays: fields as rfft coefficient arrays (``*_hat``) plus,
-    where the quartic term is involved, the physical gradient components.
-    The Field-level functions below and the PSD solver both delegate here, so
-    the scheme algebra exists exactly once.
+    where the quartic term is involved, the physical gradient components from
+    :func:`gradient`.  The Field-level functions below and the PSD solver both
+    delegate here, so the scheme algebra exists exactly once.
     """
 
     def __init__(self, ctx: StepContext):
@@ -167,33 +194,6 @@ class StepOperator:
         self.bdf_tail_hat = -2.0 * self.phi_k_hat + 0.5 * self.phi_km1_hat
         self._rhs_hat: Optional[np.ndarray] = None
 
-    # -- transforms --------------------------------------------------
-    def to_spec(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.rfft(values)
-
-    def to_phys(self, spec: np.ndarray) -> np.ndarray:
-        return self.grid.irfft(spec)
-
-    def grad_phys(self, spec: np.ndarray) -> list[np.ndarray]:
-        """Physical gradient components of the field with coefficients spec."""
-        g = self.grid
-        return [g.irfft(ik * spec) for ik in g.ik]
-
-    # -- scheme pieces ------------------------------------------------
-    def p_laplacian_hat(self, grad_comps: list[np.ndarray]) -> np.ndarray:
-        """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient."""
-        g = self.grid
-        gsq = grad_comps[0] ** 2
-        for comp in grad_comps[1:]:
-            gsq += comp**2
-        acc = np.zeros(g.rshape, dtype=np.complex128)
-        for comp, ik in zip(grad_comps, g.ik):
-            flux_hat = g.rfft(gsq * comp)
-            if self.params.dealias:
-                flux_hat *= g.dealias_mask
-            acc += ik * flux_hat
-        return -acc
-
     def nonlinear_hat(
         self, phi_hat: np.ndarray, grad_comps: list[np.ndarray]
     ) -> np.ndarray:
@@ -201,7 +201,7 @@ class StepOperator:
         g = self.grid
         out = g.lam_inv * (1.5 * phi_hat + self.bdf_tail_hat)
         out += self.lin_sym * phi_hat
-        out += self.dt * self.p_laplacian_hat(grad_comps)
+        out += self.dt * p_laplacian_hat(g, grad_comps)
         return out
 
     def rhs_hat(self) -> np.ndarray:
@@ -223,13 +223,6 @@ class StepOperator:
         return self._rhs_hat
 
     # -- scalar functionals --------------------------------------------
-    def quartic_term(self, grad_comps: list[np.ndarray]) -> float:
-        """``||grad phi||_4^4`` from physical gradient components."""
-        gsq = grad_comps[0] ** 2
-        for comp in grad_comps[1:]:
-            gsq += comp**2
-        return self.grid.cell_volume * float(np.sum(gsq**2))
-
     def objective_value(
         self,
         phi_hat: np.ndarray,
@@ -241,8 +234,9 @@ class StepOperator:
         w = g.parseval_weight
         nf = g.spectral_norm_factor
         bdf_hat = 1.5 * phi_hat + self.bdf_tail_hat
+        quartic = g.cell_volume * float(np.sum(grad_sq(grad_comps) ** 2))
         val = nf / 3.0 * float(np.sum(w * g.lam_inv * np.abs(bdf_hat) ** 2))
-        val += 0.25 * self.dt * self.quartic_term(grad_comps)
+        val += 0.25 * self.dt * quartic
         val += 0.5 * nf * float(np.sum(w * self.lin_sym * np.abs(phi_hat) ** 2))
         val -= g.spectral_dot(f_hat, phi_hat)
         return val
@@ -262,12 +256,10 @@ class StepOperator:
         g = self.grid
         hvol = g.cell_volume
         ge = grad_comps[0] * dir_grad_comps[0]
-        ee = dir_grad_comps[0] ** 2
-        gg = grad_comps[0] ** 2
         for gc, ec in zip(grad_comps[1:], dir_grad_comps[1:]):
             ge += gc * ec
-            ee += ec**2
-            gg += gc**2
+        ee = grad_sq(dir_grad_comps)
+        gg = grad_sq(grad_comps)
         dt = self.dt
         c3 = dt * hvol * float(np.sum(ee**2))
         c2 = 3.0 * dt * hvol * float(np.sum(ge * ee))
@@ -293,67 +285,13 @@ def energy(phi: Field, params: ModelParams) -> float:
     """Discrete free energy of a state."""
     g = phi.grid
     spec = g.rfft(phi.values)
-    grad_comps = [g.irfft(ik * spec) for ik in g.ik]
-    gsq = grad_comps[0] ** 2
-    for comp in grad_comps[1:]:
-        gsq += comp**2
+    gsq = grad_sq(gradient(g, spec))
     quartic = g.cell_volume * float(np.sum(gsq**2))
     power = g.parseval_weight * (spec.real**2 + spec.imag**2)
     l2_sq = g.spectral_norm_factor * float(np.sum(power))
-    grad_sq = g.cell_volume * float(np.sum(gsq))
+    grad_l2_sq = g.cell_volume * float(np.sum(gsq))
     lap_sq = g.spectral_norm_factor * float(np.sum(g.lam**2 * power))
-    return 0.25 * quartic + 0.5 * params.a * l2_sq - grad_sq + 0.5 * lap_sq
-
-
-def p_laplacian_term(phi: Field, dealias: bool = False) -> Field:
-    """The 4-Laplacian operator ``-div(|grad phi|^2 grad phi)``.
-
-    Gradient and divergence are spectral; the cubic product is taken
-    pointwise on the grid (collocation style, no dealiasing by default).
-    """
-    g = phi.grid
-    spec = g.rfft(phi.values)
-    grad_comps = [g.irfft(ik * spec) for ik in g.ik]
-    gsq = grad_comps[0] ** 2
-    for comp in grad_comps[1:]:
-        gsq += comp**2
-    acc = np.zeros(g.rshape, dtype=np.complex128)
-    for comp, ik in zip(grad_comps, g.ik):
-        flux_hat = g.rfft(gsq * comp)
-        if dealias:
-            flux_hat *= g.dealias_mask
-        acc += ik * flux_hat
-    return Field(g, g.irfft(-acc))
-
-
-def chemical_potential(phi_new: Field, ctx: StepContext) -> Field:
-    """Discrete chemical potential of the implicit step at the new iterate."""
-    g = phi_new.grid
-    p = ctx.params
-    spec = g.rfft(phi_new.values)
-    spec_k = g.rfft(ctx.phi_k.values)
-    spec_km1 = g.rfft(ctx.phi_km1.values)
-    lam = g.lam
-    mu_hat = -p.reg_a * ctx.dt * (-lam) * (spec - spec_k)
-    if p.scheme is Scheme.BDF2_ES_1:
-        mu_hat += p.a * spec
-        mu_hat += 2.0 * (-lam) * (2.0 * spec_k - spec_km1)
-        mu_hat += lam**2 * spec
-    else:
-        mu_hat += -p.epsilon * (2.0 * spec_k - spec_km1)
-        mu_hat += (1.0 - lam) ** 2 * spec
-    mu = g.irfft(mu_hat) + p_laplacian_term(phi_new, dealias=p.dealias).values
-    return Field(g, mu)
-
-
-def mu_zero(phi0: Field, params: ModelParams) -> Field:
-    """Chemical potential of the initial state (used by the ghost step)."""
-    g = phi0.grid
-    spec = g.rfft(phi0.values)
-    lam = g.lam
-    mu_hat = (params.a - 2.0 * lam + lam**2) * spec
-    mu = g.irfft(mu_hat) + p_laplacian_term(phi0, dealias=params.dealias).values
-    return Field(g, mu)
+    return 0.25 * quartic + 0.5 * params.a * l2_sq - grad_l2_sq + 0.5 * lap_sq
 
 
 def _require_on_hyperplane(phi: Field, ctx: StepContext, what: str) -> None:
@@ -368,23 +306,22 @@ def nonlinear_operator(phi: Field, ctx: StepContext) -> Field:
     """The step operator ``N[phi]`` (inverse Laplacian acts on the mean-zero
     part of the BDF combination)."""
     _require_on_hyperplane(phi, ctx, "nonlinear_operator")
-    op = StepOperator(ctx)
-    phi_hat = op.to_spec(phi.values)
-    return Field(ctx.grid, op.to_phys(op.nonlinear_hat(phi_hat, op.grad_phys(phi_hat))))
+    g = ctx.grid
+    phi_hat = g.rfft(phi.values)
+    return Field(g, g.irfft(StepOperator(ctx).nonlinear_hat(phi_hat, gradient(g, phi_hat))))
 
 
 def rhs(ctx: StepContext) -> Field:
     """Right-hand side ``f`` of ``N[phi] = f`` (source folded in if present)."""
-    op = StepOperator(ctx)
-    return Field(ctx.grid, op.to_phys(op.rhs_hat()))
+    return Field(ctx.grid, ctx.grid.irfft(StepOperator(ctx).rhs_hat()))
 
 
 def objective(phi: Field, ctx: StepContext, f: Field) -> float:
     """Strictly convex objective minimized by the step solution."""
     _require_on_hyperplane(phi, ctx, "objective")
-    op = StepOperator(ctx)
-    phi_hat = op.to_spec(phi.values)
-    return op.objective_value(phi_hat, op.grad_phys(phi_hat), op.to_spec(f.values))
+    g = ctx.grid
+    phi_hat = g.rfft(phi.values)
+    return StepOperator(ctx).objective_value(phi_hat, gradient(g, phi_hat), g.rfft(f.values))
 
 
 # ----------------------------------------------------------------------
@@ -476,19 +413,3 @@ class ManufacturedSolution:
         values = stencil * profile - c1**3 * lap_p_nl - _LAM1 * lin * profile
         return Field(grid, values)
 
-
-def manufactured_source(
-    t_new: float,
-    ctx: StepContext,
-    grid: Grid,
-    mode: str = "temporal",
-    mms: Optional[ManufacturedSolution] = None,
-) -> Field:
-    """Source field for the step ending at ``t_new`` in the requested mode
-    (``"spatial"`` or ``"temporal"``)."""
-    mms = mms or ManufacturedSolution()
-    if mode == "temporal":
-        return mms.temporal_source(grid, t_new, ctx.params)
-    if mode == "spatial":
-        return mms.spatial_source(grid, t_new, ctx.dt, ctx.params)
-    raise ValueError(f"unknown manufactured-source mode {mode!r}")

@@ -10,28 +10,28 @@ search directions carry no mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .model import StepContext, StepOperator, _mean_compatible, MeanMismatchError
-from .spectral import Field, norm_l2
+from .model import StepContext, StepOperator, _mean_compatible, MeanMismatchError, gradient
+from .spectral import Field
 
 __all__ = [
     "PsdConfig",
     "SolveStats",
     "PsdDivergenceError",
     "NonMonotoneCubicError",
-    "precondition_solve",
-    "line_search_coefficients",
     "solve_cubic_monotone",
     "psd_solve",
 ]
 
 
 class PsdDivergenceError(RuntimeError):
-    """Residual grew by more than 10x over five consecutive iterations."""
+    """Residual grew by more than 10x over five consecutive iterations, or
+    stopped being finite."""
 
 
 class NonMonotoneCubicError(RuntimeError):
@@ -44,14 +44,11 @@ class PsdConfig:
 
     ``residual_norm`` selects the norm of the mean-projected nonlinear
     residual used in the stopping test (``"l2"`` or ``"hm1"``).
-    ``step_size_one`` switches to the quasi-Newton variant with unit step
-    instead of the exact line search (off by default).
     """
 
     tol: float = 1e-9
     max_iter: int = 200
     residual_norm: str = "l2"
-    step_size_one: bool = False
     track_objective: bool = True
 
     def __post_init__(self) -> None:
@@ -142,36 +139,6 @@ def solve_cubic_monotone(c0: float, c1: float, c2: float, c3: float) -> float:
     return x
 
 
-def precondition_solve(r: Field, ctx: StepContext) -> Field:
-    """Search direction ``d`` with ``L[d] = r - mean(r)``, solved per mode.
-
-    The mean (and, on even grids, the rest of the derivative kernel) is
-    projected out, so ``d`` carries no mass.
-    """
-    op = StepOperator(ctx)
-    d = op.to_phys(op.pre_inv * op.to_spec(r.values))
-    d -= d.mean()
-    return Field(ctx.grid, d)
-
-
-def line_search_coefficients(
-    phi_n: Field, d_n: Field, ctx: StepContext, f: Field
-) -> tuple[float, float, float, float]:
-    """Coefficients ``(c0, c1, c2, c3)`` of the directional derivative of the
-    step objective along ``d_n`` (see :meth:`StepOperator.line_coefficients`).
-    """
-    if abs(d_n.mean()) > 1e-12 * max(norm_l2(d_n), 1e-300):
-        raise MeanMismatchError(f"search direction carries mass: mean = {d_n.mean():.3e}")
-    op = StepOperator(ctx)
-    phi_hat = op.to_spec(phi_n.values)
-    d_hat = op.to_spec(d_n.values)
-    g = op.grad_phys(phi_hat)
-    e = op.grad_phys(d_hat)
-    n_hat = op.nonlinear_hat(phi_hat, g)
-    c0 = op.grid.spectral_dot(n_hat - op.to_spec(f.values), d_hat)
-    return op.line_coefficients(g, e, d_hat, c0)
-
-
 def _diverged(history: list) -> bool:
     return len(history) >= 6 and history[-1] > 10.0 * history[-6]
 
@@ -186,7 +153,8 @@ def psd_solve(
 
     ``f`` defaults to the step's own right-hand side.  Returns the solution
     and the iteration diagnostics; raises :class:`PsdDivergenceError` when
-    the residual grows by more than 10x over five consecutive iterations.
+    the residual is not finite or grows by more than 10x over five
+    consecutive iterations.
     """
     cfg = cfg or PsdConfig()
     if not _mean_compatible(phi_guess.mean(), ctx.phi_k.mean()):
@@ -199,7 +167,7 @@ def psd_solve(
     if phi_guess is ctx.phi_k:
         phi_hat = op.phi_k_hat.copy()
     else:
-        phi_hat = op.to_spec(phi_guess.values)
+        phi_hat = grid.rfft(phi_guess.values)
     # drop derivative-kernel content (Nyquist on even grids) except the mass
     # mode: the minimization determines those modes as zero and the
     # preconditioner cannot move them
@@ -208,11 +176,11 @@ def psd_solve(
     phi_hat[grid.kernel_mask] = 0.0
     phi_hat[zero_idx] = mass_coeff
 
-    f_hat = op.rhs_hat() if f is None else op.to_spec(f.values)
+    f_hat = op.rhs_hat() if f is None else grid.rfft(f.values)
     f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat), cfg.residual_norm)
     target = cfg.tol * (1.0 + f_norm)
 
-    g = op.grad_phys(phi_hat)
+    g = gradient(grid, phi_hat)
     stats = SolveStats()
     for it in range(cfg.max_iter + 1):
         n_hat = op.nonlinear_hat(phi_hat, g)
@@ -226,6 +194,9 @@ def psd_solve(
         if res <= target:
             stats.converged = True
             break
+        if not math.isfinite(res):
+            stats.finalize()
+            raise PsdDivergenceError(f"residual is {res} at iteration {it}")
         if _diverged(stats.residual_history):
             stats.finalize()
             raise PsdDivergenceError(
@@ -235,15 +206,12 @@ def psd_solve(
         if it == cfg.max_iter:
             break
         d_hat = op.pre_inv * r_hat
-        e = op.grad_phys(d_hat)
-        if cfg.step_size_one:
-            alpha = 1.0
-        else:
-            c0 = -grid.spectral_dot(r_hat, d_hat)
-            alpha = solve_cubic_monotone(*op.line_coefficients(g, e, d_hat, c0))
+        e = gradient(grid, d_hat)
+        c0 = -grid.spectral_dot(r_hat, d_hat)
+        alpha = solve_cubic_monotone(*op.line_coefficients(g, e, d_hat, c0))
         stats.alphas.append(alpha)
         phi_hat += alpha * d_hat
         for comp, e_comp in zip(g, e):
             comp += alpha * e_comp
     stats.finalize()
-    return Field(grid, op.to_phys(phi_hat)), stats
+    return Field(grid, grid.irfft(phi_hat)), stats

@@ -1,29 +1,30 @@
-"""Discrete Fourier collocation operators, inner products and norms.
+"""Grid functions and the Fourier collocation calculus on them.
 
 Normalization (fixed here, used everywhere)
 -------------------------------------------
-For a real grid function ``f`` the spectral coefficients carried by
-:class:`SpectralField` are
+Every transform is numpy's unnormalized real FFT through
+:meth:`Grid.rfft` / :meth:`Grid.irfft`, so the coefficients of a real grid
+function ``f`` are
 
-    ``coeffs[m] = h^dim * sum_i f_i * exp(-2 pi i m . x_i / L)``
+    ``F[m] = sum_i f_i * exp(-2 pi i m . x_i / L)``
 
-and the inverse expansion is
+on the rfft layout (last axis halved, see :mod:`spfc.grid`).  A stored
+coefficient whose last-axis mode lies strictly between 0 and ``n/2`` also
+stands for its omitted conjugate partner: :attr:`Grid.parseval_weight` is 2
+there and 1 elsewhere.
+With the ``h^dim``-weighted discrete L2 norm, Parseval reads
 
-    ``f_i = L^(-dim) * sum_m coeffs[m] * exp(+2 pi i m . x_i / L)``.
+    ``||f||_2^2 = spectral_norm_factor * sum_m parseval_weight[m] * |F[m]|^2``,
 
-On the unit box the pair reduces to the plain collocation transform with a
-``h^dim`` forward weight and no inverse weight.  Parseval then reads
-``||f||_2^2 = L^(-dim) * sum_m |coeffs[m]|^2`` with ``||.||_2`` the
-``h^dim``-weighted discrete L2 norm.
-
-Internally the operators use numpy's real FFT (unnormalized); only
-:class:`SpectralField` exposes the weighted coefficients.
+``spectral_norm_factor = L^dim / n^(2 dim)``.  ``h^dim * F[m]`` is the
+quadrature value of the continuum coefficient
+``int f(x) exp(-2 pi i m . x / L) dx``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,29 +32,14 @@ from .grid import Grid
 
 __all__ = [
     "Field",
-    "SpectralField",
-    "NonZeroMeanError",
-    "forward_transform",
-    "inverse_transform",
     "sample",
     "grad",
-    "div",
     "laplacian",
-    "apply_symbol",
-    "neg_laplacian_pow",
     "inner",
     "norm_l2",
     "norm_lp",
-    "norm_hm1",
-    "norm_h1",
     "norm_h2",
 ]
-
-MEAN_ZERO_RTOL = 1e-12
-
-
-class NonZeroMeanError(ValueError):
-    """Raised when an operator requiring mean-zero input gets a biased field."""
 
 
 @dataclass
@@ -91,130 +77,24 @@ class Field:
         return float(self.values.mean())
 
 
-@dataclass
-class SpectralField:
-    """Complex Fourier coefficients dual to :class:`Field`.
-
-    Coefficients are stored in numpy's full FFT layout (mode order
-    ``0, 1, ..., -1``) with the normalization documented in the module
-    docstring.  Use :meth:`coeff` to address a coefficient by its signed
-    mode numbers.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {c.shape} != grid shape {self.grid.shape}")
-        self.coeffs = c
-
-    def coeff(self, *modes: int) -> complex:
-        """Coefficient of the signed mode ``(l, m[, n])``."""
-        if len(modes) != self.grid.dim:
-            raise ValueError(f"expected {self.grid.dim} mode numbers, got {len(modes)}")
-        return complex(self.coeffs[tuple(m % self.grid.n for m in modes)])
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Max |coeffs(-k) - conj(coeffs(k))| relative to the largest coefficient."""
-        rev = self.coeffs
-        for a in range(self.grid.dim):
-            rev = np.roll(np.flip(rev, axis=a), 1, axis=a)
-        scale = float(np.max(np.abs(self.coeffs)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(np.conj(rev) - self.coeffs))) / scale
-
-
 # ----------------------------------------------------------------------
-# transforms and sampling
+# sampling and differential operators
 # ----------------------------------------------------------------------
-def forward_transform(f: Field) -> SpectralField:
-    """Discrete Fourier coefficients of ``f`` (``h^dim`` forward weight)."""
-    return SpectralField(f.grid, f.grid.cell_volume * np.fft.fftn(f.values))
-
-
-def inverse_transform(s: SpectralField, rtol: float = 1e-12) -> Field:
-    """Real field with the expansion coefficients ``s``.
-
-    Rejects coefficient arrays that are not conjugate-symmetric to ``rtol``
-    (such input signals a programming error upstream).
-    """
-    defect = s.conjugate_symmetry_defect()
-    if defect > rtol:
-        raise ValueError(
-            f"coefficients are not conjugate-symmetric (defect {defect:.3e} > {rtol:.1e})"
-        )
-    values = np.fft.ifftn(s.coeffs).real / s.grid.cell_volume
-    return Field(s.grid, values)
-
-
 def sample(fn: Callable[..., np.ndarray], grid: Grid) -> Field:
     """Pointwise evaluation of ``fn(x, y[, z])`` at the grid nodes."""
     return Field(grid, np.asarray(fn(*grid.coords()), dtype=np.float64))
 
 
-# ----------------------------------------------------------------------
-# differential operators
-# ----------------------------------------------------------------------
 def grad(f: Field) -> tuple[Field, ...]:
     """Spectral gradient; one component Field per axis."""
     spec = f.grid.rfft(f.values)
     return tuple(Field(f.grid, f.grid.irfft(ik * spec)) for ik in f.grid.ik)
 
 
-def div(v: Sequence[Field]) -> Field:
-    """Spectral divergence of a vector field (one component per axis)."""
-    if len(v) != v[0].grid.dim:
-        raise ValueError(f"expected {v[0].grid.dim} components, got {len(v)}")
-    grid = v[0].grid
-    if any(c.grid != grid for c in v):
-        raise ValueError("vector components live on different grids")
-    acc = np.zeros(grid.rshape, dtype=np.complex128)
-    for comp, ik in zip(v, grid.ik):
-        acc += ik * grid.rfft(comp.values)
-    return Field(grid, grid.irfft(acc))
-
-
-def apply_symbol(f: Field, symbol: Callable[..., np.ndarray]) -> Field:
-    """Per-mode multiplication ``coeffs[m] *= symbol(l, m[, n])``.
-
-    ``symbol`` receives one broadcastable array of signed integer modes per
-    axis and must return a real array.  The mode arrays follow the grid's
-    derivative calculus: on even grids the unmatched Nyquist mode is folded
-    to zero (see :mod:`spfc.grid`).
-    """
-    grid = f.grid
-    sym = np.asarray(symbol(*grid._rmodes), dtype=np.float64)
-    spec = grid.rfft(f.values)
-    return Field(grid, grid.irfft(np.broadcast_to(sym, grid.rshape) * spec))
-
-
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian (symbol ``-4 pi^2 |m|^2 / L^2``)."""
     grid = f.grid
     return Field(grid, grid.irfft(-grid.lam * grid.rfft(f.values)))
-
-
-def neg_laplacian_pow(f: Field, gamma: float) -> Field:
-    """Fractional power ``(-laplacian)^gamma`` applied per mode.
-
-    For ``gamma < 0`` the input must be mean-zero (relative to its L2 norm);
-    kernel modes are excluded and the result is mean-zero.
-    """
-    grid = f.grid
-    if gamma < 0 and abs(f.mean()) > MEAN_ZERO_RTOL * norm_l2(f):
-        raise NonZeroMeanError(
-            f"(-laplacian)^{gamma} requires mean-zero input; mean = {f.mean():.3e}"
-        )
-    if gamma < 0:
-        sym = grid.lam_inv ** (-gamma)
-    else:
-        sym = grid.lam**gamma
-        if gamma == 0:
-            sym = np.where(grid.kernel_mask, 1.0, sym)
-    return Field(grid, grid.irfft(sym * grid.rfft(f.values)))
 
 
 # ----------------------------------------------------------------------
@@ -240,27 +120,6 @@ def norm_lp(f: Field, p: float) -> float:
     return float(
         (f.grid.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p)
     )
-
-
-def norm_hm1(f: Field) -> float:
-    """Negative-order norm ``||(-laplacian)^(-1/2) f||_2`` (mean-zero input)."""
-    grid = f.grid
-    if abs(f.mean()) > MEAN_ZERO_RTOL * norm_l2(f):
-        raise NonZeroMeanError(f"H^-1 norm requires mean-zero input; mean = {f.mean():.3e}")
-    spec = grid.rfft(f.values)
-    return float(
-        np.sqrt(
-            grid.spectral_norm_factor
-            * np.sum(grid.parseval_weight * grid.lam_inv * np.abs(spec) ** 2)
-        )
-    )
-
-
-def norm_h1(f: Field) -> float:
-    grid = f.grid
-    spec = grid.rfft(f.values)
-    power = grid.parseval_weight * np.abs(spec) ** 2
-    return float(np.sqrt(grid.spectral_norm_factor * np.sum((1.0 + grid.lam) * power)))
 
 
 def norm_h2(f: Field) -> float:

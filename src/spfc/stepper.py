@@ -17,7 +17,8 @@ from .model import (
     Scheme,
     StepContext,
     energy,
-    mu_zero,
+    gradient,
+    p_laplacian_hat,
 )
 from .psd import PsdConfig, SolveStats, psd_solve
 from .spectral import Field, norm_h2
@@ -76,7 +77,10 @@ def ghost_init(
     equals the mean of ``phi^0`` to round-off.
     """
     g = phi0.grid
-    mu_hat = g.rfft(mu_zero(phi0, params).values)
+    spec = g.rfft(phi0.values)
+    # chemical potential of the initial state
+    mu_hat = (params.a - 2.0 * g.lam + g.lam**2) * spec
+    mu_hat += p_laplacian_hat(g, gradient(g, spec))
     rate_hat = -g.lam * mu_hat
     if source is not None:
         src_hat = g.rfft(source.values)

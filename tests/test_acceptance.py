@@ -4,7 +4,8 @@ printed pass/fail line per criterion.
 Profiles: the temporal study runs at N=128 by default; set SPFC_PROFILE=ci
 to use N=64 (order is asserted either way).  The pattern-formation fixtures
 (N=256, t <= 100, three step sizes) are computed once and shared by the
-energy, dt-agreement, solver-behavior and H2-bound criteria.
+energy, dt-agreement, solver-behavior and H2-bound criteria.  Those, and
+criteria 3 and 4, carry the ``slow`` marker: ``-m "not slow"`` skips them.
 """
 
 import os
@@ -125,6 +126,7 @@ class TestCriterion2SpatialAccuracy:
 
 
 class TestCriterion3TemporalOrder:
+    @pytest.mark.slow
     def test_second_order_both_schemes(self):
         n_fixed = 64 if PROFILE == "ci" else 128
         budget = 120.0 if PROFILE == "ci" else 600.0
@@ -153,6 +155,7 @@ class TestCriterion3TemporalOrder:
 
 
 class TestCriterion4MassConservation:
+    @pytest.mark.slow
     def test_ten_thousand_steps(self):
         cfg = pattern_cfg(0.05, 500.0, n=64)
         summary = pattern_experiment(cfg, psd_cfg=PsdConfig(track_objective=False))
@@ -169,6 +172,7 @@ class TestCriterion4MassConservation:
 
 
 class TestCriterion5EnergyDissipation:
+    @pytest.mark.slow
     def test_modified_energy_monotone(self, pattern_runs):
         run_data = pattern_runs[0.05]
         records = run_data["records"]
@@ -190,6 +194,7 @@ class TestCriterion5EnergyDissipation:
 
 
 class TestCriterion6DtAgreement:
+    @pytest.mark.slow
     def test_energy_curves_overlap(self, pattern_runs):
         # ten shared times in the post-nucleation window: the spike-driven
         # burst around t ~ 5-15 is an O(1)-duration event that dt=0.1
@@ -216,6 +221,7 @@ class TestCriterion6DtAgreement:
 
 
 class TestCriterion7PsdBehavior:
+    @pytest.mark.slow
     def test_objective_monotone_every_iteration(self, pattern_runs):
         worst = 0.0
         for stats in pattern_runs[0.05]["stats"]:
@@ -230,6 +236,7 @@ class TestCriterion7PsdBehavior:
             f"steps (tol 1e-12)",
         )
 
+    @pytest.mark.slow
     def test_contraction_ratios(self, pattern_runs):
         worst = 0.0
         for stats in pattern_runs[0.05]["stats"]:
@@ -303,6 +310,7 @@ class TestCriterion8InequalityBattery:
 
 
 class TestCriterion9H2Boundedness:
+    @pytest.mark.slow
     def test_h2_uniform_bound(self, pattern_runs):
         records = pattern_runs[0.05]["records"]
         h2 = [r.h2_norm for r in records]

@@ -1,9 +1,15 @@
 """Tests for configuration parsing, the bit-exact file formats and the
 command-line entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spfc
 from conftest import random_field
 from spfc import Field, Grid, Scheme, energy, ModelParams
 from spfc.cli import main
@@ -29,12 +35,13 @@ class TestParseConfig:
         assert cfg.grid_n == 256 and cfg.grid_length == 100.0
         assert cfg.epsilon == 0.5
         assert cfg.reg_a_value == pytest.approx(0.5**2 / 16.0)
-        assert cfg.stable_guarantee
+        assert ModelParams(epsilon=cfg.epsilon, reg_a=cfg.reg_a_value).stable_guarantee
         assert cfg.schedule == ((0.05, 1.0),)
 
     def test_paper_parameters_are_stable(self):
         cfg = parse_config("mode = verify\nmodel.A = 0.25\nmodel.epsilon = 0.025\n")
-        assert cfg.stable_guarantee  # 0.25 >= 0.025^2 / 16
+        # 0.25 >= 0.025^2 / 16
+        assert ModelParams(epsilon=cfg.epsilon, reg_a=cfg.reg_a_value).stable_guarantee
 
     def test_rejects_small_grid(self):
         with pytest.raises(ConfigError, match="grid.n"):
@@ -282,3 +289,30 @@ class TestCli:
             f"output_dir = {tmp_path / 'f'}\nsolver.max_iter = 1\nsolver.tol = 1e-13\n",
         )
         assert main(["simulate", "--config", cfg]) == 3
+
+    def test_nonfinite_state_exits_three_without_traceback(self, tmp_path):
+        cfg = self._write_cfg(
+            tmp_path, f"output_dir = {tmp_path / 'nf'}\ninit.amplitude = 1e150\n"
+        )
+        src = Path(spfc.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "spfc.cli", "simulate", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "segment 0" in proc.stderr and "step 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_ghost_history_changes_energy_log(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        logs = {}
+        for rule in ("copy", "ghost"):
+            out = tmp_path / rule
+            args = ["--set", f"init.history={rule}", "--set", f"output_dir={out}"]
+            assert main(["simulate", "--config", cfg, "--set", "schedule=0.05:0.2"] + args) == 0
+            assert f"init.history = {rule}" in (out / "config.resolved").read_text()
+            logs[rule] = (out / "energy.csv").read_bytes()
+        assert logs["copy"] != logs["ghost"]

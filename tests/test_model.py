@@ -12,13 +12,11 @@ from spfc import (
     Grid,
     ModelParams,
     Scheme,
-    chemical_potential,
     energy,
-    mu_zero,
+    ghost_init,
     nonlinear_operator,
     norm_l2,
     objective,
-    p_laplacian_term,
     rhs,
     sample,
 )
@@ -26,7 +24,8 @@ from spfc.model import (
     ManufacturedSolution,
     MeanMismatchError,
     StepContext,
-    manufactured_source,
+    gradient,
+    p_laplacian_hat,
 )
 from spfc.psd import PsdConfig, psd_solve
 from spfc.spectral import laplacian
@@ -38,6 +37,32 @@ def make_context(grid, rng, params, dt=0.05, scale=0.2):
     shift -= shift.mean()
     phi_km1 = Field(grid, phi_k.values + shift)
     return StepContext(phi_k, phi_km1, dt, params)
+
+
+def on_hyperplane(ctx, rng, scale=0.1):
+    shift = scale * rng.standard_normal(ctx.grid.shape)
+    return Field(ctx.grid, ctx.phi_k.values + shift - shift.mean())
+
+
+def p_laplacian(phi):
+    """``-div(|grad phi|^2 grad phi)`` on the grid, as the step operator forms it."""
+    g = phi.grid
+    return g.irfft(p_laplacian_hat(g, gradient(g, g.rfft(phi.values))))
+
+
+def chemical_potential(phi, ctx):
+    """The step's chemical potential at ``phi``, read off the step equation
+    ``N[phi] - f = (-lap)^(-1) (3/2 phi - 2 phi^k + 1/2 phi^(k-1)) + dt mu``."""
+    g = ctx.grid
+    bdf = 1.5 * phi.values - 2.0 * ctx.phi_k.values + 0.5 * ctx.phi_km1.values
+    resid = nonlinear_operator(phi, ctx).values - rhs(ctx).values
+    return (resid - g.irfft(g.lam_inv * g.rfft(bdf))) / ctx.dt
+
+
+def lap_mu_zero(phi0, params):
+    """Laplacian of the initial chemical potential, read off ``ghost_init``:
+    with dt = 1 the ghost level is ``phi0 - lap(mu^0)``."""
+    return phi0.values - ghost_init(phi0, 1.0, params).values
 
 
 class TestModelParams:
@@ -112,39 +137,21 @@ class TestEnergy:
 
 class TestPLaplacian:
     def test_constant_gives_zero(self, grid8):
-        assert np.max(np.abs(p_laplacian_term(Field.constant(grid8, 2.0)).values)) < 1e-13
+        assert np.max(np.abs(p_laplacian(Field.constant(grid8, 2.0)))) < 1e-13
 
     def test_single_mode_closed_form(self):
         g = Grid(dim=2, n=16, length=1.0)
         phi = sample(lambda x, y: np.sin(2 * np.pi * x), g)
         x = g.coords()[0]
         expected = 12 * np.pi**4 * (np.sin(2 * np.pi * x) + np.sin(6 * np.pi * x))
-        result = p_laplacian_term(phi)
-        assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
+        result = p_laplacian(phi)
+        assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_matches_dense_oracle_n8(self, grid8, rng):
         phi = random_field(grid8, rng)
         expected = oracles.p_laplacian(phi.values, 1.0)
-        result = p_laplacian_term(phi)
-        assert np.max(np.abs(result.values - expected)) < 1e-11 * np.max(np.abs(expected))
-
-
-class TestDealiasFlag:
-    def test_truncation_changes_aliased_product(self, rng):
-        g = Grid(dim=2, n=8, length=1.0)
-        phi = random_field(g, rng)
-        plain = p_laplacian_term(phi, dealias=False)
-        truncated = p_laplacian_term(phi, dealias=True)
-        assert not np.allclose(plain.values, truncated.values)
-
-    def test_truncation_is_inert_below_cutoff(self):
-        # the cubic of a mode-1 field lives within |m| <= 3; at n = 12 the
-        # 2/3 cutoff keeps |m| <= 4, so truncation must change nothing
-        g = Grid(dim=2, n=12, length=1.0)
-        phi = sample(lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), g)
-        plain = p_laplacian_term(phi, dealias=False)
-        truncated = p_laplacian_term(phi, dealias=True)
-        assert np.max(np.abs(plain.values - truncated.values)) < 1e-10
+        result = p_laplacian(phi)
+        assert np.max(np.abs(result - expected)) < 1e-11 * np.max(np.abs(expected))
 
 
 class TestThreeDimensional:
@@ -165,8 +172,8 @@ class TestThreeDimensional:
         g = Grid(dim=3, n=5, length=1.0)
         phi = Field(g, rng.standard_normal(g.shape))
         expected = oracles.p_laplacian(phi.values, 1.0)
-        result = p_laplacian_term(phi)
-        assert np.max(np.abs(result.values - expected)) < 1e-11 * np.max(np.abs(expected))
+        result = p_laplacian(phi)
+        assert np.max(np.abs(result - expected)) < 1e-11 * np.max(np.abs(expected))
 
 
 class TestChemicalPotential:
@@ -176,12 +183,12 @@ class TestChemicalPotential:
         c = Field.constant(grid8, 0.7)
         ctx = StepContext(c, c.copy(), 0.1, params)
         mu = chemical_potential(c, ctx)
-        assert np.max(np.abs(mu.values - params.a * 0.7)) < 1e-13
+        assert np.max(np.abs(mu - params.a * 0.7)) < 1e-13
 
     def test_scheme1_matches_term_oracle(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_1)
         ctx = make_context(grid8, rng, params, dt=0.07)
-        phi = Field(grid8, ctx.phi_k.values + 0.1 * rng.standard_normal(grid8.shape))
+        phi = on_hyperplane(ctx, rng)
         v, vk, vkm1 = phi.values, ctx.phi_k.values, ctx.phi_km1.values
         expected = (
             oracles.p_laplacian(v, 1.0)
@@ -191,12 +198,12 @@ class TestChemicalPotential:
             + oracles.laplacian(oracles.laplacian(v, 1.0), 1.0)
         )
         result = chemical_potential(phi, ctx)
-        assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_scheme2_matches_term_oracle(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_2)
         ctx = make_context(grid8, rng, params, dt=0.07)
-        phi = Field(grid8, ctx.phi_k.values + 0.1 * rng.standard_normal(grid8.shape))
+        phi = on_hyperplane(ctx, rng)
         v, vk, vkm1 = phi.values, ctx.phi_k.values, ctx.phi_km1.values
         lap_v = oracles.laplacian(v, 1.0)
         expected = (
@@ -208,14 +215,14 @@ class TestChemicalPotential:
             + oracles.laplacian(lap_v, 1.0)
         )
         result = chemical_potential(phi, ctx)
-        assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
 
 class TestMuZero:
     def test_constant(self, grid8):
+        # mu^0 = a c is constant, so the ghost level moves nowhere
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        mu = mu_zero(Field.constant(grid8, 0.4), params)
-        assert np.max(np.abs(mu.values - params.a * 0.4)) < 1e-13
+        assert np.max(np.abs(lap_mu_zero(Field.constant(grid8, 0.4), params))) < 1e-13
 
     def test_single_mode_closed_form(self):
         g = Grid(dim=2, n=16, length=1.0)
@@ -223,22 +230,25 @@ class TestMuZero:
         phi = sample(lambda x, y: np.sin(2 * np.pi * x), g)
         x = g.coords()[0]
         s, s3 = np.sin(2 * np.pi * x), np.sin(6 * np.pi * x)
-        expected = 12 * np.pi**4 * (s + s3) + (params.a - 2 * (2 * np.pi) ** 2 + (2 * np.pi) ** 4) * s
-        result = mu_zero(phi, params)
-        assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
+        k1, k3 = (2 * np.pi) ** 2, (6 * np.pi) ** 2
+        # mu^0 = 12 pi^4 (s + s3) + (a - 2 k1 + k1^2) s
+        expected = -12 * np.pi**4 * (k1 * s + k3 * s3) - k1 * (params.a - 2 * k1 + k1**2) * s
+        result = lap_mu_zero(phi, params)
+        assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_matches_dense_oracle(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         phi = random_field(grid8, rng)
         v = phi.values
-        expected = (
+        mu = (
             oracles.p_laplacian(v, 1.0)
             + params.a * v
             + 2 * oracles.laplacian(v, 1.0)
             + oracles.laplacian(oracles.laplacian(v, 1.0), 1.0)
         )
-        result = mu_zero(phi, params)
-        assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
+        expected = oracles.laplacian(mu, 1.0)
+        result = lap_mu_zero(phi, params)
+        assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
 
 class TestNonlinearOperatorAndRhs:
@@ -378,7 +388,7 @@ class TestSplittingConsistency:
         for scheme in Scheme:
             params = ModelParams(epsilon=0.4, reg_a=0.2, scheme=scheme)
             ctx = StepContext(c, c.copy(), 0.1, params)
-            values.append(chemical_potential(c, ctx).values.flat[0])
+            values.append(chemical_potential(c, ctx).flat[0])
         assert values[0] == pytest.approx(values[1], rel=1e-14)
         assert values[0] == pytest.approx(0.6 * 0.9, rel=1e-13)
 
@@ -400,7 +410,7 @@ class TestManufacturedSolution:
         t = 0.37
         phi = mms.field(g, t)
         mu = (
-            p_laplacian_term(phi).values
+            p_laplacian(phi)
             - params.epsilon * phi.values
             + phi.values
             + 2 * laplacian(phi).values
@@ -421,7 +431,7 @@ class TestManufacturedSolution:
         levels = [mms.field(g, t) for t in (t1, t1 - dt, t1 - 2 * dt)]
         ctx = StepContext(levels[1], levels[2], dt, params)
         stencil = (1.5 * levels[0].values - 2 * levels[1].values + 0.5 * levels[2].values) / dt
-        expected = stencil - laplacian(chemical_potential(levels[0], ctx)).values
+        expected = stencil - laplacian(Field(g, chemical_potential(levels[0], ctx))).values
         result = mms.spatial_source(g, t1, dt, params)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(result.values - expected)) < 1e-9 * scale
@@ -445,18 +455,6 @@ class TestManufacturedSolution:
         s1 = mms.temporal_source(g, 0.1, params)
         s2 = mms.temporal_source(g, 2.9, params)
         assert np.array_equal(s1.values, s2.values)
-
-    def test_wrapper_dispatch(self, rng):
-        g = Grid(dim=2, n=16, length=1.0)
-        params = ModelParams(epsilon=0.025, reg_a=0.25)
-        mms = ManufacturedSolution()
-        ctx = StepContext(mms.field(g, 0.0), mms.field(g, -0.01), 0.01, params)
-        a = manufactured_source(0.01, ctx, g, mode="temporal")
-        assert np.array_equal(a.values, mms.temporal_source(g, 0.01, params).values)
-        b = manufactured_source(0.01, ctx, g, mode="spatial")
-        assert np.array_equal(b.values, mms.spatial_source(g, 0.01, 0.01, params).values)
-        with pytest.raises(ValueError):
-            manufactured_source(0.01, ctx, g, mode="nope")
 
     def test_rejects_wrong_domain(self):
         g = Grid(dim=2, n=16, length=2.0)

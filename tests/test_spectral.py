@@ -1,5 +1,8 @@
-"""Tests for the collocation operators: transforms against a direct DFT
-oracle, operator identities, fractional powers, inner products and norms."""
+"""Tests for the rfft layout and the collocation operators: transforms and
+symbols against a direct DFT oracle, operator identities, the inverse
+Laplacian, inner products and norms."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,37 +12,35 @@ from conftest import random_field
 from spfc import (
     Field,
     Grid,
-    SpectralField,
-    apply_symbol,
-    div,
-    forward_transform,
+    ModelParams,
     grad,
     inner,
-    inverse_transform,
     laplacian,
-    neg_laplacian_pow,
-    norm_h1,
     norm_h2,
-    norm_hm1,
     norm_l2,
     norm_lp,
     sample,
 )
-from spfc.spectral import NonZeroMeanError
+from spfc.model import StepContext, StepOperator, p_laplacian_hat
+
+
+def signed_mode(grid, idx):
+    """Signed mode tuple of an rfft-layout index (Nyquist as ``-n/2``)."""
+    modes = oracles.signed_modes(grid.n)
+    return tuple(modes[i] for i in idx)
 
 
 class TestGrid:
     def test_basic_geometry(self):
         g = Grid(dim=2, n=16, length=100.0)
         assert g.spacing * g.n == pytest.approx(100.0, rel=1e-15)
-        assert g.half_modes == 7
         assert g.shape == (16, 16)
         assert g.volume == pytest.approx(1e4)
 
     def test_odd_grid_mode_set(self):
         g = Grid(dim=2, n=9, length=1.0)
-        assert g.n == 2 * g.half_modes + 1
-        assert sorted(g.mode_numbers) == list(range(-4, 5))
+        modes = np.rint(g.ik[0].imag.ravel() * g.length / (2 * np.pi))
+        assert sorted(modes) == list(range(-4, 5))
 
     @pytest.mark.parametrize("dim,n,length", [(1, 8, 1.0), (2, 2, 1.0), (2, 8, -1.0), (4, 8, 1.0)])
     def test_rejects_bad_parameters(self, dim, n, length):
@@ -48,8 +49,50 @@ class TestGrid:
 
     def test_even_grid_nyquist_folded(self):
         g = Grid(dim=2, n=8, length=1.0)
-        assert g.mode_numbers[4] == -4
-        assert g.balanced_modes[4] == 0
+        assert g.ik[0][4, 0] == 0.0 and g.ik[1][0, 4] == 0.0
+        assert g.ik[0][3, 0] == 3 * 2j * np.pi and g.ik[0][5, 0] == -3 * 2j * np.pi
+
+
+class TestRfftLayout:
+    """The rfft-layout invariants every spectral computation rests on,
+    checked mode by mode against the direct DFT."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 6), (2, 7), (3, 4), (3, 5)])
+    def test_invariants_against_dense_dft(self, dim, n, rng):
+        g = Grid(dim=dim, n=n, length=1.7)
+        f = Field(g, rng.standard_normal(g.shape))
+        spec = g.rfft(f.values)
+        coeffs = oracles.dft(f.values, g.length)
+        scale = max(abs(c) for c in coeffs.values())
+
+        # Parseval: full-spectrum sum of the oracle, nodal quadrature, rfft sum
+        full_sq = sum(abs(c) ** 2 for c in coeffs.values()) / g.volume
+        assert g.spectral_norm2_sq(spec) == pytest.approx(full_sq, rel=1e-12)
+        assert g.spectral_norm2_sq(spec) == pytest.approx(norm_l2(f) ** 2, rel=1e-12)
+
+        # normalisation: h^dim F[m] is the oracle coefficient, and the weight
+        # counts the full-spectrum modes each stored coefficient stands for
+        stored = {signed_mode(g, idx): idx for idx in np.ndindex(g.rshape)}
+        count = dict.fromkeys(stored.values(), 0)
+        for mode in itertools.product(oracles.signed_modes(n), repeat=dim):
+            partner = tuple(oracles.signed_modes(n)[-m % n] for m in mode)
+            count[stored[mode] if mode in stored else stored[partner]] += 1
+        for mode, idx in stored.items():
+            assert g.cell_volume * spec[idx] == pytest.approx(coeffs[mode], abs=1e-12 * scale)
+            assert g.parseval_weight[idx] == count[idx]
+            assert g.spectral_norm_factor * abs(spec[idx]) ** 2 == pytest.approx(
+                abs(coeffs[mode]) ** 2 / g.volume, rel=1e-10, abs=1e-24 * scale**2
+            )
+
+        # Nyquist folding: the symbols use the balanced modes, and the
+        # kernel is exactly the modes made of zero and Nyquist components
+        k = 2.0 * np.pi / g.length
+        for mode, idx in stored.items():
+            folded = [oracles.balanced(m, n) for m in mode]
+            for a in range(dim):
+                assert np.broadcast_to(g.ik[a], g.rshape)[idx] == pytest.approx(1j * k * folded[a])
+            assert g.lam[idx] == pytest.approx(k**2 * sum(m * m for m in folded))
+            assert g.kernel_mask[idx] == all(m in (0, -n // 2) if n % 2 == 0 else m == 0 for m in mode)
 
 
 class TestField:
@@ -67,63 +110,59 @@ class TestField:
 class TestTransforms:
     def test_constant_has_only_zero_mode(self):
         g = Grid(dim=2, n=10, length=2.5)
-        s = forward_transform(Field.constant(g, 1.0))
-        assert s.coeff(0, 0) == pytest.approx(g.volume, rel=1e-14)
-        others = s.coeffs.copy()
+        spec = g.rfft(Field.constant(g, 1.0).values)
+        assert g.cell_volume * spec[0, 0] == pytest.approx(g.volume, rel=1e-14)
+        others = spec.copy()
         others[0, 0] = 0.0
-        assert np.max(np.abs(others)) < 1e-13 * g.volume
+        assert np.max(np.abs(others)) < 1e-13 * g.size
 
     def test_single_mode_two_coefficients(self):
         g = Grid(dim=2, n=16, length=3.0)
         f = sample(lambda x, y: np.sin(2 * np.pi * x / g.length), g)
-        s = forward_transform(f)
-        c_plus, c_minus = s.coeff(1, 0), s.coeff(-1, 0)
+        spec = g.cell_volume * g.rfft(f.values)
+        c_plus, c_minus = spec[1, 0], spec[-1, 0]
         assert abs(c_plus) == pytest.approx(abs(c_minus), rel=1e-12)
         assert abs(c_plus) == pytest.approx(g.volume / 2.0, rel=1e-12)
-        rest = s.coeffs.copy()
+        rest = spec.copy()
         rest[1, 0] = rest[-1, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-12 * g.volume
 
     def test_forward_matches_direct_dft_n8(self, grid8, rng):
         f = random_field(grid8, rng)
-        s = forward_transform(f)
+        spec = grid8.cell_volume * grid8.rfft(f.values)
         expected = oracles.dft(f.values, grid8.length)
-        for mode, c in expected.items():
-            assert s.coeff(*mode) == pytest.approx(c, abs=1e-12 * np.abs(list(expected.values())).max())
+        scale = np.abs(list(expected.values())).max()
+        for idx in np.ndindex(grid8.rshape):
+            assert spec[idx] == pytest.approx(expected[signed_mode(grid8, idx)], abs=1e-12 * scale)
 
     def test_round_trip_identity_n16(self, grid16, rng):
         f = random_field(grid16, rng)
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
+        back = grid16.irfft(grid16.rfft(f.values))
+        assert np.max(np.abs(back - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
     def test_coefficient_delta_gives_cosine(self):
         g = Grid(dim=2, n=12, length=1.0)
-        coeffs = np.zeros(g.shape, dtype=complex)
-        coeffs[1, 0] = 0.5 * g.volume
-        coeffs[-1, 0] = 0.5 * g.volume
-        f = inverse_transform(SpectralField(g, coeffs))
+        spec = np.zeros(g.rshape, dtype=complex)
+        spec[1, 0] = spec[-1, 0] = 0.5 * g.size
         x = g.coords()[0]
-        assert np.max(np.abs(f.values - np.cos(2 * np.pi * x))) < 1e-12
+        assert np.max(np.abs(g.irfft(spec) - np.cos(2 * np.pi * x))) < 1e-12
 
     def test_zero_coefficients_give_zero_field(self, grid8):
-        f = inverse_transform(SpectralField(grid8, np.zeros(grid8.shape, dtype=complex)))
-        assert np.all(f.values == 0.0)
-
-    def test_inverse_rejects_asymmetric_coefficients(self, grid8):
-        coeffs = np.zeros(grid8.shape, dtype=complex)
-        coeffs[1, 2] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="conjugate"):
-            inverse_transform(SpectralField(grid8, coeffs))
+        assert np.all(grid8.irfft(np.zeros(grid8.rshape, dtype=complex)) == 0.0)
 
     def test_transform_of_real_field_is_conjugate_symmetric(self, grid16, rng):
-        s = forward_transform(random_field(grid16, rng))
-        assert s.conjugate_symmetry_defect() < 1e-12
+        # the zero and Nyquist columns hold their own conjugate partners,
+        # which is why the Parseval weight counts them once
+        spec = grid16.rfft(random_field(grid16, rng).values)
+        for col in (0, grid16.n // 2):
+            c = spec[:, col]
+            partner = np.conj(np.roll(c[::-1], 1))
+            assert np.max(np.abs(c - partner)) < 1e-12 * np.max(np.abs(spec))
 
     def test_three_dimensional_round_trip(self, rng):
         g = Grid(dim=3, n=8, length=2.0)
-        f = Field(g, rng.standard_normal(g.shape))
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
+        f = rng.standard_normal(g.shape)
+        assert np.max(np.abs(g.irfft(g.rfft(f)) - f)) < 1e-12
 
 
 class TestSample:
@@ -139,12 +178,12 @@ class TestSample:
     def test_sampled_sine_is_single_mode(self):
         g = Grid(dim=2, n=8, length=1.0)
         f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
-        s = forward_transform(f)
+        spec = g.cell_volume * g.rfft(f.values)
         expected = oracles.dft(f.values, 1.0)
         nonzero = {m for m, c in expected.items() if abs(c) > 1e-12}
         assert nonzero == {(1, 0), (-1, 0)}
-        for mode in nonzero:
-            assert s.coeff(*mode) == pytest.approx(expected[mode], abs=1e-12)
+        for idx in [(1, 0), (-1, 0)]:
+            assert spec[idx] == pytest.approx(expected[idx], abs=1e-12)
 
 
 class TestDerivatives:
@@ -174,24 +213,25 @@ class TestDerivatives:
         for n in (8, 9):  # even grid exercises the Nyquist folding
             g = Grid(dim=2, n=n, length=1.0)
             f = random_field(g, rng)
-            composed = div(grad(f))
+            composed = g.irfft(sum(ik * g.rfft(c.values) for ik, c in zip(g.ik, grad(f))))
             direct = laplacian(f)
             scale = np.max(np.abs(direct.values))
-            assert np.max(np.abs(composed.values - direct.values)) < 1e-12 * scale
+            assert np.max(np.abs(composed - direct.values)) < 1e-12 * scale
 
+    # the flux divergence of the 4-Laplacian, -div(|v|^2 v), applied to a
+    # given vector field v
     def test_divergence_of_constant_vector_is_zero(self, grid8):
-        v = (Field.constant(grid8, 1.0), Field.constant(grid8, -2.0))
-        assert np.max(np.abs(div(v).values)) < 1e-14
-
-    def test_divergence_rejects_mismatched_grids(self, grid8, grid16):
-        with pytest.raises(ValueError, match="grid"):
-            div((Field.zeros(grid8), Field.zeros(grid16)))
+        v = [np.full(grid8.shape, 1.0), np.full(grid8.shape, -2.0)]
+        assert np.max(np.abs(grid8.irfft(p_laplacian_hat(grid8, v)))) < 1e-13
 
     def test_divergence_matches_componentwise_oracle(self, grid8, rng):
-        v = (random_field(grid8, rng), random_field(grid8, rng))
-        expected = oracles.derivative(v[0].values, 1.0, 0) + oracles.derivative(v[1].values, 1.0, 1)
-        result = div(v)
-        assert np.max(np.abs(result.values - expected)) < 1e-12 * np.max(np.abs(expected))
+        v = [rng.standard_normal(grid8.shape) for _ in range(2)]
+        vsq = v[0] ** 2 + v[1] ** 2
+        expected = -(
+            oracles.derivative(vsq * v[0], 1.0, 0) + oracles.derivative(vsq * v[1], 1.0, 1)
+        )
+        result = grid8.irfft(p_laplacian_hat(grid8, v))
+        assert np.max(np.abs(result - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_laplacian_eigenfunction(self):
         g = Grid(dim=2, n=16, length=1.0)
@@ -202,50 +242,29 @@ class TestDerivatives:
     def test_laplacian_of_constant_is_zero(self, grid8):
         assert np.max(np.abs(laplacian(Field.constant(grid8, 7.0)).values)) < 1e-14
 
-    def test_apply_symbol_biharmonic_composition(self, grid16, rng):
-        f = random_field(grid16, rng)
-        via_symbol = apply_symbol(
-            f,
-            lambda mx, my: (4 * np.pi**2 * (mx**2 + my**2)) ** 2,
-        )
-        composed = laplacian(laplacian(f))
-        scale = np.max(np.abs(composed.values))
-        assert np.max(np.abs(via_symbol.values - composed.values)) < 1e-11 * scale
-
 
 class TestFractionalOperators:
+    """``Grid.lam_inv``: the power ``(-laplacian)^(-1)`` the step operator uses."""
+
+    @staticmethod
+    def apply(f):
+        g = f.grid
+        return g.irfft(g.lam_inv * g.rfft(f.values))
+
     def test_inverse_on_single_mode(self):
         g = Grid(dim=2, n=16, length=2.0)
         f = sample(lambda x, y: np.sin(2 * np.pi * x / 2.0), g)
-        result = neg_laplacian_pow(f, -1.0)
         expected = (2.0 / (2 * np.pi)) ** 2 * f.values
-        assert np.max(np.abs(result.values - expected)) < 1e-13
-
-    def test_gamma_one_reproduces_negative_laplacian(self, grid16, rng):
-        f = random_field(grid16, rng)
-        a = neg_laplacian_pow(f, 1.0)
-        b = laplacian(f)
-        assert np.max(np.abs(a.values + b.values)) < 1e-12 * np.max(np.abs(b.values))
-
-    def test_semigroup_property(self, grid16, rng):
-        f = random_field(grid16, rng, mean_zero=True)
-        twice = neg_laplacian_pow(neg_laplacian_pow(f, -0.5), -0.5)
-        once = neg_laplacian_pow(f, -1.0)
-        assert np.max(np.abs(twice.values - once.values)) < 1e-12 * np.max(np.abs(once.values))
+        assert np.max(np.abs(self.apply(f) - expected)) < 1e-13
 
     def test_inverse_matches_dense_oracle(self, grid8, rng):
         f = random_field(grid8, rng, mean_zero=True)
-        result = neg_laplacian_pow(f, -1.0)
         expected = oracles.inv_neg_laplacian(f.values, 1.0)
-        assert np.max(np.abs(result.values - expected)) < 1e-12
-
-    def test_rejects_biased_input_for_negative_power(self, grid8):
-        with pytest.raises(NonZeroMeanError, match="mean"):
-            neg_laplacian_pow(Field.constant(grid8, 1.0), -1.0)
+        assert np.max(np.abs(self.apply(f) - expected)) < 1e-12
 
     def test_result_is_mean_zero(self, grid16, rng):
-        f = random_field(grid16, rng, mean_zero=True)
-        assert abs(neg_laplacian_pow(f, -1.0).mean()) < 1e-13
+        f = random_field(grid16, rng)
+        assert abs(self.apply(f).mean()) < 1e-13
 
 
 class TestNormsAndInner:
@@ -270,21 +289,19 @@ class TestNormsAndInner:
         )
 
     def test_hm1_single_mode(self):
+        # the solver's H^-1 residual norm
         g = Grid(dim=2, n=16, length=1.0)
         f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
-        assert norm_hm1(f) == pytest.approx(norm_l2(f) / (2 * np.pi), rel=1e-12)
-
-    def test_hm1_rejects_biased_input(self, grid8):
-        with pytest.raises(NonZeroMeanError):
-            norm_hm1(Field.constant(grid8, 0.2))
+        zero = Field.zeros(g)
+        op = StepOperator(StepContext(zero, zero.copy(), 0.1, ModelParams(epsilon=0.3, reg_a=0.2)))
+        hm1 = op.residual_norm(g.rfft(f.values), "hm1")
+        assert hm1 == pytest.approx(norm_l2(f) / (2 * np.pi), rel=1e-12)
 
     def test_h_norms_on_single_mode(self):
         g = Grid(dim=2, n=16, length=1.0)
         f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
         lam = (2 * np.pi) ** 2
-        base = norm_l2(f)
-        assert norm_h1(f) == pytest.approx(np.sqrt(1 + lam) * base, rel=1e-12)
-        assert norm_h2(f) == pytest.approx(np.sqrt(1 + lam + lam**2) * base, rel=1e-12)
+        assert norm_h2(f) == pytest.approx(np.sqrt(1 + lam + lam**2) * norm_l2(f), rel=1e-12)
 
     def test_parseval(self, grid16, rng):
         f = random_field(grid16, rng)
