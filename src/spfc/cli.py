@@ -19,20 +19,12 @@ from typing import Optional, Sequence
 
 from .config import ConfigError, RunConfig, parse_config, render_config
 from .harness import (
-    PatternConfig,
     pattern_experiment,
     spatial_convergence_study,
     temporal_convergence_study,
     verify_suite,
 )
-from .model import ModelParams
-from .psd import PsdConfig
-from .snapshots import (
-    SnapshotMeta,
-    snapshot_path,
-    write_energy_log,
-    write_snapshot,
-)
+from .snapshots import ENERGY_HEADER, SnapshotMeta, energy_row, snapshot_path, write_snapshot
 from .stepper import StepFailureError
 
 __all__ = ["main", "entry"]
@@ -48,13 +40,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pseudo-spectral square phase field crystal solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run a pattern-formation schedule"),
-        ("conv-space", "spatial convergence study (manufactured solution)"),
-        ("conv-time", "temporal convergence study (manufactured solution)"),
-        ("verify", "run the property-check battery"),
+    for name, run, help_text in (
+        ("simulate", _run_simulate, "run a pattern-formation schedule"),
+        ("conv-space", _run_conv_space, "spatial convergence study (manufactured solution)"),
+        ("conv-time", _run_conv_time, "temporal convergence study (manufactured solution)"),
+        ("verify", _run_verify, "run the property-check battery"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument(
             "--set",
@@ -67,16 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODE_OF_COMMAND = {
-    "simulate": "simulate",
-    "conv-space": "conv_space",
-    "conv-time": "conv_time",
-    "verify": "verify",
-}
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    mode = _MODE_OF_COMMAND[args.command]
+    mode = args.command.replace("-", "_")
     if args.config is None:
         if mode == "simulate":
             raise ConfigError("--config", "(cli)", "simulate requires a config file")
@@ -94,55 +79,36 @@ def _prepare_output(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
-def _psd_cfg(cfg: RunConfig) -> PsdConfig:
-    return PsdConfig(
-        tol=cfg.solver_tol,
-        max_iter=cfg.solver_max_iter,
-        residual_norm=cfg.solver_residual_norm,
-    )
-
-
 def _run_simulate(cfg: RunConfig) -> int:
-    if cfg.grid_dim != 2:
-        raise ConfigError("grid.dim", "(validated)", "simulate supports 2D runs")
     out = _prepare_output(cfg)
-    pattern = PatternConfig(
-        length=cfg.grid_length,
-        n=cfg.grid_n,
-        epsilon=cfg.epsilon,
-        reg_a=cfg.reg_a_value,
-        seed=cfg.seed,
-        amplitude=cfg.amplitude,
-        sites=cfg.sites,
-        dt_schedule=cfg.schedule,
-        scheme=cfg.scheme,
-        site_profile=cfg.site_profile,
-        history=cfg.history,
-    )
-    records = []
+    pattern = cfg.pattern
+    params = pattern.params()
 
     def snapshot_sink(state) -> None:
         meta = SnapshotMeta(
             dim=2,
-            n=cfg.grid_n,
-            length=cfg.grid_length,
+            n=pattern.n,
+            length=pattern.length,
             time=state.time,
             step=state.step_index,
-            scheme=cfg.scheme.value,
-            epsilon=cfg.epsilon,
-            reg_a=cfg.reg_a_value,
-            seed=cfg.seed,
+            scheme=params.scheme.value,
+            epsilon=params.epsilon,
+            reg_a=params.reg_a,
+            seed=pattern.seed,
         )
         write_snapshot(state.phi_curr, meta, snapshot_path(out, state.step_index))
 
-    summary = pattern_experiment(
-        pattern,
-        energy_sink=records.append,
-        snapshot_sink=snapshot_sink,
-        snapshot_times=cfg.snapshot_times,
-        psd_cfg=_psd_cfg(cfg),
-    )
-    write_energy_log(records, os.path.join(out, "energy.csv"))
+    # line-buffered: every row is flushed, so a failed or killed run leaves its log
+    path = os.path.join(out, "energy.csv")
+    with open(path, "w", buffering=1, encoding="utf-8", newline="\n") as log:
+        log.write(ENERGY_HEADER)
+        summary = pattern_experiment(
+            pattern,
+            energy_sink=lambda record: log.write(energy_row(record)),
+            snapshot_sink=snapshot_sink,
+            snapshot_times=cfg.snapshot_times,
+            psd_cfg=cfg.solver,
+        )
     print(
         f"simulate: t = {summary.final_time:g} in {summary.total_steps} steps, "
         f"E = {summary.final_energy:.6g}, phi in [{summary.phi_min:.4g}, {summary.phi_max:.4g}], "
@@ -152,8 +118,11 @@ def _run_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _study_params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(epsilon=cfg.epsilon, reg_a=cfg.reg_a_value, scheme=cfg.scheme)
+def _report(lines, path) -> None:
+    text = "\n".join(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(text)
 
 
 def _write_rows(rows, path) -> None:
@@ -167,16 +136,13 @@ def _run_conv_space(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
     n_list = range(6, 22, 2) if cfg.profile == "full" else range(6, 14, 2)
     rows = spatial_convergence_study(
-        list(n_list), dt_fixed=1e-4, params=_study_params(cfg), t_final=0.16
+        list(n_list), dt_fixed=1e-4, params=cfg.pattern.params(), t_final=0.16
     )
     _write_rows(rows, os.path.join(out, "convergence_space.csv"))
     lines = [f"N={r.resolution:3d}  error_l2={r.error_l2:.6e}" for r in rows]
     ratio = rows[-1].error_l2 / rows[0].error_l2 if rows[0].error_l2 > 0 else float("nan")
     lines.append(f"error({rows[-1].resolution}) / error({rows[0].resolution}) = {ratio:.3e}")
-    report = "\n".join(lines)
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report + "\n")
-    print(report)
+    _report(lines, os.path.join(out, "report.txt"))
     return EXIT_OK
 
 
@@ -185,25 +151,19 @@ def _run_conv_time(cfg: RunConfig) -> int:
     n_fixed = 128 if cfg.profile == "full" else 64
     nk_list = list(range(100, 900, 100))
     rows, order = temporal_convergence_study(
-        nk_list, n_fixed=n_fixed, params=_study_params(cfg), t_final=0.16
+        nk_list, n_fixed=n_fixed, params=cfg.pattern.params(), t_final=0.16
     )
     _write_rows(rows, os.path.join(out, "convergence_time.csv"))
     lines = [f"N_k={r.resolution:4d}  dt={r.dt:.3e}  error_l2={r.error_l2:.6e}" for r in rows]
-    lines.append(f"fitted order = {order:.4f}  (N = {n_fixed}, scheme {cfg.scheme.value})")
-    report = "\n".join(lines)
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report + "\n")
-    print(report)
+    lines.append(f"fitted order = {order:.4f}  (N = {n_fixed}, scheme {cfg.pattern.scheme.value})")
+    _report(lines, os.path.join(out, "report.txt"))
     return EXIT_OK
 
 
 def _run_verify(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
     report = verify_suite(profile=cfg.profile)
-    text = report.format()
-    with open(os.path.join(out, "verify_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    print(text)
+    _report([report.format()], os.path.join(out, "verify_report.txt"))
     return EXIT_OK if report.all_passed else EXIT_SOLVER
 
 
@@ -215,17 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = _load_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.command == "simulate":
-            return _run_simulate(cfg)
-        if args.command == "conv-space":
-            return _run_conv_space(cfg)
-        if args.command == "conv-time":
-            return _run_conv_time(cfg)
-        return _run_verify(cfg)
+        return args.run(cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,48 +1,58 @@
-"""Run configuration: the line-oriented ``key = value`` format and its
-validated in-memory form.
+"""Run configuration: the line-oriented ``key = value`` format, parsed
+straight into the objects a run uses.
 
 Format
 ------
 UTF-8 text, one ``key = value`` assignment per line; ``#`` starts a comment;
 blank lines are ignored.  Keys use dotted section prefixes.  Unknown keys are
-errors (typo protection).  The full key table with defaults:
+errors (typo protection), and so is a key the run's mode does not read.
+Numbers must be finite.  Each key sets a field of :class:`RunConfig`, of its
+``pattern`` (:class:`spfc.harness.PatternConfig`) or of its ``solver``
+(:class:`spfc.psd.PsdConfig`), whose constructors hold the range checks.
+The keys, their defaults and the modes that read them (*sim* is
+``simulate``, *conv* is ``conv_space`` and ``conv_time``):
 
-======================  =========================  ==============================
-key                     default                    meaning / constraints
-======================  =========================  ==============================
-mode                    (from CLI subcommand)      simulate | conv_space | conv_time | verify
-grid.dim                2                          2 or 3
-grid.n                  256                        points per axis, >= 3
-grid.length             100.0                      box edge length, > 0
-model.epsilon           0.5                        in (0, 1)
-model.A                 epsilon^2 / 16             regularization, >= 0
-model.scheme            bdf2_es_1                  bdf2_es_1 | bdf2_es_2
-schedule                (required for simulate)    comma list of dt:t_end segments
-output_dir              out                        created if missing
-seed                    0                          64-bit RNG seed
-snapshot_times          1,10,20,40,100,200         comma list of reals (may be empty)
-profile                 full                       full | ci
-init.amplitude          0.05                       uniform noise amplitude
-init.sites              (empty)                    semicolon list of x:y:magnitude
-init.site_profile       node                       node | gaussian
-init.history            copy                       copy | ghost
-solver.tol              1e-9                       in (0, 1)
-solver.max_iter         200                        >= 1
-solver.residual_norm    l2                         l2 | hm1
-======================  =========================  ==============================
+====================  =======================  ===============================  ============
+key                   default                  meaning / constraints            read by
+====================  =======================  ===============================  ============
+mode                  (from CLI subcommand)    simulate | conv_space | ...      all
+output_dir            out                      created if missing               all
+grid.dim              2                        only 2 (simulate runs 2D)        sim
+grid.n                256                      points per axis, >= 3            sim
+grid.length           100.0                    box edge length, > 0             sim
+model.epsilon         0.5                      in (0, 1)                        sim, conv
+model.A               epsilon^2 / 16           regularization, >= 0             sim, conv
+model.scheme          bdf2_es_1                bdf2_es_1 | bdf2_es_2            sim, conv
+schedule              (required for simulate)  comma list of dt:t_end; whole    sim
+                                               steps of dt > 0, t_end rising
+seed                  0                        RNG seed, >= 0                   sim
+snapshot_times        1,10,20,40,100,200       comma list of reals, or empty    sim
+profile               full                     full | ci                        conv, verify
+init.amplitude        0.05                     uniform noise amplitude, >= 0    sim
+init.sites            (empty)                  x:y:magnitude; ... inside box    sim
+init.site_profile     node                     node | gaussian                  sim
+init.history          copy                     copy | ghost                     sim
+solver.tol            1e-9                     in (0, 1)                        sim
+solver.max_iter       200                      >= 1                             sim
+solver.residual_norm  l2                       l2 | hm1                         sim
+====================  =======================  ===============================  ============
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+import re
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
+from .harness import DEFAULT_SNAPSHOT_TIMES, PatternConfig
 from .model import Scheme
+from .psd import PsdConfig
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "render_config"]
+__all__ = ["RunConfig", "ConfigError", "KEYS", "parse_config", "render_config"]
 
 MODES = ("simulate", "conv_space", "conv_time", "verify")
-DEFAULT_SNAPSHOTS = (1.0, 10.0, 20.0, 40.0, 100.0, 200.0)
 
 
 class ConfigError(ValueError):
@@ -56,83 +66,110 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A parsed run: its mode, the problem and solver it runs, and its output."""
+
     mode: str
-    grid_dim: int = 2
-    grid_n: int = 256
-    grid_length: float = 100.0
-    epsilon: float = 0.5
-    reg_a: Optional[float] = None
-    scheme: Scheme = Scheme.BDF2_ES_1
-    schedule: tuple = ()
+    pattern: PatternConfig = field(default_factory=PatternConfig)
+    solver: PsdConfig = field(default_factory=PsdConfig)
     output_dir: str = "out"
-    seed: int = 0
-    snapshot_times: tuple = DEFAULT_SNAPSHOTS
+    snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
     profile: str = "full"
-    amplitude: float = 0.05
-    sites: tuple = ()
-    site_profile: str = "node"
-    history: str = "copy"
-    solver_tol: float = 1e-9
-    solver_max_iter: int = 200
-    solver_residual_norm: str = "l2"
-
-    @property
-    def reg_a_value(self) -> float:
-        return self.epsilon**2 / 16.0 if self.reg_a is None else self.reg_a
 
 
-def _parse_float(raw: str, key: str, line: object) -> float:
+def _number(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(key, line, f"expected a number, got {raw!r}") from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_int(raw: str, key: str, line: object) -> int:
+def _integer(raw: str) -> int:
     try:
         return int(raw, 0)
     except ValueError:
-        raise ConfigError(key, line, f"expected an integer, got {raw!r}") from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_schedule(raw: str, key: str, line: object) -> tuple:
-    segments = []
-    for part in filter(None, (p.strip() for p in raw.split(","))):
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _list(sep: str, form: str) -> Callable[[str], tuple]:
+    """Parser of a ``sep``-separated list of ``form`` (``"dt:t_end"``) items."""
+
+    def item(part: str):
         bits = part.split(":")
-        if len(bits) != 2:
-            raise ConfigError(key, line, f"segment {part!r} is not dt:t_end")
-        dt = _parse_float(bits[0], key, line)
-        t_end = _parse_float(bits[1], key, line)
-        if dt <= 0:
-            raise ConfigError(key, line, f"dt must be positive, got {dt}")
-        segments.append((dt, t_end))
-    if any(b[1] <= a[1] for a, b in zip(segments, segments[1:])):
-        raise ConfigError(key, line, "segment end times must increase")
-    return tuple(segments)
+        if len(bits) != form.count(":") + 1:
+            raise ValueError(f"{part!r} is not {form}")
+        numbers = tuple(map(_number, bits))
+        return numbers if len(numbers) > 1 else numbers[0]
+
+    return lambda raw: tuple(item(p.strip()) for p in raw.split(sep) if p.strip())
 
 
-def _parse_sites(raw: str, key: str, line: object) -> tuple:
-    sites = []
-    for part in filter(None, (p.strip() for p in raw.split(";"))):
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise ConfigError(key, line, f"site {part!r} is not x:y:magnitude")
-        sites.append(tuple(_parse_float(b, key, line) for b in bits))
-    return tuple(sites)
-
-
-def _parse_floats(raw: str, key: str, line: object) -> tuple:
-    return tuple(
-        _parse_float(p.strip(), key, line)
-        for p in raw.split(",")
-        if p.strip()
+def _joined(sep: str) -> Callable[[tuple], str]:
+    return lambda items: sep.join(
+        ":".join(map(repr, item)) if isinstance(item, tuple) else repr(item) for item in items
     )
 
 
-def _parse_choice(raw: str, key: str, line: object, choices: tuple) -> str:
-    if raw not in choices:
-        raise ConfigError(key, line, f"must be one of {', '.join(choices)}, got {raw!r}")
-    return raw
+def _dim(raw: str) -> int:
+    if raw != "2":
+        raise ValueError(f"simulate runs 2D grids only, got {raw!r}")
+    return 2
+
+
+class Key(NamedTuple):
+    """A config key: the field it sets (``"pattern.n"``), its parser, the modes
+    that read it, and how :func:`render_config` writes it (``value``, ``text``)."""
+
+    name: str
+    path: Optional[str]
+    parse: Callable[[str], object]
+    modes: tuple
+    text: Callable[[object], str] = str
+    value: Optional[Callable[[RunConfig], object]] = None
+
+
+_SIM = ("simulate",)
+_MODEL = ("simulate", "conv_space", "conv_time")
+_PROFILE = ("conv_space", "conv_time", "verify")
+
+# in the order render_config writes them
+KEYS = {
+    key.name: key
+    for key in (
+        Key("mode", "mode", _choice(*MODES), MODES),
+        Key("grid.dim", None, _dim, _SIM, value=lambda cfg: 2),
+        Key("grid.n", "pattern.n", _integer, _SIM),
+        Key("grid.length", "pattern.length", _number, _SIM),
+        Key("model.epsilon", "pattern.epsilon", _number, _MODEL),
+        Key("model.A", "pattern.reg_a", _number, _MODEL,
+            value=lambda cfg: cfg.pattern.params().reg_a),
+        Key("model.scheme", "pattern.scheme", Scheme, _MODEL, text=attrgetter("value")),
+        Key("schedule", "pattern.dt_schedule", _list(",", "dt:t_end"), _SIM, text=_joined(", ")),
+        Key("output_dir", "output_dir", str, MODES),
+        Key("seed", "pattern.seed", _integer, _SIM),
+        Key("snapshot_times", "snapshot_times", _list(",", "a time"), _SIM, text=_joined(",")),
+        Key("profile", "profile", _choice("full", "ci"), _PROFILE),
+        Key("init.amplitude", "pattern.amplitude", _number, _SIM),
+        Key("init.sites", "pattern.sites", _list(";", "x:y:magnitude"), _SIM,
+            text=_joined("; ")),
+        Key("init.site_profile", "pattern.site_profile", str, _SIM),
+        Key("init.history", "pattern.history", str, _SIM),
+        Key("solver.tol", "solver.tol", _number, _SIM),
+        Key("solver.max_iter", "solver.max_iter", _integer, _SIM),
+        Key("solver.residual_norm", "solver.residual_norm", str, _SIM),
+    )
+}
 
 
 def parse_config(
@@ -159,111 +196,53 @@ def parse_config(
         key, _, value = item.partition("=")
         assignments.append((key.strip(), value.strip(), f"--set {item}"))
 
-    cfg = RunConfig(mode=mode or "")
-    seen_schedule = False
+    fields: dict = {"": {}, "pattern": {}, "solver": {}}
+    origin = {}  # key -> where it was last set
     for key, value, line in assignments:
-        if key == "mode":
-            m = _parse_choice(value, key, line, MODES)
-            if mode is not None and m != mode:
-                raise ConfigError(key, line, f"mode {m!r} conflicts with subcommand {mode!r}")
-            cfg.mode = m
-        elif key == "grid.dim":
-            cfg.grid_dim = _parse_int(value, key, line)
-            if cfg.grid_dim not in (2, 3):
-                raise ConfigError(key, line, f"dim must be 2 or 3, got {cfg.grid_dim}")
-        elif key == "grid.n":
-            cfg.grid_n = _parse_int(value, key, line)
-            if cfg.grid_n < 3:
-                raise ConfigError(key, line, f"n must be at least 3, got {cfg.grid_n}")
-        elif key == "grid.length":
-            cfg.grid_length = _parse_float(value, key, line)
-            if cfg.grid_length <= 0:
-                raise ConfigError(key, line, "length must be positive")
-        elif key == "model.epsilon":
-            cfg.epsilon = _parse_float(value, key, line)
-            if not 0.0 < cfg.epsilon < 1.0:
-                raise ConfigError(key, line, f"epsilon must lie in (0, 1), got {cfg.epsilon}")
-        elif key == "model.A":
-            cfg.reg_a = _parse_float(value, key, line)
-            if cfg.reg_a < 0:
-                raise ConfigError(key, line, "A must be nonnegative")
-        elif key == "model.scheme":
-            name = _parse_choice(value, key, line, tuple(s.value for s in Scheme))
-            cfg.scheme = Scheme(name)
-        elif key == "schedule":
-            cfg.schedule = _parse_schedule(value, key, line)
-            seen_schedule = True
-        elif key == "output_dir":
-            cfg.output_dir = value
-        elif key == "seed":
-            cfg.seed = _parse_int(value, key, line)
-        elif key == "snapshot_times":
-            cfg.snapshot_times = _parse_floats(value, key, line)
-        elif key == "profile":
-            cfg.profile = _parse_choice(value, key, line, ("full", "ci"))
-        elif key == "init.amplitude":
-            cfg.amplitude = _parse_float(value, key, line)
-            if cfg.amplitude < 0:
-                raise ConfigError(key, line, "amplitude must be nonnegative")
-        elif key == "init.sites":
-            cfg.sites = _parse_sites(value, key, line)
-        elif key == "init.site_profile":
-            cfg.site_profile = _parse_choice(value, key, line, ("node", "gaussian"))
-        elif key == "init.history":
-            cfg.history = _parse_choice(value, key, line, ("copy", "ghost"))
-        elif key == "solver.tol":
-            cfg.solver_tol = _parse_float(value, key, line)
-            if not 0.0 < cfg.solver_tol < 1.0:
-                raise ConfigError(key, line, "tol must lie in (0, 1)")
-        elif key == "solver.max_iter":
-            cfg.solver_max_iter = _parse_int(value, key, line)
-            if cfg.solver_max_iter < 1:
-                raise ConfigError(key, line, "max_iter must be >= 1")
-        elif key == "solver.residual_norm":
-            cfg.solver_residual_norm = _parse_choice(value, key, line, ("l2", "hm1"))
-        else:
+        spec = KEYS.get(key)
+        if spec is None:
             raise ConfigError(key, line, "unknown key")
-
-    if not cfg.mode:
+        try:
+            parsed = spec.parse(value)
+        except ValueError as exc:
+            raise ConfigError(key, line, str(exc)) from None
+        if key == "mode" and mode is not None and parsed != mode:
+            raise ConfigError(key, line, f"mode {parsed!r} conflicts with subcommand {mode!r}")
+        if spec.path:
+            owner, _, name = spec.path.rpartition(".")
+            fields[owner][name] = parsed
+        origin[key] = line
+    run_mode = fields[""].setdefault("mode", mode)
+    if not run_mode:
         raise ConfigError("mode", "(missing)", "mode is required")
-    if cfg.mode == "simulate" and not seen_schedule:
+    for key, line in origin.items():
+        if run_mode not in KEYS[key].modes:
+            raise ConfigError(key, line, f"not read in mode {run_mode!r}")
+    if run_mode == "simulate" and "schedule" not in origin:
         raise ConfigError("schedule", "(missing)", "simulate needs a schedule")
-    for x, y, _ in cfg.sites:
-        if not (0 <= x < cfg.grid_length and 0 <= y < cfg.grid_length):
-            raise ConfigError("init.sites", "(validated)", f"site ({x}, {y}) outside the box")
-    return cfg
+    built = {}
+    for owner, cls in (("pattern", PatternConfig), ("solver", PsdConfig)):
+        try:
+            built[owner] = cls(**fields[owner])
+        except ValueError as exc:
+            # the constructors name the offending field first
+            path = owner + "." + re.match(r"\w*", str(exc)).group()
+            key = next((k for k in origin if KEYS[k].path == path), path)
+            raise ConfigError(key, origin.get(key, "(default)"), str(exc)) from None
+    return RunConfig(**fields[""], **built)
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Canonical serialization of a resolved configuration (round-trips
-    through :func:`parse_config`)."""
-    lines = [
-        f"mode = {cfg.mode}",
-        f"grid.dim = {cfg.grid_dim}",
-        f"grid.n = {cfg.grid_n}",
-        f"grid.length = {cfg.grid_length!r}",
-        f"model.epsilon = {cfg.epsilon!r}",
-        f"model.A = {cfg.reg_a_value!r}",
-        f"model.scheme = {cfg.scheme.value}",
-    ]
-    if cfg.schedule:
-        lines.append("schedule = " + ", ".join(f"{dt!r}:{te!r}" for dt, te in cfg.schedule))
-    lines += [
-        f"output_dir = {cfg.output_dir}",
-        f"seed = {cfg.seed}",
-        "snapshot_times = " + ",".join(repr(t) for t in cfg.snapshot_times),
-        f"profile = {cfg.profile}",
-        f"init.amplitude = {cfg.amplitude!r}",
-    ]
-    if cfg.sites:
-        lines.append(
-            "init.sites = " + "; ".join(f"{x!r}:{y!r}:{m!r}" for x, y, m in cfg.sites)
-        )
-    lines += [
-        f"init.site_profile = {cfg.site_profile}",
-        f"init.history = {cfg.history}",
-        f"solver.tol = {cfg.solver_tol!r}",
-        f"solver.max_iter = {cfg.solver_max_iter}",
-        f"solver.residual_norm = {cfg.solver_residual_norm}",
-    ]
+    """Canonical serialization of a resolved configuration: the keys its mode
+    reads (round-trips through :func:`parse_config`).  An empty list left at
+    its default is left out."""
+    default = RunConfig(cfg.mode)
+    lines = []
+    for key in KEYS.values():
+        if cfg.mode not in key.modes:
+            continue
+        get = key.value or attrgetter(key.path)
+        text = key.text(get(cfg))
+        if text or get(cfg) != get(default):
+            lines.append(f"{key.name} = {text}")
     return "\n".join(lines) + "\n"

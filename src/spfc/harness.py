@@ -24,7 +24,7 @@ from .model import (
 )
 from .psd import PsdConfig, psd_solve
 from .spectral import Field, grad, laplacian, norm_h2, norm_l2, norm_lp, sample
-from .stepper import EnergyRecord, SimState, initial_state, run
+from .stepper import EnergyRecord, SimState, initial_state, run, segment_steps
 
 __all__ = [
     "ConvergenceRow",
@@ -41,7 +41,7 @@ __all__ = [
     "DEFAULT_SNAPSHOT_TIMES",
 ]
 
-DEFAULT_SNAPSHOT_TIMES = (1.0, 10.0, 20.0, 40.0, 100.0, 200.0, 500.0, 3000.0, 9000.0)
+DEFAULT_SNAPSHOT_TIMES = (1.0, 10.0, 20.0, 40.0, 100.0, 200.0)
 
 
 @dataclass
@@ -69,7 +69,8 @@ class PatternConfig:
     a periodic Gaussian bump of width ``2 h`` (``"gaussian"``).  ``reg_a``
     defaults to the stability threshold ``epsilon^2 / 16``.  ``history`` is
     the start rule of the two-level history, ``"copy"`` or ``"ghost"`` (see
-    :func:`spfc.stepper.initial_state`).
+    :func:`spfc.stepper.initial_state`).  An invalid setup cannot be
+    constructed; each ``ValueError`` names the offending field first.
     """
 
     length: float = 100.0
@@ -85,11 +86,23 @@ class PatternConfig:
     history: str = "copy"
 
     def __post_init__(self) -> None:
+        self.grid()
+        self.params()
+        try:
+            segment_steps(self.dt_schedule)
+        except ValueError as exc:
+            raise ValueError(f"dt_schedule: {exc}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.amplitude < 0:
+            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
         for x, y, _ in self.sites:
             if not (0.0 <= x < self.length and 0.0 <= y < self.length):
-                raise ValueError(f"nucleation site ({x}, {y}) outside (0, {self.length})^2")
+                raise ValueError(f"sites: ({x}, {y}) lies outside (0, {self.length})^2")
         if self.site_profile not in ("node", "gaussian"):
-            raise ValueError(f"unknown site profile {self.site_profile!r}")
+            raise ValueError(f"site_profile must be node or gaussian, got {self.site_profile!r}")
+        if self.history not in ("copy", "ghost"):
+            raise ValueError(f"history must be copy or ghost, got {self.history!r}")
 
     def grid(self) -> Grid:
         return Grid(dim=2, n=self.n, length=self.length)

@@ -29,9 +29,13 @@ __all__ = [
 ]
 
 
+STALL_WINDOW = 22  # twice the most iterations a tested solve takes per 10x residual drop (11)
+
+
 class PsdDivergenceError(RuntimeError):
-    """Residual grew by more than 10x over five consecutive iterations, or
-    stopped being finite."""
+    """Residual grew by more than 10x over five consecutive iterations, fell
+    by less than 10x over ``STALL_WINDOW`` iterations, or stopped being
+    finite."""
 
 
 class NonMonotoneCubicError(RuntimeError):
@@ -57,7 +61,7 @@ class PsdConfig:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.residual_norm not in ("l2", "hm1"):
-            raise ValueError(f"unknown residual norm {self.residual_norm!r}")
+            raise ValueError(f"residual_norm must be l2 or hm1, got {self.residual_norm!r}")
 
 
 @dataclass
@@ -139,8 +143,13 @@ def solve_cubic_monotone(c0: float, c1: float, c2: float, c3: float) -> float:
     return x
 
 
-def _diverged(history: list) -> bool:
-    return len(history) >= 6 and history[-1] > 10.0 * history[-6]
+def _diverged(history: list) -> Optional[str]:
+    """How the residual history fails to converge, or ``None``."""
+    if len(history) >= 6 and history[-1] > 10.0 * history[-6]:
+        return "grew >10x over 5 iterations"
+    if len(history) > STALL_WINDOW and history[-1] > 0.1 * history[-1 - STALL_WINDOW]:
+        return f"fell less than 10x over {STALL_WINDOW} iterations"
+    return None
 
 
 def psd_solve(
@@ -153,8 +162,8 @@ def psd_solve(
 
     ``f`` defaults to the step's own right-hand side.  Returns the solution
     and the iteration diagnostics; raises :class:`PsdDivergenceError` when
-    the residual is not finite or grows by more than 10x over five
-    consecutive iterations.
+    the residual is not finite, grows by more than 10x over five
+    consecutive iterations, or falls by less than 10x over ``STALL_WINDOW``.
     """
     cfg = cfg or PsdConfig()
     if not _mean_compatible(phi_guess.mean(), ctx.phi_k.mean()):
@@ -197,10 +206,10 @@ def psd_solve(
         if not math.isfinite(res):
             stats.finalize()
             raise PsdDivergenceError(f"residual is {res} at iteration {it}")
-        if _diverged(stats.residual_history):
+        if failure := _diverged(stats.residual_history):
             stats.finalize()
             raise PsdDivergenceError(
-                f"residual grew >10x over 5 iterations at iteration {it}: "
+                f"residual {failure} at iteration {it}: "
                 f"history tail {stats.residual_history[-6:]}"
             )
         if it == cfg.max_iter:

@@ -23,6 +23,7 @@ __all__ = [
     "SnapshotError",
     "write_snapshot",
     "read_snapshot",
+    "energy_row",
     "write_energy_log",
     "read_energy_log",
 ]
@@ -30,6 +31,7 @@ __all__ = [
 MAGIC = "spfcfield"
 FORMAT_VERSION = 1
 ENERGY_COLUMNS = ("step", "time", "E", "E_mod", "mass", "h2_norm", "psd_iters", "residual")
+ENERGY_HEADER = ",".join(ENERGY_COLUMNS) + "\n"
 
 
 class SnapshotError(ValueError):
@@ -122,21 +124,25 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
     return Field(grid, values.copy()), meta
 
 
+def energy_row(r: EnergyRecord) -> str:
+    """One CSV energy-log line; floats use shortest round-trip decimals."""
+    return (
+        f"{r.step},{r.time!r},{r.E!r},{r.E_mod!r},{r.mass!r},"
+        f"{r.h2_norm!r},{r.psd_iters},{r.final_residual!r}\n"
+    )
+
+
 def write_energy_log(records: Sequence[EnergyRecord], path) -> None:
-    """CSV energy log; floats use shortest round-trip decimals."""
+    """CSV energy log: the header line, then one :func:`energy_row` per record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(ENERGY_COLUMNS) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.step},{r.time!r},{r.E!r},{r.E_mod!r},{r.mass!r},"
-                f"{r.h2_norm!r},{r.psd_iters},{r.final_residual!r}\n"
-            )
+        fh.write(ENERGY_HEADER)
+        fh.writelines(map(energy_row, records))
 
 
 def read_energy_log(path) -> list[EnergyRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != ",".join(ENERGY_COLUMNS):
+        if header != ENERGY_HEADER.strip():
             raise ValueError(f"unexpected energy-log header: {header!r}")
         records = []
         for line in fh:

@@ -32,6 +32,7 @@ __all__ = [
     "modified_energy",
     "step",
     "run",
+    "segment_steps",
 ]
 
 
@@ -191,6 +192,28 @@ def step(
     return new_state, record
 
 
+def segment_steps(schedule: Sequence[tuple[float, float]], t0: float = 0.0) -> list[int]:
+    """Step counts of the ``(dt, t_end)`` segments of a schedule that starts
+    at ``t0``; raises ``ValueError`` unless the end times increase and each
+    segment is a whole number of steps of a positive ``dt``."""
+    if not schedule:
+        raise ValueError("empty schedule")
+    steps = []
+    for seg_index, (dt, t_end) in enumerate(schedule):
+        span = t_end - t0
+        if span <= 0:
+            raise ValueError(f"schedule t_end values must increase, got {[s[1] for s in schedule]}")
+        if dt <= 0:
+            raise ValueError(f"segment {seg_index}: dt must be positive, got {dt}")
+        steps.append(int(round(span / dt)))
+        if steps[-1] < 1 or abs(steps[-1] * dt - span) > 1e-9 * max(1.0, abs(t_end)):
+            raise ValueError(
+                f"segment {seg_index}: span {span:g} is not a whole number of steps of {dt:g}"
+            )
+        t0 = t_end
+    return steps
+
+
 def run(
     schedule: Sequence[tuple[float, float]],
     state0: SimState,
@@ -207,11 +230,7 @@ def run(
     ``phi^{-1} = phi^0`` (current field).  Energy records are emitted every
     step, snapshots at the first state reaching each requested time.
     """
-    if not schedule:
-        raise ValueError("empty schedule")
-    t_ends = [seg[1] for seg in schedule]
-    if any(b <= a for a, b in zip([state0.time] + t_ends[:-1], t_ends)):
-        raise ValueError(f"schedule t_end values must increase, got {t_ends}")
+    steps = segment_steps(schedule, state0.time)
     if not params.stable_guarantee:
         warnings.warn(
             f"A = {params.reg_a:g} < eps^2/16 = {params.epsilon ** 2 / 16:g}: "
@@ -236,17 +255,9 @@ def run(
         energy_sink(_make_record(state, first_dt, params, 0, 0.0))
     emit_snapshots(state, first_dt)
 
-    for seg_index, (dt, t_end) in enumerate(schedule):
-        if dt <= 0:
-            raise ValueError(f"segment {seg_index}: dt must be positive, got {dt}")
+    for seg_index, ((dt, _), n_steps) in enumerate(zip(schedule, steps)):
         if seg_index > 0:
             state = SimState(state.phi_curr, state.phi_curr.copy(), state.time, state.step_index, state.mass0)
-        span = t_end - state.time
-        n_steps = int(round(span / dt))
-        if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(t_end)):
-            raise ValueError(
-                f"segment {seg_index}: span {span:g} is not a whole number of steps of {dt:g}"
-            )
         t_start = state.time
         for j in range(n_steps):
             try:

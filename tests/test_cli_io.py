@@ -11,9 +11,10 @@ import pytest
 
 import spfc
 from conftest import random_field
-from spfc import Field, Grid, Scheme, energy, ModelParams
+from spfc import Field, Grid, Scheme, energy, ModelParams, PsdConfig
 from spfc.cli import main
 from spfc.config import ConfigError, parse_config, render_config
+from spfc.harness import DEFAULT_SNAPSHOT_TIMES
 from spfc.snapshots import (
     SnapshotError,
     SnapshotMeta,
@@ -32,16 +33,19 @@ class TestParseConfig:
     def test_minimal_simulate_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.mode == "simulate"
-        assert cfg.grid_n == 256 and cfg.grid_length == 100.0
-        assert cfg.epsilon == 0.5
-        assert cfg.reg_a_value == pytest.approx(0.5**2 / 16.0)
-        assert ModelParams(epsilon=cfg.epsilon, reg_a=cfg.reg_a_value).stable_guarantee
-        assert cfg.schedule == ((0.05, 1.0),)
+        assert cfg.pattern.n == 256 and cfg.pattern.length == 100.0
+        params = cfg.pattern.params()
+        assert params.epsilon == 0.5
+        assert params.reg_a == pytest.approx(0.5**2 / 16.0)
+        assert params.stable_guarantee
+        assert cfg.pattern.dt_schedule == ((0.05, 1.0),)
+        assert cfg.solver == PsdConfig()
+        assert cfg.snapshot_times == DEFAULT_SNAPSHOT_TIMES == (1.0, 10.0, 20.0, 40.0, 100.0, 200.0)
 
     def test_paper_parameters_are_stable(self):
-        cfg = parse_config("mode = verify\nmodel.A = 0.25\nmodel.epsilon = 0.025\n")
+        cfg = parse_config("mode = conv_space\nmodel.A = 0.25\nmodel.epsilon = 0.025\n")
         # 0.25 >= 0.025^2 / 16
-        assert ModelParams(epsilon=cfg.epsilon, reg_a=cfg.reg_a_value).stable_guarantee
+        assert cfg.pattern.params().stable_guarantee
 
     def test_rejects_small_grid(self):
         with pytest.raises(ConfigError, match="grid.n"):
@@ -65,6 +69,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="increase"):
             parse_config("mode = simulate\nschedule = 0.05:2.0, 0.1:1.0\n")
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("schedule = 0.3:1.0", "schedule"),  # not a whole number of steps
+            ("schedule = 0.05:0.0", "schedule"),
+            ("schedule = ", "schedule"),
+            ("seed = -1", "seed"),
+            ("init.amplitude = -0.1", "init.amplitude"),
+            ("init.history = ghosts", "init.history"),
+            ("init.site_profile = box", "init.site_profile"),
+            ("solver.residual_norm = h1", "solver.residual_norm"),
+            ("model.A = -1", "model.A"),
+        ],
+    )
+    def test_constructor_check_names_key_and_line(self, line, key):
+        # each of these used to parse, then fail or be ignored once the run started
+        text = f"mode = simulate\n{line}\n"
+        if key != "schedule":
+            text += "schedule = 0.05:1.0\n"
+        with pytest.raises(ConfigError, match=rf"'{key}' \(line 2\)"):
+            parse_config(text)
+
     def test_simulate_requires_schedule(self):
         with pytest.raises(ConfigError, match="schedule"):
             parse_config("mode = simulate\n")
@@ -78,9 +104,9 @@ class TestParseConfig:
             MINIMAL + "init.sites = 25:25:10; 75:75:10\n",
             overrides=("model.scheme=bdf2_es_2", "seed=7"),
         )
-        assert cfg.scheme is Scheme.BDF2_ES_2
-        assert cfg.seed == 7
-        assert cfg.sites == ((25.0, 25.0, 10.0), (75.0, 75.0, 10.0))
+        assert cfg.pattern.scheme is Scheme.BDF2_ES_2
+        assert cfg.pattern.seed == 7
+        assert cfg.pattern.sites == ((25.0, 25.0, 10.0), (75.0, 75.0, 10.0))
 
     def test_override_error_names_override(self):
         with pytest.raises(ConfigError, match=r"--set"):
@@ -102,8 +128,8 @@ class TestParseConfig:
         # rendering resolves defaulted values (A in particular), so compare
         # the canonical forms
         assert render_config(again) == render_config(cfg)
-        assert again.reg_a_value == cfg.reg_a_value
-        assert again.sites == cfg.sites
+        assert again.pattern.params() == cfg.pattern.params()
+        assert again.pattern.sites == cfg.pattern.sites
 
 
 class TestSnapshotFormat:
@@ -289,6 +315,76 @@ class TestCli:
             f"output_dir = {tmp_path / 'f'}\nsolver.max_iter = 1\nsolver.tol = 1e-13\n",
         )
         assert main(["simulate", "--config", cfg]) == 3
+        # the log is streamed: the header and the t = 0 row survive the failure
+        rows = (tmp_path / "f" / "energy.csv").read_text().splitlines()
+        assert rows[0] == "step,time,E,E_mod,mass,h2_norm,psd_iters,residual"
+        assert len(rows) == 2 and rows[1].startswith("0,0.0,")
+
+    def test_stagnating_solve_exits_three_early(self, tmp_path, capsys):
+        cfg = self._write_cfg(
+            tmp_path, f"output_dir = {tmp_path / 's'}\ninit.amplitude = 1e6\n"
+        )
+        assert main(["simulate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "fell less than 10x over 22 iterations at iteration" in err
+        assert "did not converge" not in err
+
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            ("verify", "model.epsilon", "0.3"),
+            ("conv_space", "grid.n", "64"),
+            ("conv_time", "solver.tol", "1e-6"),
+            ("simulate", "grid.dim", "3"),
+            ("simulate", "profile", "ci"),
+        ],
+    )
+    def test_key_outside_mode_exits_two(self, tmp_path, capsys, mode, key, value):
+        text = "schedule = 0.05:0.5\n" if mode == "simulate" else ""
+        with pytest.raises(ConfigError, match=rf"'{key}' \(line 2\).*{mode}"):
+            parse_config(f"mode = {mode}\n{key} = {value}\n" + text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+        args = [mode.replace("_", "-"), "--config", str(path), "--set", f"{key}={value}"]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, form",
+        [
+            ("grid.dim", "{}"),
+            ("grid.n", "{}"),
+            ("grid.length", "{}"),
+            ("model.epsilon", "{}"),
+            ("model.A", "{}"),
+            ("schedule", "{}:0.5"),
+            ("schedule", "0.05:{}"),
+            ("seed", "{}"),
+            ("snapshot_times", "0.25,{}"),
+            ("init.amplitude", "{}"),
+            ("init.sites", "50:{}:10"),
+            ("solver.tol", "{}"),
+            ("solver.max_iter", "{}"),
+        ],
+    )
+    def test_nonfinite_number_exits_two(self, tmp_path, capsys, key, form, bad):
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'nan'}\n")
+        assert main(["simulate", "--config", cfg, "--set", f"{key}={form.format(bad)}"]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "nan").exists()
+
+    @pytest.mark.parametrize(
+        "mode, keys",
+        [
+            ("conv_space", ["mode", "model.epsilon", "model.A", "model.scheme", "output_dir", "profile"]),
+            ("verify", ["mode", "output_dir", "profile"]),
+        ],
+    )
+    def test_resolved_config_holds_the_mode_keys_only(self, mode, keys):
+        text = render_config(parse_config("", mode=mode))
+        assert [line.split(" = ")[0] for line in text.splitlines()] == keys
 
     def test_nonfinite_state_exits_three_without_traceback(self, tmp_path):
         cfg = self._write_cfg(

@@ -61,6 +61,30 @@ class TestRandomInit:
             PatternConfig(sites=((150.0, 50.0, 10.0),))
 
 
+class TestPatternConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n": 2}, "n"),
+            ({"length": 0.0}, "length"),
+            ({"epsilon": 1.0}, "epsilon"),
+            ({"reg_a": -1.0}, "reg_a"),
+            ({"seed": -1}, "seed"),
+            ({"amplitude": -0.1}, "amplitude"),
+            ({"sites": ((150.0, 50.0, 1.0),)}, "sites"),
+            ({"dt_schedule": ()}, "dt_schedule"),
+            ({"dt_schedule": ((0.3, 1.0),)}, "dt_schedule"),
+            ({"dt_schedule": ((0.1, 1.0), (0.1, 0.5))}, "dt_schedule"),
+            ({"site_profile": "box"}, "site_profile"),
+            ({"history": "ghosts"}, "history"),
+        ],
+    )
+    def test_invalid_setup_names_its_field_first(self, kwargs, field):
+        # spfc.config relies on this to point at the key that set the field
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            PatternConfig(**kwargs)
+
+
 class TestOrderFit:
     def test_exact_second_order(self):
         assert order_fit([1.0, 0.25], [1.0, 0.5]) == pytest.approx(2.0, abs=1e-13)

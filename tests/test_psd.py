@@ -24,6 +24,7 @@ from spfc.model import MeanMismatchError, StepContext, StepOperator, gradient
 from spfc.psd import (
     NonMonotoneCubicError,
     PsdConfig,
+    STALL_WINDOW,
     PsdDivergenceError,
     _diverged,
 )
@@ -295,3 +296,16 @@ class TestPsdSolve:
         assert not _diverged([1.0, 2.0, 3.0])
         assert not _diverged([1.0, 1.0, 1.0, 1.0, 1.0, 9.9])
         assert _diverged([1.0, 1.0, 1.0, 1.0, 1.0, 10.1])
+
+    def test_stagnation_detector(self):
+        # a residual that takes more than STALL_WINDOW iterations per 10x drop stops
+        assert "fell less than 10x" in _diverged([0.95**i for i in range(STALL_WINDOW + 1)])
+        assert not _diverged([0.95**i for i in range(STALL_WINDOW)])
+        assert not _diverged([0.89**i for i in range(3 * STALL_WINDOW)])
+
+    def test_stagnating_solve_stops_early(self, grid16, rng):
+        params = ModelParams(epsilon=0.3, reg_a=0.2)
+        ctx = make_context(grid16, rng, params, scale=1e6)
+        # well before max_iter = 200
+        with pytest.raises(PsdDivergenceError, match=r"fell less than 10x .* iteration \d\d:"):
+            psd_solve(ctx.phi_k, ctx, None, PsdConfig(track_objective=False))
