@@ -26,7 +26,8 @@ model.scheme          bdf2_es_1                bdf2_es_1 | bdf2_es_2            
 schedule              (required for simulate)  comma list of dt:t_end; whole    sim
                                                steps of dt > 0, t_end rising
 seed                  0                        RNG seed, >= 0                   sim
-snapshot_times        1,10,20,40,100,200       comma list of reals, or empty    sim
+snapshot_times        1,10,20,40,100,200       comma list of reals up to the    sim
+                      (those in the schedule)  schedule's end, or empty
 profile               full                     full | ci                        conv, verify
 init.amplitude        0.05                     uniform noise amplitude, >= 0    sim
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
@@ -158,7 +159,8 @@ KEYS = {
         Key("schedule", "pattern.dt_schedule", _list(",", "dt:t_end"), _SIM, text=_joined(", ")),
         Key("output_dir", "output_dir", str, MODES),
         Key("seed", "pattern.seed", _integer, _SIM),
-        Key("snapshot_times", "snapshot_times", _list(",", "a time"), _SIM, text=_joined(",")),
+        Key("snapshot_times", "snapshot_times", _list(",", "a time"), _SIM,
+            text=lambda times: "" if times == DEFAULT_SNAPSHOT_TIMES else _joined(",")(times)),
         Key("profile", "profile", _choice("full", "ci"), _PROFILE),
         Key("init.amplitude", "pattern.amplitude", _number, _SIM),
         Key("init.sites", "pattern.sites", _list(";", "x:y:magnitude"), _SIM,
@@ -229,13 +231,19 @@ def parse_config(
             path = owner + "." + re.match(r"\w*", str(exc)).group()
             key = next((k for k in origin if KEYS[k].path == path), path)
             raise ConfigError(key, origin.get(key, "(default)"), str(exc)) from None
+    t_end = built["pattern"].dt_schedule[-1][1]
+    late = [t for t in fields[""].get("snapshot_times", ()) if t > t_end + 1e-9]
+    if late:
+        message = f"{late[0]!r} is after the schedule ends at {t_end!r}"
+        raise ConfigError("snapshot_times", origin["snapshot_times"], message)
     return RunConfig(**fields[""], **built)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical serialization of a resolved configuration: the keys its mode
     reads (round-trips through :func:`parse_config`).  An empty list left at
-    its default is left out."""
+    its default is left out, and so are the default snapshot times, which a
+    run filters to its schedule."""
     default = RunConfig(cfg.mode)
     lines = []
     for key in KEYS.values():

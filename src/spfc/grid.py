@@ -16,6 +16,13 @@ calculus self-adjoint: the divergence of a gradient is the Laplacian and
 the summation-by-parts identities hold to round-off on any grid, at the price of
 differential operators annihilating pure-Nyquist content.  On odd ``n`` the
 mode set is the balanced ``{-K, ..., K}`` and the folding is a no-op.
+
+On the self-conjugate planes (last-axis index 0, and ``n/2`` for even ``n``)
+the rfft of a real field is Hermitian, ``X[m] = conj(X[-m])`` over the other
+axes; ``irfft`` ignores the rest.  A spectrum carried between steps instead
+of re-transformed must be put back on that condition (:meth:`Grid.project_real`):
+the field and the quartic term cannot see the anti-Hermitian part, and the
+scheme's linearly unstable band near ``|k| = 1`` grows it without bound.
 """
 
 from __future__ import annotations
@@ -160,6 +167,15 @@ class Grid:
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.dim)))
+
+    def project_real(self, spec: np.ndarray) -> np.ndarray:
+        """Make the self-conjugate planes of ``spec`` Hermitian, in place
+        (``X[m] <- (X[m] + conj X[-m]) / 2``); returns ``spec``."""
+        axes = tuple(range(self.dim - 1))
+        for j in (0, self.n // 2) if self.n % 2 == 0 else (0,):
+            plane = spec[..., j]
+            spec[..., j] = 0.5 * (plane + np.roll(np.flip(plane, axes), 1, axes).conj())
+        return spec
 
     def spectral_norm2_sq(self, spec: np.ndarray) -> float:
         """Squared L2 norm from raw rfft coefficients (Parseval)."""

@@ -202,7 +202,7 @@ def spatial_convergence_study(
 ) -> list[ConvergenceRow]:
     """Fixed small dt, sweep the grid size; the source absorbs the temporal
     discretization error so the remaining error is spatial."""
-    psd_cfg = psd_cfg or PsdConfig(tol=1e-12, track_objective=False)
+    psd_cfg = psd_cfg or PsdConfig(tol=1e-12)
     n_steps = int(round(t_final / dt_fixed))
     rows = []
     for n in n_list:
@@ -222,7 +222,7 @@ def temporal_convergence_study(
     """Fixed spatial resolution, sweep the step count; the analytically
     sampled source leaves the temporal error.  Returns rows and the fitted
     log-log order."""
-    psd_cfg = psd_cfg or PsdConfig(tol=1e-11, track_objective=False)
+    psd_cfg = psd_cfg or PsdConfig(tol=1e-11)
     grid = Grid(dim=2, n=n_fixed, length=1.0)
     rows = []
     for nk in nk_list:
@@ -318,6 +318,11 @@ class VerifyReport:
 
 def _margin(tol: float, measured: float) -> float:
     return tol / measured if measured > 0 else float("inf")
+
+
+def _check(name: str, measured: float, tol: float, detail: str) -> CheckResult:
+    """A check that passes when ``measured <= tol``."""
+    return CheckResult(name, measured <= tol, _margin(tol, measured), detail)
 
 
 def sbp_identity_defects(
@@ -440,6 +445,7 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
     full = profile == "full"
     rng = np.random.default_rng(2024)
     report = VerifyReport()
+    add = report.entries.append
 
     # summation-by-parts identities, 2D and 3D
     sbp_cases = [(2, n) for n in ((16, 32) if full else (16,))]
@@ -449,52 +455,27 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
         grid = Grid(dim=dim, n=n, length=1.0 if dim == 2 else 1.0)
         defects = sbp_identity_defects(grid, pairs, rng, symbol_perturbation)
         worst = max(defects)
-        report.entries.append(
-            CheckResult(
-                name=f"sbp_identities_{dim}d_n{n}",
-                passed=worst <= 1e-10,
-                margin=_margin(1e-10, worst),
-                detail=f"defects {defects[0]:.2e} / {defects[1]:.2e} / {defects[2]:.2e}",
-            )
-        )
+        detail = f"defects {defects[0]:.2e} / {defects[1]:.2e} / {defects[2]:.2e}"
+        add(_check(f"sbp_identities_{dim}d_n{n}", worst, 1e-10, detail))
 
     # interpolation inequalities on random mean-zero fields
     n_fields = 1000 if full else 200
     grid = Grid(dim=2, n=16, length=1.0)
     exc = lemma_inequality_defects(grid, n_fields, rng)
     worst = max(exc)
-    report.entries.append(
-        CheckResult(
-            name="interpolation_inequalities",
-            passed=worst <= 1e-12,
-            margin=_margin(1e-12, worst) if worst > 0 else float("inf"),
-            detail=f"worst excess {exc[0]:.2e} / {exc[1]:.2e} over {n_fields} fields",
-        )
-    )
+    detail = f"worst excess {exc[0]:.2e} / {exc[1]:.2e} over {n_fields} fields"
+    add(_check("interpolation_inequalities", worst, 1e-12, detail))
 
     # Parseval
     f = Field(grid, rng.standard_normal(grid.shape))
     spec = grid.rfft(f.values)
     defect = abs(grid.spectral_norm2_sq(spec) - norm_l2(f) ** 2) / norm_l2(f) ** 2
-    report.entries.append(
-        CheckResult(
-            name="parseval_identity",
-            passed=defect <= 1e-12,
-            margin=_margin(1e-12, defect),
-            detail=f"relative defect {defect:.2e}",
-        )
-    )
+    add(_check("parseval_identity", defect, 1e-12, f"relative defect {defect:.2e}"))
 
     # embedding-ratio stability across resolutions (constant not pinned)
     spread = embedding_ratio_spread((16, 32, 64, 128) if full else (16, 32, 64))
-    report.entries.append(
-        CheckResult(
-            name="embedding_ratio_stability",
-            passed=spread < 0.05,
-            margin=_margin(0.05, spread),
-            detail=f"ratio spread {spread:.2%} across resolutions",
-        )
-    )
+    detail = f"ratio spread {spread:.2%} across resolutions"
+    add(CheckResult("embedding_ratio_stability", spread < 0.05, _margin(0.05, spread), detail))
 
     # gradient consistency, both schemes
     cases = 10 if full else 3
@@ -502,14 +483,8 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
     for scheme in Scheme:
         params = ModelParams(epsilon=0.2, reg_a=0.25, scheme=scheme)
         worst = gradient_consistency_defect(g8, params, rng, cases)
-        report.entries.append(
-            CheckResult(
-                name=f"gradient_consistency_{scheme.value}",
-                passed=worst <= 1e-5,
-                margin=_margin(1e-5, worst),
-                detail=f"worst relative mismatch {worst:.2e} over {cases} cases",
-            )
-        )
+        detail = f"worst relative mismatch {worst:.2e} over {cases} cases"
+        add(_check(f"gradient_consistency_{scheme.value}", worst, 1e-5, detail))
 
     # PSD multi-start uniqueness
     g16 = Grid(dim=2, n=16, length=1.0)
@@ -522,14 +497,8 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
     other = Field(g16, phi_k.mean() + _mean_zero(0.5 * rng.standard_normal(g16.shape)))
     sol_b, _ = psd_solve(other, ctx, None, cfg)
     diff = norm_l2(Field(g16, sol_a.values - sol_b.values))
-    report.entries.append(
-        CheckResult(
-            name="psd_multistart_uniqueness",
-            passed=diff <= 1e-8,
-            margin=_margin(1e-8, diff),
-            detail=f"solution gap {diff:.2e} between two starts",
-        )
-    )
+    detail = f"solution gap {diff:.2e} between two starts"
+    add(_check("psd_multistart_uniqueness", diff, 1e-8, detail))
 
     # constant states are fixed points of both schemes
     worst = 0.0
@@ -539,59 +508,26 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
         ctx = StepContext(c, c.copy(), 0.1, params)
         sol, _ = psd_solve(c, ctx, None, PsdConfig(tol=1e-12))
         worst = max(worst, float(np.max(np.abs(sol.values - 0.37))))
-    report.entries.append(
-        CheckResult(
-            name="constant_fixed_point",
-            passed=worst <= 1e-12,
-            margin=_margin(1e-12, worst) if worst > 0 else float("inf"),
-            detail=f"worst drift {worst:.2e}",
-        )
-    )
+    add(_check("constant_fixed_point", worst, 1e-12, f"worst drift {worst:.2e}"))
 
     # mesh-independent iteration counts on one smooth physical problem
     counts = _mesh_iteration_counts((32, 64, 128) if full else (32, 64))
-    spread_it = max(counts) - min(counts)
-    report.entries.append(
-        CheckResult(
-            name="psd_mesh_independence",
-            passed=spread_it <= 3,
-            margin=_margin(3.0, float(spread_it)) if spread_it > 0 else float("inf"),
-            detail=f"iterations {counts} across resolutions",
-        )
-    )
+    spread_it = float(max(counts) - min(counts))
+    add(_check("psd_mesh_independence", spread_it, 3.0, f"iterations {counts} across resolutions"))
 
     # short dissipation + mass smoke run
     steps = 30 if full else 10
     drift, emod_growth = _dissipation_smoke(steps, rng)
-    report.entries.append(
-        CheckResult(
-            name="mass_conservation_smoke",
-            passed=drift <= 1e-11,
-            margin=_margin(1e-11, drift),
-            detail=f"mean drift {drift:.2e} over {steps} steps",
-        )
-    )
-    report.entries.append(
-        CheckResult(
-            name="modified_energy_dissipation_smoke",
-            passed=emod_growth <= 1e-9,
-            margin=_margin(1e-9, emod_growth) if emod_growth > 0 else float("inf"),
-            detail=f"worst relative uptick {emod_growth:.2e} over {steps} steps",
-        )
-    )
+    detail = f"mean drift {drift:.2e} over {steps} steps"
+    add(_check("mass_conservation_smoke", drift, 1e-11, detail))
+    detail = f"worst relative uptick {emod_growth:.2e} over {steps} steps"
+    add(_check("modified_energy_dissipation_smoke", emod_growth, 1e-9, detail))
 
     # exploratory: dissipation with the regularization switched off entirely
     # (probes necessity of the stability condition; reported, not asserted)
     growth = _unregularized_probe(rng)
-    report.entries.append(
-        CheckResult(
-            name="dissipation_without_regularization",
-            passed=True,
-            margin=float("nan"),
-            detail=f"worst modified-energy uptick {growth:.2e} at A=0, eps=0.9",
-            advisory=True,
-        )
-    )
+    detail = f"worst modified-energy uptick {growth:.2e} at A=0, eps=0.9"
+    add(CheckResult("dissipation_without_regularization", True, float("nan"), detail, True))
     return report
 
 

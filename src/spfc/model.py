@@ -16,7 +16,8 @@ all of this for one step and is shared by the public functions here and the
 iterative solver in :mod:`spfc.psd`.  The gradient, ``|grad phi|^2`` and the
 4-Laplacian flux come from :func:`gradient`, :func:`grad_sq` and
 :func:`p_laplacian_hat` alone, in the step operator, in :func:`energy` and in
-the initial chemical potential of :func:`spfc.stepper.ghost_init`.
+the initial chemical potential of :func:`spfc.stepper.ghost_init`; the
+energies from :func:`energy_hat` and :func:`modified_energy_hat` alone.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "gradient",
     "grad_sq",
     "p_laplacian_hat",
+    "energy_hat",
+    "modified_energy_hat",
     "energy",
     "nonlinear_operator",
     "rhs",
@@ -99,6 +102,8 @@ def _mean_compatible(m1: float, m2: float) -> bool:
 class StepContext:
     """Frozen data of one implicit step: the two history levels, the step
     size, the model constants and an optional source at the new time level.
+    ``spectra`` holds the rfft coefficients of ``(phi_k, phi_km1)`` when they
+    are already known (real-field projected, see :meth:`Grid.project_real`).
     """
 
     phi_k: Field
@@ -106,6 +111,7 @@ class StepContext:
     dt: float
     params: ModelParams
     source: Optional[Field] = None
+    spectra: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.phi_k.grid != self.phi_km1.grid:
@@ -141,13 +147,16 @@ def grad_sq(grad_comps: list[np.ndarray]) -> np.ndarray:
     return gsq
 
 
-def p_laplacian_hat(grid: Grid, grad_comps: list[np.ndarray]) -> np.ndarray:
-    """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient.
+def p_laplacian_hat(
+    grid: Grid, grad_comps: list[np.ndarray], gsq: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient
+    (and ``|grad phi|^2``, formed here when not given).
 
     Gradient and divergence are spectral; the cubic flux is formed pointwise
     on the grid (plain collocation: its aliased modes are kept).
     """
-    gsq = grad_sq(grad_comps)
+    gsq = grad_sq(grad_comps) if gsq is None else gsq
     acc = np.zeros(grid.rshape, dtype=np.complex128)
     for comp, ik in zip(grad_comps, grid.ik):
         acc += ik * grid.rfft(gsq * comp)
@@ -188,20 +197,21 @@ class StepOperator:
         self.lin_sym, self.pre_inv = _scheme_symbols(
             g, ctx.params.scheme, ctx.params.epsilon, ctx.params.reg_a, ctx.dt
         )
-        self.phi_k_hat = g.rfft(ctx.phi_k.values)
-        self.phi_km1_hat = g.rfft(ctx.phi_km1.values)
+        self.phi_k_hat, self.phi_km1_hat = ctx.spectra or tuple(
+            g.rfft(phi.values) for phi in (ctx.phi_k, ctx.phi_km1))
         # BDF tail: the explicit part of (3/2 phi - 2 phi^k + 1/2 phi^{k-1})
         self.bdf_tail_hat = -2.0 * self.phi_k_hat + 0.5 * self.phi_km1_hat
         self._rhs_hat: Optional[np.ndarray] = None
 
     def nonlinear_hat(
-        self, phi_hat: np.ndarray, grad_comps: list[np.ndarray]
+        self, phi_hat: np.ndarray, grad_comps: list[np.ndarray], gsq: np.ndarray
     ) -> np.ndarray:
-        """Coefficients of ``N[phi]`` given the iterate's transform and gradient."""
+        """Coefficients of ``N[phi]`` given the iterate's transform, gradient
+        and ``|grad phi|^2``."""
         g = self.grid
         out = g.lam_inv * (1.5 * phi_hat + self.bdf_tail_hat)
         out += self.lin_sym * phi_hat
-        out += self.dt * p_laplacian_hat(g, grad_comps)
+        out += self.dt * p_laplacian_hat(g, grad_comps, gsq)
         return out
 
     def rhs_hat(self) -> np.ndarray:
@@ -244,6 +254,7 @@ class StepOperator:
     def line_coefficients(
         self,
         grad_comps: list[np.ndarray],
+        gg: np.ndarray,
         dir_grad_comps: list[np.ndarray],
         d_hat: np.ndarray,
         c0: float,
@@ -251,7 +262,8 @@ class StepOperator:
         """Cubic expansion of the directional derivative along ``d``.
 
         ``dF[phi + alpha d](d) = c3 a^3 + c2 a^2 + c1 a + c0`` where ``c0``
-        (the residual pairing ``<N(phi) - f, d>``) is supplied by the caller.
+        (the residual pairing ``<N(phi) - f, d>``) and ``gg = |grad phi|^2``
+        are supplied by the caller.
         """
         g = self.grid
         hvol = g.cell_volume
@@ -259,7 +271,6 @@ class StepOperator:
         for gc, ec in zip(grad_comps[1:], dir_grad_comps[1:]):
             ge += gc * ec
         ee = grad_sq(dir_grad_comps)
-        gg = grad_sq(grad_comps)
         dt = self.dt
         c3 = dt * hvol * float(np.sum(ee**2))
         c2 = 3.0 * dt * hvol * float(np.sum(ge * ee))
@@ -281,17 +292,42 @@ class StepOperator:
 # ----------------------------------------------------------------------
 # public field-level operations
 # ----------------------------------------------------------------------
+def energy_hat(grid: Grid, params: ModelParams, spec: np.ndarray, gsq: np.ndarray) -> float:
+    """Discrete free energy of the field with rfft coefficients ``spec`` and
+    pointwise ``|grad phi|^2`` ``gsq``."""
+    quartic = grid.cell_volume * float(np.sum(gsq**2))
+    power = grid.parseval_weight * (spec.real**2 + spec.imag**2)
+    l2_sq = grid.spectral_norm_factor * float(np.sum(power))
+    grad_l2_sq = grid.cell_volume * float(np.sum(gsq))
+    lap_sq = grid.spectral_norm_factor * float(np.sum(grid.lam**2 * power))
+    return 0.25 * quartic + 0.5 * params.a * l2_sq - grad_l2_sq + 0.5 * lap_sq
+
+
+def modified_energy_hat(
+    grid: Grid, params: ModelParams, dt: float, energy_value: float, delta_hat: np.ndarray
+) -> float:
+    """Scheme-appropriate modified energy from the free energy of the new
+    state and the coefficients of the (mean-zero) step difference ``delta``.
+
+    Scheme 1 augments the free energy with
+    ``1/(4 dt) ||delta||_{-1}^2 + ||grad delta||_2^2``; scheme 2 with
+    ``1/(4 dt) ||delta||_{-1}^2 + eps/2 ||delta||_2^2``.
+    """
+    nf = grid.spectral_norm_factor
+    power = grid.parseval_weight * (delta_hat.real**2 + delta_hat.imag**2)
+    val = energy_value + nf * float(np.sum(grid.lam_inv * power)) / (4.0 * dt)
+    if params.scheme is Scheme.BDF2_ES_1:
+        val += nf * float(np.sum(grid.lam * power))
+    else:
+        val += 0.5 * params.epsilon * nf * float(np.sum(power))
+    return val
+
+
 def energy(phi: Field, params: ModelParams) -> float:
     """Discrete free energy of a state."""
     g = phi.grid
     spec = g.rfft(phi.values)
-    gsq = grad_sq(gradient(g, spec))
-    quartic = g.cell_volume * float(np.sum(gsq**2))
-    power = g.parseval_weight * (spec.real**2 + spec.imag**2)
-    l2_sq = g.spectral_norm_factor * float(np.sum(power))
-    grad_l2_sq = g.cell_volume * float(np.sum(gsq))
-    lap_sq = g.spectral_norm_factor * float(np.sum(g.lam**2 * power))
-    return 0.25 * quartic + 0.5 * params.a * l2_sq - grad_l2_sq + 0.5 * lap_sq
+    return energy_hat(g, params, spec, grad_sq(gradient(g, spec)))
 
 
 def _require_on_hyperplane(phi: Field, ctx: StepContext, what: str) -> None:
@@ -308,7 +344,9 @@ def nonlinear_operator(phi: Field, ctx: StepContext) -> Field:
     _require_on_hyperplane(phi, ctx, "nonlinear_operator")
     g = ctx.grid
     phi_hat = g.rfft(phi.values)
-    return Field(g, g.irfft(StepOperator(ctx).nonlinear_hat(phi_hat, gradient(g, phi_hat))))
+    grad_comps = gradient(g, phi_hat)
+    n_hat = StepOperator(ctx).nonlinear_hat(phi_hat, grad_comps, grad_sq(grad_comps))
+    return Field(g, g.irfft(n_hat))
 
 
 def rhs(ctx: StepContext) -> Field:

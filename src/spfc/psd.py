@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .model import StepContext, StepOperator, _mean_compatible, MeanMismatchError, gradient
+from .model import StepContext, StepOperator, _mean_compatible, MeanMismatchError, grad_sq, gradient
 from .spectral import Field
 
 __all__ = [
@@ -48,12 +48,15 @@ class PsdConfig:
 
     ``residual_norm`` selects the norm of the mean-projected nonlinear
     residual used in the stopping test (``"l2"`` or ``"hm1"``).
+    ``track_objective`` records the objective at every iterate in
+    :attr:`SolveStats.objective_history`, an independent evaluation that
+    costs about an eighth of a solve at N=256.
     """
 
     tol: float = 1e-9
     max_iter: int = 200
     residual_norm: str = "l2"
-    track_objective: bool = True
+    track_objective: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:
@@ -157,6 +160,7 @@ def psd_solve(
     ctx: StepContext,
     f: Optional[Field] = None,
     cfg: Optional[PsdConfig] = None,
+    final_sink: Optional[Callable[[StepOperator, np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[Field, SolveStats]:
     """Solve ``N[phi] = f`` on the mass hyperplane of ``ctx.phi_k``.
 
@@ -164,6 +168,9 @@ def psd_solve(
     and the iteration diagnostics; raises :class:`PsdDivergenceError` when
     the residual is not finite, grows by more than 10x over five
     consecutive iterations, or falls by less than 10x over ``STALL_WINDOW``.
+    ``final_sink``, if given, receives the step operator, the solution's
+    rfft coefficients (projected onto real fields) and its ``|grad phi|^2``,
+    so the caller needs no transform of its own.
     """
     cfg = cfg or PsdConfig()
     if not _mean_compatible(phi_guess.mean(), ctx.phi_k.mean()):
@@ -192,7 +199,8 @@ def psd_solve(
     g = gradient(grid, phi_hat)
     stats = SolveStats()
     for it in range(cfg.max_iter + 1):
-        n_hat = op.nonlinear_hat(phi_hat, g)
+        gsq = grad_sq(g)
+        n_hat = op.nonlinear_hat(phi_hat, g, gsq)
         r_hat = f_hat - n_hat
         r_hat[grid.kernel_mask] = 0.0
         res = op.residual_norm(r_hat, cfg.residual_norm)
@@ -217,10 +225,13 @@ def psd_solve(
         d_hat = op.pre_inv * r_hat
         e = gradient(grid, d_hat)
         c0 = -grid.spectral_dot(r_hat, d_hat)
-        alpha = solve_cubic_monotone(*op.line_coefficients(g, e, d_hat, c0))
+        alpha = solve_cubic_monotone(*op.line_coefficients(g, gsq, e, d_hat, c0))
         stats.alphas.append(alpha)
         phi_hat += alpha * d_hat
         for comp, e_comp in zip(g, e):
             comp += alpha * e_comp
     stats.finalize()
-    return Field(grid, grid.irfft(phi_hat)), stats
+    phi = Field(grid, grid.irfft(phi_hat))
+    if final_sink is not None:
+        final_sink(op, grid.project_real(phi_hat), gsq)
+    return phi, stats

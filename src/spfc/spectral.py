@@ -39,6 +39,7 @@ __all__ = [
     "norm_l2",
     "norm_lp",
     "norm_h2",
+    "norm_h2_hat",
 ]
 
 
@@ -123,8 +124,11 @@ def norm_lp(f: Field, p: float) -> float:
 
 
 def norm_h2(f: Field) -> float:
-    grid = f.grid
-    spec = grid.rfft(f.values)
-    power = grid.parseval_weight * np.abs(spec) ** 2
+    return norm_h2_hat(f.grid, f.grid.rfft(f.values))
+
+
+def norm_h2_hat(grid: Grid, spec: np.ndarray) -> float:
+    """H^2 norm, symbol ``1 + lam + lam^2``, from raw rfft coefficients."""
+    power = grid.parseval_weight * (spec.real**2 + spec.imag**2)
     sym = 1.0 + grid.lam + grid.lam**2
     return float(np.sqrt(grid.spectral_norm_factor * np.sum(sym * power)))

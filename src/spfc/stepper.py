@@ -6,7 +6,7 @@ schedules with history restarts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -14,14 +14,16 @@ import numpy as np
 from .model import (
     MeanMismatchError,
     ModelParams,
-    Scheme,
     StepContext,
     energy,
+    energy_hat,
+    grad_sq,
     gradient,
+    modified_energy_hat,
     p_laplacian_hat,
 )
 from .psd import PsdConfig, SolveStats, psd_solve
-from .spectral import Field, norm_h2
+from .spectral import Field, norm_h2_hat
 
 __all__ = [
     "SimState",
@@ -42,13 +44,18 @@ class StepFailureError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Two-level state of the march plus conserved-mass bookkeeping."""
+    """Two-level state of the march plus conserved-mass bookkeeping.
+
+    ``spectra``: the rfft coefficients of ``(phi_curr, phi_prev)``, carried
+    from the solver and never modified in place; ``None`` on a state built by
+    hand, whose next step transforms the fields."""
 
     phi_curr: Field
     phi_prev: Field
     time: float
     step_index: int
     mass0: float
+    spectra: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 @dataclass
@@ -119,44 +126,30 @@ def initial_state(
 def modified_energy(
     phi_new: Field, phi_old: Field, dt: float, params: ModelParams
 ) -> float:
-    """Scheme-appropriate modified energy of a consecutive state pair.
-
-    Scheme 1 augments the free energy with
-    ``1/(4 dt) ||delta||_{-1}^2 + ||grad delta||_2^2``; scheme 2 with
-    ``1/(4 dt) ||delta||_{-1}^2 + eps/2 ||delta||_2^2`` (``delta`` the step
-    difference, which must be mean-zero).
-    """
+    """Scheme-appropriate modified energy of a consecutive state pair (see
+    :func:`spfc.model.modified_energy_hat`); the step difference must be
+    mean-zero."""
     if not np.isclose(phi_new.mean(), phi_old.mean(), rtol=0.0, atol=1e-11 * (1.0 + abs(phi_old.mean()))):
         raise MeanMismatchError(
             f"modified energy needs a mean-zero step difference: means "
             f"{phi_new.mean():.15e} vs {phi_old.mean():.15e}"
         )
     g = phi_new.grid
-    delta = phi_new.values - phi_old.values
-    delta_hat = g.rfft(delta)
-    power = g.parseval_weight * (delta_hat.real**2 + delta_hat.imag**2)
-    hm1_sq = g.spectral_norm_factor * float(np.sum(g.lam_inv * power))
-    val = energy(phi_new, params) + hm1_sq / (4.0 * dt)
-    if params.scheme is Scheme.BDF2_ES_1:
-        val += g.spectral_norm_factor * float(np.sum(g.lam * power))
-    else:
-        val += 0.5 * params.epsilon * g.spectral_norm_factor * float(np.sum(power))
-    return val
+    delta_hat = g.rfft(phi_new.values - phi_old.values)
+    return modified_energy_hat(g, params, dt, energy(phi_new, params), delta_hat)
 
 
-def _make_record(
-    state: SimState, dt: float, params: ModelParams, iters: int, residual: float
+def _record(
+    state: SimState, dt: float, params: ModelParams, spec: np.ndarray, gsq: np.ndarray,
+    delta_hat: np.ndarray, iters: int, residual: float,
 ) -> EnergyRecord:
-    return EnergyRecord(
-        step=state.step_index,
-        time=state.time,
-        E=energy(state.phi_curr, params),
-        E_mod=modified_energy(state.phi_curr, state.phi_prev, dt, params),
-        mass=state.phi_curr.mean(),
-        h2_norm=norm_h2(state.phi_curr),
-        psd_iters=iters,
-        final_residual=residual,
-    )
+    """Diagnostics row of a state from the spectrum and ``|grad phi|^2`` of
+    ``phi_curr`` and the spectrum of the step difference."""
+    g = state.phi_curr.grid
+    e = energy_hat(g, params, spec, gsq)
+    e_mod = modified_energy_hat(g, params, dt, e, delta_hat)
+    mass, h2 = state.phi_curr.mean(), norm_h2_hat(g, spec)
+    return EnergyRecord(state.step_index, state.time, e, e_mod, mass, h2, iters, residual)
 
 
 def step(
@@ -167,10 +160,14 @@ def step(
     source: Optional[Field] = None,
     stats_sink: Optional[Callable[[SolveStats], None]] = None,
 ) -> tuple[SimState, EnergyRecord]:
-    """Advance one BDF2 step; returns the new state and its diagnostics row."""
-    ctx = StepContext(state.phi_curr, state.phi_prev, dt, params, source)
+    """Advance one BDF2 step; returns the new state and its diagnostics row,
+    which comes from the solver's final spectrum with no transform of its own."""
+    ctx = StepContext(state.phi_curr, state.phi_prev, dt, params, source, state.spectra)
+    final: list = []
     try:
-        phi_new, stats = psd_solve(state.phi_curr, ctx, None, psd_cfg)
+        phi_new, stats = psd_solve(
+            state.phi_curr, ctx, None, psd_cfg, lambda *solution: final.extend(solution)
+        )
     except RuntimeError as exc:
         raise StepFailureError(f"step {state.step_index + 1} (t -> {state.time + dt:g}): {exc}") from exc
     if not stats.converged:
@@ -181,14 +178,17 @@ def step(
         )
     if stats_sink is not None:
         stats_sink(stats)
+    op, phi_hat, gsq = final
     new_state = SimState(
         phi_curr=phi_new,
         phi_prev=state.phi_curr,
         time=state.time + dt,
         step_index=state.step_index + 1,
         mass0=state.mass0,
+        spectra=(phi_hat, op.phi_k_hat),
     )
-    record = _make_record(new_state, dt, params, stats.iterations, stats.residual_history[-1])
+    record = _record(new_state, dt, params, phi_hat, gsq, phi_hat - op.phi_k_hat,
+                     stats.iterations, stats.residual_history[-1])
     return new_state, record
 
 
@@ -214,6 +214,7 @@ def segment_steps(schedule: Sequence[tuple[float, float]], t0: float = 0.0) -> l
     return steps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state fails in psd_solve
 def run(
     schedule: Sequence[tuple[float, float]],
     state0: SimState,
@@ -252,12 +253,17 @@ def run(
 
     first_dt = schedule[0][0]
     if energy_sink is not None:
-        energy_sink(_make_record(state, first_dt, params, 0, 0.0))
+        g, phi = state.phi_curr.grid, state.phi_curr.values
+        spec = g.rfft(phi)
+        gsq = grad_sq(gradient(g, spec))
+        delta_hat = g.rfft(phi - state.phi_prev.values)
+        energy_sink(_record(state, first_dt, params, spec, gsq, delta_hat, 0, 0.0))
     emit_snapshots(state, first_dt)
 
     for seg_index, ((dt, _), n_steps) in enumerate(zip(schedule, steps)):
         if seg_index > 0:
-            state = SimState(state.phi_curr, state.phi_curr.copy(), state.time, state.step_index, state.mass0)
+            spec = state.spectra[0]
+            state = replace(state, phi_prev=state.phi_curr.copy(), spectra=(spec, spec.copy()))
         t_start = state.time
         for j in range(n_steps):
             try:

@@ -399,8 +399,29 @@ class TestCli:
             timeout=120,
         )
         assert proc.returncode == 3
-        assert "segment 0" in proc.stderr and "step 1" in proc.stderr
+        assert "solver failure: segment 0, step 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr  # the overflow is the solver's to report
+
+    def test_snapshot_time_after_the_schedule_exits_two(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"'snapshot_times' \(line 3\).*5.0 is after"):
+            parse_config("mode = simulate\nschedule = 0.05:0.5\nsnapshot_times = 0.25, 5\n")
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'late'}\n")
+        assert main(["simulate", "--config", cfg, "--set", "snapshot_times=5"]) == 2
+        assert "'snapshot_times' (line --set snapshot_times=5)" in capsys.readouterr().err
+        assert not (tmp_path / "late").exists()
+
+    def test_default_snapshot_times_follow_the_schedule(self, tmp_path):
+        # the defaults (1 ... 200) are filtered to a 0.5-long schedule, and the
+        # resolved config, which leaves them out, reruns
+        path = tmp_path / "run.cfg"
+        path.write_text(self.CFG.replace("snapshot_times = 0.25,0.5\n", "") + f"output_dir = {tmp_path / 'a'}\n")
+        assert main(["simulate", "--config", str(path)]) == 0
+        resolved = (tmp_path / "a" / "config.resolved").read_text()
+        assert not [line for line in resolved.splitlines() if line.startswith("snapshot_times")]
+        assert main(["simulate", "--config", str(tmp_path / "a" / "config.resolved"),
+                     "--set", f"output_dir={tmp_path / 'b'}"]) == 0
+        assert not list((tmp_path / "b").glob("snap_*.spfc"))
 
     def test_ghost_history_changes_energy_log(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
@@ -408,7 +429,8 @@ class TestCli:
         for rule in ("copy", "ghost"):
             out = tmp_path / rule
             args = ["--set", f"init.history={rule}", "--set", f"output_dir={out}"]
-            assert main(["simulate", "--config", cfg, "--set", "schedule=0.05:0.2"] + args) == 0
+            short = ["--set", "schedule=0.05:0.2", "--set", "snapshot_times=0.2"]
+            assert main(["simulate", "--config", cfg] + short + args) == 0
             assert f"init.history = {rule}" in (out / "config.resolved").read_text()
             logs[rule] = (out / "energy.csv").read_bytes()
         assert logs["copy"] != logs["ghost"]

@@ -62,7 +62,11 @@ def test_mode_keys_round_trip(mode, data):
     chosen = data.draw(st.lists(st.sampled_from(readable), unique=True))
     if mode == "simulate" and "schedule" not in chosen:
         chosen.append("schedule")
-    text = f"mode = {mode}\n" + "".join(f"{k} = {data.draw(VALUES[k])}\n" for k in chosen)
+    values = {k: data.draw(VALUES[k]) for k in chosen}
+    if "snapshot_times" in values:  # valid only up to the schedule's end
+        t_end = float(values["schedule"].rpartition(":")[2])
+        values["snapshot_times"] = data.draw(st.lists(_reals(0.0, t_end), max_size=4).map(",".join))
+    text = f"mode = {mode}\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
     cfg = parse_config(text)
     again = parse_config(render_config(cfg))
     assert render_config(again) == render_config(cfg)

@@ -20,7 +20,7 @@ from spfc import (
     sample,
     solve_cubic_monotone,
 )
-from spfc.model import MeanMismatchError, StepContext, StepOperator, gradient
+from spfc.model import MeanMismatchError, StepContext, StepOperator, grad_sq, gradient
 from spfc.psd import (
     NonMonotoneCubicError,
     PsdConfig,
@@ -52,8 +52,9 @@ def line_search_coefficients(phi, d, ctx, f):
     op = StepOperator(ctx)
     phi_hat, d_hat = g.rfft(phi.values), g.rfft(d.values)
     grad_phi = gradient(g, phi_hat)
-    c0 = g.spectral_dot(op.nonlinear_hat(phi_hat, grad_phi) - g.rfft(f.values), d_hat)
-    return op.line_coefficients(grad_phi, gradient(g, d_hat), d_hat, c0)
+    gsq = grad_sq(grad_phi)
+    c0 = g.spectral_dot(op.nonlinear_hat(phi_hat, grad_phi, gsq) - g.rfft(f.values), d_hat)
+    return op.line_coefficients(grad_phi, gsq, gradient(g, d_hat), d_hat, c0)
 
 
 class TestPsdConfig:
@@ -244,8 +245,9 @@ class TestPsdSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         ctx = make_context(grid16, rng, params, scale=0.5)
         f = rhs(ctx)
-        sol, stats = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-11))
+        sol, stats = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-11, track_objective=True))
         hist = stats.objective_history
+        assert len(hist) == stats.iterations + 1 > 1  # tracking is opt-in
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(hist, hist[1:]))
         assert abs(sol.mean() - ctx.phi_k.mean()) <= 1e-12
 

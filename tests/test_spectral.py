@@ -94,6 +94,19 @@ class TestRfftLayout:
             assert g.lam[idx] == pytest.approx(k**2 * sum(m * m for m in folded))
             assert g.kernel_mask[idx] == all(m in (0, -n // 2) if n % 2 == 0 else m == 0 for m in mode)
 
+    @pytest.mark.parametrize("dim,n", [(2, 6), (2, 7), (3, 4), (3, 5)])
+    def test_project_real_gives_the_spectrum_of_a_real_field(self, dim, n, rng):
+        g = Grid(dim=dim, n=n, length=1.7)
+        spec = rng.standard_normal(g.rshape) + 1j * rng.standard_normal(g.rshape)
+        # an arbitrary array breaks the Hermitian condition irfft assumes ...
+        assert np.max(np.abs(g.rfft(g.irfft(spec)) - spec)) > 0.1
+        # ... and its projection is the rfft of a real field; a real field's
+        # rfft is left as it is
+        g.project_real(spec)
+        assert np.max(np.abs(g.rfft(g.irfft(spec)) - spec)) < 1e-13 * np.max(np.abs(spec))
+        real = g.rfft(rng.standard_normal(g.shape))
+        assert np.max(np.abs(g.project_real(real.copy()) - real)) < 1e-13 * np.max(np.abs(real))
+
 
 class TestField:
     def test_rejects_nonfinite(self, grid8):

@@ -15,13 +15,16 @@ from spfc import (
     ghost_init,
     initial_state,
     modified_energy,
+    norm_h2,
     norm_l2,
+    psd_solve,
     run,
     sample,
     step,
 )
 from spfc.model import ManufacturedSolution, MeanMismatchError
 from spfc.psd import PsdConfig
+from spfc import stepper
 from spfc.stepper import StepFailureError
 
 
@@ -256,3 +259,90 @@ class TestRun:
             initial_state(phi0, history="ghost")
         with pytest.raises(ValueError):
             initial_state(phi0, history="bogus")
+
+
+def band_field(grid, rng, mean=0.1, amplitude=0.05):
+    """Noise around a mean on a box of edge 8 pi, where the scheme's
+    unstable band |k| ~ 1 sits at mode 4."""
+    values = amplitude * rng.standard_normal(grid.shape)
+    return Field(grid, mean + values - values.mean())
+
+
+def relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestCarriedSpectra:
+    """Steps reuse the solver's spectra: the states they carry, the rows they
+    emit and the transforms they spend."""
+
+    L = 8.0 * np.pi
+    PARAMS = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+
+    def test_carried_spectra_match_the_fields(self, rng):
+        # unprojected, round-off anti-Hermitian content on the self-conjugate
+        # planes grows about 60x every 20 steps here and passes 1e-13 near step 70
+        g = Grid(dim=2, n=32, length=self.L)
+        state = initial_state(band_field(g, rng))
+        assert state.spectra is None  # computed by the first step
+        for _ in range(80):
+            state, _ = step(state, 0.5, self.PARAMS)
+            spec_curr, spec_prev = state.spectra
+            assert relative_gap(spec_curr, g.rfft(state.phi_curr.values)) <= 1e-13
+            assert relative_gap(spec_prev, g.rfft(state.phi_prev.values)) <= 1e-13
+
+    @pytest.mark.parametrize("dim, n", [(2, 15), (2, 16), (3, 9), (3, 10)])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("history", ["copy", "ghost"])
+    def test_row_equals_field_diagnostics(self, rng, dim, n, scheme, history):
+        g = Grid(dim=dim, n=n, length=self.L)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0, scheme=scheme)
+        schedule = [(0.05, 0.15), (0.1, 0.45)]  # a history restart at t = 0.15
+        state0 = initial_state(band_field(g, rng), params, 0.05, history=history)
+        records, states = [], []
+        times = [0.05 * k for k in range(4)] + [0.15 + 0.1 * k for k in range(1, 4)]
+        run(schedule, state0, params, energy_sink=records.append,
+            snapshot_sink=states.append, snapshot_times=times)
+        assert len(records) == len(states) == 7
+        for rec, st in zip(records, states):
+            dt = 0.05 if st.time < 0.15 + 1e-9 else 0.1
+            e_mod = modified_energy(st.phi_curr, st.phi_prev, dt, params)
+            assert rec.E == pytest.approx(energy(st.phi_curr, params), rel=1e-12)
+            assert rec.E_mod == pytest.approx(e_mod, rel=1e-12)
+            assert rec.h2_norm == pytest.approx(norm_h2(st.phi_curr), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 10)])
+    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n):
+        g = Grid(dim=dim, n=n, length=self.L)
+        state, _ = step(initial_state(band_field(g, rng)), 0.05, self.PARAMS)
+        ffts = [0]
+        for name in ("rfft", "irfft"):
+            transform = getattr(Grid, name)
+
+            def counted(grid, arr, transform=transform):
+                ffts[0] += 1
+                return transform(grid, arr)
+
+            monkeypatch.setattr(Grid, name, counted)
+        in_solve = []
+
+        def solve(*args, **kwargs):
+            before = ffts[0]
+            out = psd_solve(*args, **kwargs)
+            in_solve.append(ffts[0] - before)
+            return out
+
+        monkeypatch.setattr(stepper, "psd_solve", solve)
+        _, rec = step(state, 0.05, self.PARAMS)
+        assert rec.psd_iters > 0
+        assert ffts[0] == 2 * dim * rec.psd_iters + 2 * dim + 1
+        assert in_solve == ffts  # the diagnostics row transforms nothing
+
+    def test_stepping_a_state_twice_is_bitwise(self, rng):
+        g = Grid(dim=2, n=16, length=self.L)
+        state, _ = step(initial_state(band_field(g, rng)), 0.05, self.PARAMS)
+        (a, rec_a), (b, rec_b) = (step(state, 0.05, self.PARAMS) for _ in range(2))
+        assert rec_a == rec_b
+        assert a.phi_curr.values.tobytes() == b.phi_curr.values.tobytes()
+        for spec_a, spec_b in zip(a.spectra, b.spectra):
+            assert spec_a.tobytes() == spec_b.tobytes()
