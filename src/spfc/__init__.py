@@ -18,7 +18,7 @@ from .spectral import (
 from .model import (
     Scheme,
     ModelParams,
-    StepContext,
+    StepOperator,
     energy,
     nonlinear_operator,
     rhs,

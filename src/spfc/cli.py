@@ -67,8 +67,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--config", "(cli)", "simulate requires a config file")
         text = ""
     else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("--config", "(cli)", f"{args.config} is not UTF-8 text: {exc}") from None
     return parse_config(text, mode=mode, overrides=tuple(args.overrides))
 
 

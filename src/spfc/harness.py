@@ -16,7 +16,7 @@ from .model import (
     ManufacturedSolution,
     ModelParams,
     Scheme,
-    StepContext,
+    StepOperator,
     grad_sq,
     nonlinear_operator,
     objective,
@@ -181,8 +181,8 @@ def _manufactured_run(
             src = mms.spatial_source(grid, t_new, dt, params)
         else:
             src = mms.temporal_source(grid, t_new, params)
-        ctx = StepContext(phi_curr, phi_prev, dt, params, src)
-        phi_new, _ = psd_solve(phi_curr, ctx, None, psd_cfg)
+        op = StepOperator(phi_curr, phi_prev, dt, params, src)
+        phi_new, _ = psd_solve(phi_curr, op, None, psd_cfg)
         phi_prev, phi_curr = phi_curr, phi_new
         if track_h3:
             err_hat = grid.rfft(phi_curr.values - mms.field(grid, t_new).values)
@@ -326,7 +326,7 @@ def _check(name: str, measured: float, tol: float, detail: str) -> CheckResult:
 
 
 def sbp_identity_defects(
-    grid: Grid, n_pairs: int, rng: np.random.Generator, symbol_perturbation: float = 0.0
+    grid: Grid, n_pairs: int, rng: np.random.Generator
 ) -> tuple[float, float, float]:
     """Worst relative defect of the three summation-by-parts identities over
     random field pairs.
@@ -334,14 +334,11 @@ def sbp_identity_defects(
     The first identity is normalized by ``||f||_2 ||g||_H2`` (commensurate
     with its terms); the higher-order identities by the magnitude of their
     own two sides, which keeps "relative" meaningful for the 4th- and
-    6th-order operators.  ``symbol_perturbation`` scales the Laplacian symbol
-    on one side of each identity; nonzero values are a self-test hook that
-    must make the check fail (never set in production).
+    6th-order operators.
     """
     from .spectral import inner
 
     worst = [0.0, 0.0, 0.0]
-    bad = 1.0 + symbol_perturbation
     for _ in range(n_pairs):
         f = Field(grid, rng.standard_normal(grid.shape))
         g = Field(grid, rng.standard_normal(grid.shape))
@@ -349,15 +346,15 @@ def sbp_identity_defects(
         lap_f = laplacian(f)
         grad_f = grad(f)
         grad_g = grad(g)
-        t1a = bad * inner(f, lap_g)
+        t1a = inner(f, lap_g)
         t1b = sum(inner(a, b) for a, b in zip(grad_f, grad_g))
         worst[0] = max(worst[0], abs(t1a + t1b) / (norm_l2(f) * norm_h2(g)))
-        t2a = bad * inner(f, laplacian(lap_g))
+        t2a = inner(f, laplacian(lap_g))
         t2b = inner(lap_f, lap_g)
         worst[1] = max(worst[1], abs(t2a - t2b) / (abs(t2a) + abs(t2b)))
         grad_lap_f = grad(lap_f)
         grad_lap_g = grad(lap_g)
-        t3a = bad * inner(f, laplacian(laplacian(lap_g)))
+        t3a = inner(f, laplacian(laplacian(lap_g)))
         t3b = sum(inner(a, b) for a, b in zip(grad_lap_f, grad_lap_g))
         worst[2] = max(worst[2], abs(t3a + t3b) / (abs(t3a) + abs(t3b)))
     return tuple(worst)
@@ -414,17 +411,17 @@ def gradient_consistency_defect(
         phi_k = Field(grid, base + 0.05 * rng.standard_normal(grid.shape))
         phi_km1 = Field(grid, phi_k.values + _mean_zero(0.05 * rng.standard_normal(grid.shape)))
         dt = 0.05
-        ctx = StepContext(phi_k, phi_km1, dt, params)
-        f = rhs(ctx)
+        op = StepOperator(phi_k, phi_km1, dt, params)
+        f = rhs(op)
         phi = Field(grid, phi_k.values + _mean_zero(0.1 * rng.standard_normal(grid.shape)))
         d = _mean_zero(rng.standard_normal(grid.shape))
         d /= norm_l2(Field(grid, d))
         pairing = float(
             grid.cell_volume
-            * np.vdot((nonlinear_operator(phi, ctx).values - f.values), d).real
+            * np.vdot((nonlinear_operator(phi, op).values - f.values), d).real
         )
-        fp = objective(Field(grid, phi.values + fd_h * d), ctx, f)
-        fm = objective(Field(grid, phi.values - fd_h * d), ctx, f)
+        fp = objective(Field(grid, phi.values + fd_h * d), op, f)
+        fm = objective(Field(grid, phi.values - fd_h * d), op, f)
         fd = (fp - fm) / (2.0 * fd_h)
         worst = max(worst, abs(fd - pairing) / max(abs(pairing), 1e-300))
     return worst
@@ -434,12 +431,9 @@ def _mean_zero(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
-def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> VerifyReport:
-    """Run the aggregated property battery and return a pass/fail report.
-
-    ``profile="ci"`` shrinks the sample counts.  ``symbol_perturbation`` is
-    forwarded to the SBP check as a mutation hook (a nonzero value must turn
-    that check red; used by the negative-control test)."""
+def verify_suite(profile: str = "full") -> VerifyReport:
+    """Run the aggregated property battery and return a pass/fail report;
+    ``profile="ci"`` shrinks the sample counts."""
     if profile not in ("full", "ci"):
         raise ValueError(f"unknown profile {profile!r}")
     full = profile == "full"
@@ -453,7 +447,7 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
     pairs = 100 if full else 20
     for dim, n in sbp_cases:
         grid = Grid(dim=dim, n=n, length=1.0 if dim == 2 else 1.0)
-        defects = sbp_identity_defects(grid, pairs, rng, symbol_perturbation)
+        defects = sbp_identity_defects(grid, pairs, rng)
         worst = max(defects)
         detail = f"defects {defects[0]:.2e} / {defects[1]:.2e} / {defects[2]:.2e}"
         add(_check(f"sbp_identities_{dim}d_n{n}", worst, 1e-10, detail))
@@ -491,11 +485,11 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
     params = ModelParams(epsilon=0.3, reg_a=0.25)
     phi_k = Field(g16, 0.2 * rng.standard_normal(g16.shape))
     phi_km1 = Field(g16, phi_k.values + _mean_zero(0.02 * rng.standard_normal(g16.shape)))
-    ctx = StepContext(phi_k, phi_km1, 0.05, params)
+    op = StepOperator(phi_k, phi_km1, 0.05, params)
     cfg = PsdConfig(tol=1e-11)
-    sol_a, _ = psd_solve(phi_k, ctx, None, cfg)
+    sol_a, _ = psd_solve(phi_k, op, None, cfg)
     other = Field(g16, phi_k.mean() + _mean_zero(0.5 * rng.standard_normal(g16.shape)))
-    sol_b, _ = psd_solve(other, ctx, None, cfg)
+    sol_b, _ = psd_solve(other, op, None, cfg)
     diff = norm_l2(Field(g16, sol_a.values - sol_b.values))
     detail = f"solution gap {diff:.2e} between two starts"
     add(_check("psd_multistart_uniqueness", diff, 1e-8, detail))
@@ -505,8 +499,8 @@ def verify_suite(profile: str = "full", symbol_perturbation: float = 0.0) -> Ver
     for scheme in Scheme:
         params = ModelParams(epsilon=0.5, reg_a=0.015625, scheme=scheme)
         c = Field(g16, np.full(g16.shape, 0.37))
-        ctx = StepContext(c, c.copy(), 0.1, params)
-        sol, _ = psd_solve(c, ctx, None, PsdConfig(tol=1e-12))
+        op = StepOperator(c, c.copy(), 0.1, params)
+        sol, _ = psd_solve(c, op, None, PsdConfig(tol=1e-12))
         worst = max(worst, float(np.max(np.abs(sol.values - 0.37))))
     add(_check("constant_fixed_point", worst, 1e-12, f"worst drift {worst:.2e}"))
 
@@ -542,8 +536,8 @@ def _mesh_iteration_counts(n_list: Sequence[int]) -> list[int]:
             return 0.05 * (np.cos(3 * tau * x) * np.cos(2 * tau * y) + np.sin(5 * tau * y))
 
         phi0 = sample(profile, grid)
-        ctx = StepContext(phi0, phi0.copy(), 0.05, params)
-        _, stats = psd_solve(phi0, ctx, None, PsdConfig(tol=1e-9))
+        op = StepOperator(phi0, phi0.copy(), 0.05, params)
+        _, stats = psd_solve(phi0, op, None, PsdConfig(tol=1e-9))
         counts.append(stats.iterations)
     return counts
 

@@ -11,12 +11,12 @@ and the dynamics is the H^-1 gradient flow ``d phi/dt = lap mu``.  One
 implicit BDF2 step with time step ``dt`` is equivalent to the nonlinear
 equation ``N[phi] = f`` on the mass hyperplane, which in turn is the
 Euler-Lagrange equation of the strictly convex objective implemented in
-:func:`objective`.  :class:`StepOperator` holds the spectral-space form of
-all of this for one step and is shared by the public functions here and the
-iterative solver in :mod:`spfc.psd`.  The gradient, ``|grad phi|^2`` and the
-4-Laplacian flux come from :func:`gradient`, :func:`grad_sq` and
-:func:`p_laplacian_hat` alone, in the step operator, in :func:`energy` and in
-the initial chemical potential of :func:`spfc.stepper.ghost_init`; the
+:func:`objective`.  :class:`StepOperator` is one step: its data and the
+spectral-space form of all of this, used by the public functions here and the
+iterative solver in :mod:`spfc.psd`.  The two schemes differ only in
+:meth:`ModelParams.concave_symbol`, the part of the quadratic energy they
+extrapolate.  The gradient, ``|grad phi|^2`` and the 4-Laplacian flux come
+from :func:`gradient`, :func:`grad_sq` and :func:`p_laplacian_hat` alone; the
 energies from :func:`energy_hat` and :func:`modified_energy_hat` alone.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ from .spectral import Field
 __all__ = [
     "Scheme",
     "ModelParams",
-    "StepContext",
     "StepOperator",
     "MeanMismatchError",
     "gradient",
@@ -93,42 +92,27 @@ class ModelParams:
         """True when the energy-dissipation condition ``A >= eps^2/16`` holds."""
         return self.reg_a >= self.epsilon**2 / 16.0
 
+    def energy_symbol(self, lam):
+        """Symbol of the quadratic energy's chemical potential,
+        ``a - 2 lam + lam^2``, at eigenvalue ``lam`` of ``-lap``."""
+        return self.a - 2.0 * lam + lam**2
 
-def _mean_compatible(m1: float, m2: float) -> bool:
-    return abs(m1 - m2) <= MEAN_COMPAT_TOL * (1.0 + max(abs(m1), abs(m2)))
+    def concave_symbol(self, lam):
+        """Symbol of the concave part the scheme extrapolates, negated:
+        ``2 lam`` for ``-||grad phi||^2`` (scheme 1), ``eps`` for
+        ``-eps/2 ||phi||^2`` (scheme 2).  ``energy_symbol + concave_symbol``
+        is the convex part the scheme treats implicitly."""
+        if self.scheme is Scheme.BDF2_ES_1:
+            return 2.0 * lam
+        return self.epsilon
 
 
-@dataclass
-class StepContext:
-    """Frozen data of one implicit step: the two history levels, the step
-    size, the model constants and an optional source at the new time level.
-    ``spectra`` holds the rfft coefficients of ``(phi_k, phi_km1)`` when they
-    are already known (real-field projected, see :meth:`Grid.project_real`).
-    """
-
-    phi_k: Field
-    phi_km1: Field
-    dt: float
-    params: ModelParams
-    source: Optional[Field] = None
-    spectra: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def __post_init__(self) -> None:
-        if self.phi_k.grid != self.phi_km1.grid:
-            raise ValueError("history levels live on different grids")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.source is not None and self.source.grid != self.phi_k.grid:
-            raise ValueError("source lives on a different grid")
-        if not _mean_compatible(self.phi_k.mean(), self.phi_km1.mean()):
-            raise MeanMismatchError(
-                "history levels carry different mass: "
-                f"{self.phi_k.mean():.15e} vs {self.phi_km1.mean():.15e}"
-            )
-
-    @property
-    def grid(self) -> Grid:
-        return self.phi_k.grid
+def _require_same_mass(phi: Field, ref: Field, what: str) -> None:
+    """Raise :class:`MeanMismatchError` unless ``phi`` lies on the mass
+    hyperplane of ``ref``, to ``MEAN_COMPAT_TOL`` relative."""
+    m1, m2 = phi.mean(), ref.mean()
+    if abs(m1 - m2) > MEAN_COMPAT_TOL * (1.0 + max(abs(m1), abs(m2))):
+        raise MeanMismatchError(f"{what}: mean {m1:.15e} vs {m2:.15e}")
 
 
 # ----------------------------------------------------------------------
@@ -164,44 +148,72 @@ def p_laplacian_hat(
 
 
 @lru_cache(maxsize=16)
-def _scheme_symbols(
-    grid: Grid, scheme: Scheme, epsilon: float, reg_a: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lin_sym, pre_inv) on the rfft layout for one (grid, params, dt)."""
+def _scheme_symbols(grid: Grid, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lin_sym, pre_inv) on the rfft layout for one (grid, params, dt):
+    the implicit convex part ``dt (energy + concave) + A dt^2 lam`` and the
+    inverse preconditioner symbol."""
     lam = grid.lam
-    a = 1.0 - epsilon
-    if scheme is Scheme.BDF2_ES_1:
-        lin_sym = a * dt + reg_a * dt**2 * lam + dt * lam**2
-    else:
-        lin_sym = dt * (1.0 - lam) ** 2 + reg_a * dt**2 * lam
+    lin_sym = dt * (params.energy_symbol(lam) + params.concave_symbol(lam))
+    lin_sym += params.reg_a * dt**2 * lam
     pre_sym = 1.5 * grid.lam_inv + dt * lam + lin_sym
     pre_inv = np.where(grid.kernel_mask, 0.0, 1.0 / pre_sym)
     return lin_sym, pre_inv
 
 
 class StepOperator:
-    """Spectral-space machinery of one implicit step ``N[phi] = f``.
+    """One implicit step ``N[phi] = f``: the two history levels, the step
+    size, the model constants and an optional source at the new time level,
+    with the spectral-space machinery of the step.
 
     Works on raw arrays: fields as rfft coefficient arrays (``*_hat``) plus,
     where the quartic term is involved, the physical gradient components from
     :func:`gradient`.  The Field-level functions below and the PSD solver both
-    delegate here, so the scheme algebra exists exactly once.
+    delegate here, so the scheme algebra exists exactly once.  ``spectra``
+    holds the rfft coefficients of ``(phi_k, phi_km1)`` when they are already
+    known (real-field projected, see :meth:`Grid.project_real`); otherwise
+    they are transformed on first use.
     """
 
-    def __init__(self, ctx: StepContext):
-        self.ctx = ctx
-        self.grid = ctx.grid
-        self.params = ctx.params
-        self.dt = ctx.dt
-        g = self.grid
-        self.lin_sym, self.pre_inv = _scheme_symbols(
-            g, ctx.params.scheme, ctx.params.epsilon, ctx.params.reg_a, ctx.dt
-        )
-        self.phi_k_hat, self.phi_km1_hat = ctx.spectra or tuple(
-            g.rfft(phi.values) for phi in (ctx.phi_k, ctx.phi_km1))
-        # BDF tail: the explicit part of (3/2 phi - 2 phi^k + 1/2 phi^{k-1})
-        self.bdf_tail_hat = -2.0 * self.phi_k_hat + 0.5 * self.phi_km1_hat
-        self._rhs_hat: Optional[np.ndarray] = None
+    def __init__(
+        self, phi_k: Field, phi_km1: Field, dt: float, params: ModelParams,
+        source: Optional[Field] = None, spectra: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ):
+        if phi_k.grid != phi_km1.grid:
+            raise ValueError("history levels live on different grids")
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if source is not None and source.grid != phi_k.grid:
+            raise ValueError("source lives on a different grid")
+        _require_same_mass(phi_k, phi_km1, "history levels carry different mass")
+        self.phi_k, self.phi_km1, self.source = phi_k, phi_km1, source
+        self.grid, self.params, self.dt = phi_k.grid, params, dt
+        self.lin_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
+        if spectra is not None:
+            self.spectra = spectra
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self.grid.rfft(phi.values) for phi in (self.phi_k, self.phi_km1))
+
+    @cached_property
+    def bdf_tail_hat(self) -> np.ndarray:
+        """The explicit part of ``3/2 phi - 2 phi^k + 1/2 phi^{k-1}``."""
+        phi_k_hat, phi_km1_hat = self.spectra
+        return -2.0 * phi_k_hat + 0.5 * phi_km1_hat
+
+    @cached_property
+    def rhs_hat(self) -> np.ndarray:
+        """Coefficients of the step's right-hand side ``f``: the extrapolated
+        concave part and the regularization (and the source, if any)."""
+        g, p, dt = self.grid, self.params, self.dt
+        phi_k_hat, phi_km1_hat = self.spectra
+        out = dt * p.concave_symbol(g.lam) * (2.0 * phi_k_hat - phi_km1_hat)
+        out += p.reg_a * dt**2 * g.lam * phi_k_hat
+        if self.source is not None:
+            # fold the source through (-lap)^{-1}; kernel modes (and with
+            # them the source mean) drop out, preserving mass
+            out += dt * g.lam_inv * g.rfft(self.source.values)
+        return out
 
     def nonlinear_hat(
         self, phi_hat: np.ndarray, grad_comps: list[np.ndarray], gsq: np.ndarray
@@ -213,24 +225,6 @@ class StepOperator:
         out += self.lin_sym * phi_hat
         out += self.dt * p_laplacian_hat(g, grad_comps, gsq)
         return out
-
-    def rhs_hat(self) -> np.ndarray:
-        """Coefficients of the step's right-hand side ``f`` (cached)."""
-        if self._rhs_hat is None:
-            g = self.grid
-            lam = g.lam
-            extrap = 2.0 * self.phi_k_hat - self.phi_km1_hat
-            if self.params.scheme is Scheme.BDF2_ES_1:
-                out = 2.0 * self.dt * lam * extrap
-            else:
-                out = self.dt * self.params.epsilon * extrap
-            out = out + self.params.reg_a * self.dt**2 * lam * self.phi_k_hat
-            if self.ctx.source is not None:
-                # fold the source through (-lap)^{-1}; kernel modes (and with
-                # them the source mean) drop out, preserving mass
-                out = out + self.dt * g.lam_inv * g.rfft(self.ctx.source.values)
-            self._rhs_hat = out
-        return self._rhs_hat
 
     # -- scalar functionals --------------------------------------------
     def objective_value(
@@ -309,18 +303,13 @@ def modified_energy_hat(
     """Scheme-appropriate modified energy from the free energy of the new
     state and the coefficients of the (mean-zero) step difference ``delta``.
 
-    Scheme 1 augments the free energy with
-    ``1/(4 dt) ||delta||_{-1}^2 + ||grad delta||_2^2``; scheme 2 with
-    ``1/(4 dt) ||delta||_{-1}^2 + eps/2 ||delta||_2^2``.
+    It augments the free energy with ``1/(4 dt) ||delta||_{-1}^2`` and half
+    the ``delta`` norm of the scheme's concave symbol: ``||grad delta||_2^2``
+    for scheme 1, ``eps/2 ||delta||_2^2`` for scheme 2.
     """
-    nf = grid.spectral_norm_factor
     power = grid.parseval_weight * (delta_hat.real**2 + delta_hat.imag**2)
-    val = energy_value + nf * float(np.sum(grid.lam_inv * power)) / (4.0 * dt)
-    if params.scheme is Scheme.BDF2_ES_1:
-        val += nf * float(np.sum(grid.lam * power))
-    else:
-        val += 0.5 * params.epsilon * nf * float(np.sum(power))
-    return val
+    weight = grid.lam_inv / (4.0 * dt) + 0.5 * params.concave_symbol(grid.lam)
+    return energy_value + grid.spectral_norm_factor * float(np.sum(weight * power))
 
 
 def energy(phi: Field, params: ModelParams) -> float:
@@ -330,42 +319,33 @@ def energy(phi: Field, params: ModelParams) -> float:
     return energy_hat(g, params, spec, grad_sq(gradient(g, spec)))
 
 
-def _require_on_hyperplane(phi: Field, ctx: StepContext, what: str) -> None:
-    if not _mean_compatible(phi.mean(), ctx.phi_k.mean()):
-        raise MeanMismatchError(
-            f"{what} is defined on the mass hyperplane: mean(phi) = "
-            f"{phi.mean():.15e} but mean(phi_k) = {ctx.phi_k.mean():.15e}"
-        )
-
-
-def nonlinear_operator(phi: Field, ctx: StepContext) -> Field:
+def nonlinear_operator(phi: Field, op: StepOperator) -> Field:
     """The step operator ``N[phi]`` (inverse Laplacian acts on the mean-zero
     part of the BDF combination)."""
-    _require_on_hyperplane(phi, ctx, "nonlinear_operator")
-    g = ctx.grid
+    _require_same_mass(phi, op.phi_k, "nonlinear_operator is defined on the mass hyperplane")
+    g = op.grid
     phi_hat = g.rfft(phi.values)
     grad_comps = gradient(g, phi_hat)
-    n_hat = StepOperator(ctx).nonlinear_hat(phi_hat, grad_comps, grad_sq(grad_comps))
-    return Field(g, g.irfft(n_hat))
+    return Field(g, g.irfft(op.nonlinear_hat(phi_hat, grad_comps, grad_sq(grad_comps))))
 
 
-def rhs(ctx: StepContext) -> Field:
+def rhs(op: StepOperator) -> Field:
     """Right-hand side ``f`` of ``N[phi] = f`` (source folded in if present)."""
-    return Field(ctx.grid, ctx.grid.irfft(StepOperator(ctx).rhs_hat()))
+    return Field(op.grid, op.grid.irfft(op.rhs_hat))
 
 
-def objective(phi: Field, ctx: StepContext, f: Field) -> float:
+def objective(phi: Field, op: StepOperator, f: Field) -> float:
     """Strictly convex objective minimized by the step solution."""
-    _require_on_hyperplane(phi, ctx, "objective")
-    g = ctx.grid
+    _require_same_mass(phi, op.phi_k, "objective is defined on the mass hyperplane")
+    g = op.grid
     phi_hat = g.rfft(phi.values)
-    return StepOperator(ctx).objective_value(phi_hat, gradient(g, phi_hat), g.rfft(f.values))
+    return op.objective_value(phi_hat, gradient(g, phi_hat), g.rfft(f.values))
 
 
 # ----------------------------------------------------------------------
 # manufactured solution for the verification harness
 # ----------------------------------------------------------------------
-_LAM1 = -8.0 * np.pi**2  # Laplacian eigenvalue of the base profile
+_LAM1 = 8.0 * np.pi**2  # eigenvalue of -lap on the base profile
 
 
 @lru_cache(maxsize=32)
@@ -424,12 +404,8 @@ class ManufacturedSolution:
         self._check_grid(grid)
         profile, _, lap_p_nl = _mms_basis(grid)
         c = self._c(t)
-        mu_lin = -params.epsilon + (1.0 + _LAM1) ** 2
-        values = (
-            self._cdot(t) * profile
-            - c**3 * lap_p_nl
-            - _LAM1 * mu_lin * c * profile
-        )
+        mu_lin = params.energy_symbol(_LAM1)
+        values = self._cdot(t) * profile - c**3 * lap_p_nl + _LAM1 * mu_lin * c * profile
         return Field(grid, values)
 
     def spatial_source(
@@ -443,11 +419,9 @@ class ManufacturedSolution:
         c0 = self._c(t_new - dt)
         cm = self._c(t_new - 2.0 * dt)
         stencil = (1.5 * c1 - 2.0 * c0 + 0.5 * cm) / dt
-        reg = -params.reg_a * dt * _LAM1 * (c1 - c0)
-        if params.scheme is Scheme.BDF2_ES_1:
-            lin = params.a * c1 + 2.0 * _LAM1 * (2.0 * c0 - cm) + reg + _LAM1**2 * c1
-        else:
-            lin = -params.epsilon * (2.0 * c0 - cm) + reg + (1.0 + _LAM1) ** 2 * c1
-        values = stencil * profile - c1**3 * lap_p_nl - _LAM1 * lin * profile
+        concave = params.concave_symbol(_LAM1)
+        lin = (params.energy_symbol(_LAM1) + concave) * c1 - concave * (2.0 * c0 - cm)
+        lin += params.reg_a * dt * _LAM1 * (c1 - c0)
+        values = stencil * profile - c1**3 * lap_p_nl + _LAM1 * lin * profile
         return Field(grid, values)
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import StepContext, StepOperator, _mean_compatible, MeanMismatchError, grad_sq, gradient
+from .model import StepOperator, _require_same_mass, grad_sq, gradient
 from .spectral import Field
 
 __all__ = [
@@ -157,31 +157,26 @@ def _diverged(history: list) -> Optional[str]:
 
 def psd_solve(
     phi_guess: Field,
-    ctx: StepContext,
+    op: StepOperator,
     f: Optional[Field] = None,
     cfg: Optional[PsdConfig] = None,
-    final_sink: Optional[Callable[[StepOperator, np.ndarray, np.ndarray], None]] = None,
+    final_sink: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[Field, SolveStats]:
-    """Solve ``N[phi] = f`` on the mass hyperplane of ``ctx.phi_k``.
+    """Solve ``N[phi] = f`` of the step ``op`` on the mass hyperplane of ``op.phi_k``.
 
     ``f`` defaults to the step's own right-hand side.  Returns the solution
     and the iteration diagnostics; raises :class:`PsdDivergenceError` when
     the residual is not finite, grows by more than 10x over five
     consecutive iterations, or falls by less than 10x over ``STALL_WINDOW``.
-    ``final_sink``, if given, receives the step operator, the solution's
-    rfft coefficients (projected onto real fields) and its ``|grad phi|^2``,
-    so the caller needs no transform of its own.
+    ``final_sink``, if given, receives the solution's rfft coefficients
+    (projected onto real fields) and its ``|grad phi|^2``, so the caller
+    needs no transform of its own.
     """
     cfg = cfg or PsdConfig()
-    if not _mean_compatible(phi_guess.mean(), ctx.phi_k.mean()):
-        raise MeanMismatchError(
-            f"initial guess is off the mass hyperplane: mean = {phi_guess.mean():.15e}, "
-            f"expected {ctx.phi_k.mean():.15e}"
-        )
-    op = StepOperator(ctx)
-    grid = ctx.grid
-    if phi_guess is ctx.phi_k:
-        phi_hat = op.phi_k_hat.copy()
+    _require_same_mass(phi_guess, op.phi_k, "initial guess is off the mass hyperplane")
+    grid = op.grid
+    if phi_guess is op.phi_k:
+        phi_hat = op.spectra[0].copy()
     else:
         phi_hat = grid.rfft(phi_guess.values)
     # drop derivative-kernel content (Nyquist on even grids) except the mass
@@ -192,7 +187,7 @@ def psd_solve(
     phi_hat[grid.kernel_mask] = 0.0
     phi_hat[zero_idx] = mass_coeff
 
-    f_hat = op.rhs_hat() if f is None else grid.rfft(f.values)
+    f_hat = op.rhs_hat if f is None else grid.rfft(f.values)
     f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat), cfg.residual_norm)
     target = cfg.tol * (1.0 + f_norm)
 
@@ -233,5 +228,5 @@ def psd_solve(
     stats.finalize()
     phi = Field(grid, grid.irfft(phi_hat))
     if final_sink is not None:
-        final_sink(op, grid.project_real(phi_hat), gsq)
+        final_sink(grid.project_real(phi_hat), gsq)
     return phi, stats

@@ -12,9 +12,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    MeanMismatchError,
     ModelParams,
-    StepContext,
+    StepOperator,
+    _require_same_mass,
     energy,
     energy_hat,
     grad_sq,
@@ -87,7 +87,7 @@ def ghost_init(
     g = phi0.grid
     spec = g.rfft(phi0.values)
     # chemical potential of the initial state
-    mu_hat = (params.a - 2.0 * g.lam + g.lam**2) * spec
+    mu_hat = params.energy_symbol(g.lam) * spec
     mu_hat += p_laplacian_hat(g, gradient(g, spec))
     rate_hat = -g.lam * mu_hat
     if source is not None:
@@ -129,11 +129,7 @@ def modified_energy(
     """Scheme-appropriate modified energy of a consecutive state pair (see
     :func:`spfc.model.modified_energy_hat`); the step difference must be
     mean-zero."""
-    if not np.isclose(phi_new.mean(), phi_old.mean(), rtol=0.0, atol=1e-11 * (1.0 + abs(phi_old.mean()))):
-        raise MeanMismatchError(
-            f"modified energy needs a mean-zero step difference: means "
-            f"{phi_new.mean():.15e} vs {phi_old.mean():.15e}"
-        )
+    _require_same_mass(phi_new, phi_old, "modified energy needs a mean-zero step difference")
     g = phi_new.grid
     delta_hat = g.rfft(phi_new.values - phi_old.values)
     return modified_energy_hat(g, params, dt, energy(phi_new, params), delta_hat)
@@ -160,13 +156,14 @@ def step(
     source: Optional[Field] = None,
     stats_sink: Optional[Callable[[SolveStats], None]] = None,
 ) -> tuple[SimState, EnergyRecord]:
-    """Advance one BDF2 step; returns the new state and its diagnostics row,
-    which comes from the solver's final spectrum with no transform of its own."""
-    ctx = StepContext(state.phi_curr, state.phi_prev, dt, params, source, state.spectra)
+    """Advance one BDF2 step, the :class:`StepOperator` of ``state`` solved by
+    :func:`psd_solve`; returns the new state and its diagnostics row, which
+    comes from the solver's final spectrum with no transform of its own."""
+    op = StepOperator(state.phi_curr, state.phi_prev, dt, params, source, state.spectra)
     final: list = []
     try:
         phi_new, stats = psd_solve(
-            state.phi_curr, ctx, None, psd_cfg, lambda *solution: final.extend(solution)
+            state.phi_curr, op, None, psd_cfg, lambda *solution: final.extend(solution)
         )
     except RuntimeError as exc:
         raise StepFailureError(f"step {state.step_index + 1} (t -> {state.time + dt:g}): {exc}") from exc
@@ -178,16 +175,16 @@ def step(
         )
     if stats_sink is not None:
         stats_sink(stats)
-    op, phi_hat, gsq = final
+    phi_hat, gsq = final
     new_state = SimState(
         phi_curr=phi_new,
         phi_prev=state.phi_curr,
         time=state.time + dt,
         step_index=state.step_index + 1,
         mass0=state.mass0,
-        spectra=(phi_hat, op.phi_k_hat),
+        spectra=(phi_hat, op.spectra[0]),
     )
-    record = _record(new_state, dt, params, phi_hat, gsq, phi_hat - op.phi_k_hat,
+    record = _record(new_state, dt, params, phi_hat, gsq, phi_hat - op.spectra[0],
                      stats.iterations, stats.residual_history[-1])
     return new_state, record
 
@@ -205,7 +202,10 @@ def segment_steps(schedule: Sequence[tuple[float, float]], t0: float = 0.0) -> l
             raise ValueError(f"schedule t_end values must increase, got {[s[1] for s in schedule]}")
         if dt <= 0:
             raise ValueError(f"segment {seg_index}: dt must be positive, got {dt}")
-        steps.append(int(round(span / dt)))
+        count = span / dt
+        if not np.isfinite(count):
+            raise ValueError(f"segment {seg_index}: {span:g} / {dt:g} steps overflows")
+        steps.append(int(round(count)))
         if steps[-1] < 1 or abs(steps[-1] * dt - span) > 1e-9 * max(1.0, abs(t_end)):
             raise ValueError(
                 f"segment {seg_index}: span {span:g} is not a whole number of steps of {dt:g}"

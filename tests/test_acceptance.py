@@ -33,7 +33,7 @@ from spfc.harness import (
     temporal_convergence_study,
     gradient_consistency_defect,
 )
-from spfc.model import StepContext
+from spfc.model import StepOperator
 from spfc.psd import PsdConfig
 from spfc.stepper import initial_state, run
 
@@ -264,8 +264,8 @@ class TestCriterion7PsdBehavior:
         for n in (64, 128, 256):
             grid = Grid(dim=2, n=n, length=100.0)
             phi0 = sample(profile, grid)
-            ctx = StepContext(phi0, phi0.copy(), 0.05, params)
-            _, stats = psd_solve(phi0, ctx, None, PsdConfig(tol=1e-9))
+            op = StepOperator(phi0, phi0.copy(), 0.05, params)
+            _, stats = psd_solve(phi0, op, None, PsdConfig(tol=1e-9))
             counts[n] = stats.iterations
         spread = max(counts.values()) - min(counts.values())
         ok = spread <= 3
@@ -281,14 +281,14 @@ class TestCriterion7PsdBehavior:
         params = cfg.params()
         state = initial_state(random_init(cfg, grid))
         state = run([(0.05, 0.5)], state, params)
-        ctx = StepContext(state.phi_curr, state.phi_prev, 0.05, params)
+        op = StepOperator(state.phi_curr, state.phi_prev, 0.05, params)
         solver_cfg = PsdConfig(tol=1e-9)
-        sol_a, _ = psd_solve(state.phi_curr, ctx, None, solver_cfg)
+        sol_a, _ = psd_solve(state.phi_curr, op, None, solver_cfg)
         rng = np.random.default_rng(SEED + 1)
         perturbation = 0.1 * rng.standard_normal(grid.shape)
         perturbation -= perturbation.mean()
         other = Field(grid, state.phi_curr.values + perturbation)
-        sol_b, _ = psd_solve(other, ctx, None, solver_cfg)
+        sol_b, _ = psd_solve(other, op, None, solver_cfg)
         gap = norm_l2(Field(grid, sol_a.values - sol_b.values))
         ok = gap <= 1e-8
         report(

@@ -309,6 +309,18 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         assert main(["simulate", "--config", cfg, "--set", "grid.n=2"]) == 2
 
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mode = simulate\n\xff\xfe\x00\x81\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config key '--config'" in capsys.readouterr().err
+
+    def test_overflowing_schedule_exits_two(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'big'}\n")
+        assert main(["simulate", "--config", cfg, "--set", "schedule=0.05:1e308"]) == 2
+        assert "config key 'schedule'" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
+
     def test_solver_failure_exits_three(self, tmp_path):
         cfg = self._write_cfg(
             tmp_path,

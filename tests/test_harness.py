@@ -4,7 +4,7 @@ desk-scale convergence studies, pattern runs and the verification battery."""
 import numpy as np
 import pytest
 
-from spfc import ModelParams
+from spfc import Field, ModelParams, harness
 from spfc.harness import (
     ConvergenceRow,
     PatternConfig,
@@ -174,8 +174,13 @@ class TestVerifySuite:
         assert "ALL CHECKS PASSED" in text
         assert "sbp_identities_2d_n16" in text
 
-    def test_mutated_symbol_turns_sbp_red(self):
-        report = verify_suite(profile="ci", symbol_perturbation=1e-6)
+    def test_mutated_symbol_turns_sbp_red(self, monkeypatch):
+        # scaling the Laplacian breaks identities 1 and 3 (2 scales both sides)
+        lap = harness.laplacian
+        monkeypatch.setattr(
+            harness, "laplacian", lambda f: Field(f.grid, (1.0 + 1e-6) * lap(f).values)
+        )
+        report = verify_suite(profile="ci")
         sbp = [e for e in report.entries if e.name.startswith("sbp")]
         assert sbp and all(not e.passed for e in sbp)
         assert not report.all_passed

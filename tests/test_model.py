@@ -23,7 +23,7 @@ from spfc import (
 from spfc.model import (
     ManufacturedSolution,
     MeanMismatchError,
-    StepContext,
+    StepOperator,
     gradient,
     p_laplacian_hat,
 )
@@ -31,17 +31,17 @@ from spfc.psd import PsdConfig, psd_solve
 from spfc.spectral import laplacian
 
 
-def make_context(grid, rng, params, dt=0.05, scale=0.2):
+def make_step(grid, rng, params, dt=0.05, scale=0.2):
     phi_k = random_field(grid, rng, scale=scale)
     shift = rng.standard_normal(grid.shape) * scale
     shift -= shift.mean()
     phi_km1 = Field(grid, phi_k.values + shift)
-    return StepContext(phi_k, phi_km1, dt, params)
+    return StepOperator(phi_k, phi_km1, dt, params)
 
 
-def on_hyperplane(ctx, rng, scale=0.1):
-    shift = scale * rng.standard_normal(ctx.grid.shape)
-    return Field(ctx.grid, ctx.phi_k.values + shift - shift.mean())
+def on_hyperplane(op, rng, scale=0.1):
+    shift = scale * rng.standard_normal(op.grid.shape)
+    return Field(op.grid, op.phi_k.values + shift - shift.mean())
 
 
 def p_laplacian(phi):
@@ -50,13 +50,13 @@ def p_laplacian(phi):
     return g.irfft(p_laplacian_hat(g, gradient(g, g.rfft(phi.values))))
 
 
-def chemical_potential(phi, ctx):
+def chemical_potential(phi, op):
     """The step's chemical potential at ``phi``, read off the step equation
     ``N[phi] - f = (-lap)^(-1) (3/2 phi - 2 phi^k + 1/2 phi^(k-1)) + dt mu``."""
-    g = ctx.grid
-    bdf = 1.5 * phi.values - 2.0 * ctx.phi_k.values + 0.5 * ctx.phi_km1.values
-    resid = nonlinear_operator(phi, ctx).values - rhs(ctx).values
-    return (resid - g.irfft(g.lam_inv * g.rfft(bdf))) / ctx.dt
+    g = op.grid
+    bdf = 1.5 * phi.values - 2.0 * op.phi_k.values + 0.5 * op.phi_km1.values
+    resid = nonlinear_operator(phi, op).values - rhs(op).values
+    return (resid - g.irfft(g.lam_inv * g.rfft(bdf))) / op.dt
 
 
 def lap_mu_zero(phi0, params):
@@ -81,17 +81,17 @@ class TestModelParams:
             ModelParams(epsilon=eps, reg_a=0.1)
 
 
-class TestStepContext:
+class TestStepOperator:
     def test_rejects_mass_mismatch(self, grid8):
         params = ModelParams(epsilon=0.5, reg_a=0.1)
         with pytest.raises(MeanMismatchError):
-            StepContext(Field.constant(grid8, 1.0), Field.constant(grid8, 1.1), 0.1, params)
+            StepOperator(Field.constant(grid8, 1.0), Field.constant(grid8, 1.1), 0.1, params)
 
     def test_rejects_nonpositive_dt(self, grid8):
         params = ModelParams(epsilon=0.5, reg_a=0.1)
         c = Field.constant(grid8, 1.0)
         with pytest.raises(ValueError):
-            StepContext(c, c.copy(), 0.0, params)
+            StepOperator(c, c.copy(), 0.0, params)
 
 
 class TestEnergy:
@@ -159,11 +159,11 @@ class TestThreeDimensional:
         g = Grid(dim=3, n=8, length=1.0)
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         phi_k = Field(g, 0.1 * rng.standard_normal(g.shape))
-        ctx = StepContext(phi_k, phi_k.copy(), 0.05, params)
-        f = rhs(ctx)
-        sol, stats = psd_solve(phi_k, ctx, f, PsdConfig(tol=1e-11))
+        op = StepOperator(phi_k, phi_k.copy(), 0.05, params)
+        f = rhs(op)
+        sol, stats = psd_solve(phi_k, op, f, PsdConfig(tol=1e-11))
         assert stats.converged
-        residual = nonlinear_operator(sol, ctx).values - f.values
+        residual = nonlinear_operator(sol, op).values - f.values
         residual -= residual.mean()
         assert np.max(np.abs(residual)) < 1e-10 * (1.0 + np.max(np.abs(f.values)))
         assert np.isfinite(energy(sol, params))
@@ -181,40 +181,40 @@ class TestChemicalPotential:
     def test_constants_give_a_times_c(self, grid8, scheme):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
         c = Field.constant(grid8, 0.7)
-        ctx = StepContext(c, c.copy(), 0.1, params)
-        mu = chemical_potential(c, ctx)
+        op = StepOperator(c, c.copy(), 0.1, params)
+        mu = chemical_potential(c, op)
         assert np.max(np.abs(mu - params.a * 0.7)) < 1e-13
 
     def test_scheme1_matches_term_oracle(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_1)
-        ctx = make_context(grid8, rng, params, dt=0.07)
-        phi = on_hyperplane(ctx, rng)
-        v, vk, vkm1 = phi.values, ctx.phi_k.values, ctx.phi_km1.values
+        op = make_step(grid8, rng, params, dt=0.07)
+        phi = on_hyperplane(op, rng)
+        v, vk, vkm1 = phi.values, op.phi_k.values, op.phi_km1.values
         expected = (
             oracles.p_laplacian(v, 1.0)
             + params.a * v
             + 2.0 * oracles.laplacian(2 * vk - vkm1, 1.0)
-            - params.reg_a * ctx.dt * oracles.laplacian(v - vk, 1.0)
+            - params.reg_a * op.dt * oracles.laplacian(v - vk, 1.0)
             + oracles.laplacian(oracles.laplacian(v, 1.0), 1.0)
         )
-        result = chemical_potential(phi, ctx)
+        result = chemical_potential(phi, op)
         assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_scheme2_matches_term_oracle(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_2)
-        ctx = make_context(grid8, rng, params, dt=0.07)
-        phi = on_hyperplane(ctx, rng)
-        v, vk, vkm1 = phi.values, ctx.phi_k.values, ctx.phi_km1.values
+        op = make_step(grid8, rng, params, dt=0.07)
+        phi = on_hyperplane(op, rng)
+        v, vk, vkm1 = phi.values, op.phi_k.values, op.phi_km1.values
         lap_v = oracles.laplacian(v, 1.0)
         expected = (
             oracles.p_laplacian(v, 1.0)
             - params.epsilon * (2 * vk - vkm1)
-            - params.reg_a * ctx.dt * oracles.laplacian(v - vk, 1.0)
+            - params.reg_a * op.dt * oracles.laplacian(v - vk, 1.0)
             + v
             + 2 * lap_v
             + oracles.laplacian(lap_v, 1.0)
         )
-        result = chemical_potential(phi, ctx)
+        result = chemical_potential(phi, op)
         assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
 
@@ -255,33 +255,33 @@ class TestNonlinearOperatorAndRhs:
     def test_constants_scheme1(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_1)
         c = Field.constant(grid8, 0.6)
-        ctx = StepContext(c, c.copy(), 0.1, params)
-        result = nonlinear_operator(c, ctx)
+        op = StepOperator(c, c.copy(), 0.1, params)
+        result = nonlinear_operator(c, op)
         assert np.max(np.abs(result.values - params.a * 0.1 * 0.6)) < 1e-14
-        assert np.max(np.abs(rhs(ctx).values)) < 1e-14
+        assert np.max(np.abs(rhs(op).values)) < 1e-14
 
     def test_constants_scheme2(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_2)
         c = Field.constant(grid8, 0.6)
-        ctx = StepContext(c, c.copy(), 0.1, params)
-        result = nonlinear_operator(c, ctx)
+        op = StepOperator(c, c.copy(), 0.1, params)
+        result = nonlinear_operator(c, op)
         assert np.max(np.abs(result.values - 0.1 * 0.6)) < 1e-14
-        assert np.max(np.abs(rhs(ctx).values - 0.1 * 0.3 * 0.6)) < 1e-14
+        assert np.max(np.abs(rhs(op).values - 0.1 * 0.3 * 0.6)) < 1e-14
 
     def test_rejects_off_hyperplane_iterate(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        off = Field(grid8, ctx.phi_k.values + 0.5)
+        op = make_step(grid8, rng, params)
+        off = Field(grid8, op.phi_k.values + 0.5)
         with pytest.raises(MeanMismatchError):
-            nonlinear_operator(off, ctx)
+            nonlinear_operator(off, op)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_operator_matches_term_oracle(self, grid8, rng, scheme):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
-        ctx = make_context(grid8, rng, params, dt=0.07)
+        op = make_step(grid8, rng, params, dt=0.07)
         shift = 0.1 * rng.standard_normal(grid8.shape)
-        phi = Field(grid8, ctx.phi_k.values + shift - shift.mean())
-        v, vk, vkm1, dt = phi.values, ctx.phi_k.values, ctx.phi_km1.values, ctx.dt
+        phi = Field(grid8, op.phi_k.values + shift - shift.mean())
+        v, vk, vkm1, dt = phi.values, op.phi_k.values, op.phi_km1.values, op.dt
         bdf = 1.5 * v - 2 * vk + 0.5 * vkm1
         expected = oracles.inv_neg_laplacian(bdf - bdf.mean(), 1.0)
         expected += dt * oracles.p_laplacian(v, 1.0)
@@ -292,29 +292,29 @@ class TestNonlinearOperatorAndRhs:
         else:
             lap_v = oracles.laplacian(v, 1.0)
             expected += dt * (v + 2 * lap_v + oracles.laplacian(lap_v, 1.0))
-        result = nonlinear_operator(phi, ctx)
+        result = nonlinear_operator(phi, op)
         assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_rhs_matches_term_oracle(self, grid8, rng, scheme):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
-        ctx = make_context(grid8, rng, params, dt=0.07)
-        vk, vkm1, dt = ctx.phi_k.values, ctx.phi_km1.values, ctx.dt
+        op = make_step(grid8, rng, params, dt=0.07)
+        vk, vkm1, dt = op.phi_k.values, op.phi_km1.values, op.dt
         if scheme is Scheme.BDF2_ES_1:
             expected = -2 * dt * oracles.laplacian(2 * vk - vkm1, 1.0)
         else:
             expected = dt * params.epsilon * (2 * vk - vkm1)
         expected += -params.reg_a * dt**2 * oracles.laplacian(vk, 1.0)
-        result = rhs(ctx)
+        result = rhs(op)
         assert np.max(np.abs(result.values - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_solved_step_satisfies_operator_equation(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        sol, stats = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-12))
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        sol, stats = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-12))
         assert stats.converged
-        residual = nonlinear_operator(sol, ctx).values - f.values
+        residual = nonlinear_operator(sol, op).values - f.values
         residual -= residual.mean()
         assert np.max(np.abs(residual)) < 1e-11 * (1.0 + np.max(np.abs(f.values)))
 
@@ -323,62 +323,62 @@ class TestObjective:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_directional_derivative_identity(self, grid8, rng, scheme):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
         shift = 0.1 * rng.standard_normal(grid8.shape)
-        phi = Field(grid8, ctx.phi_k.values + shift - shift.mean())
+        phi = Field(grid8, op.phi_k.values + shift - shift.mean())
         d = rng.standard_normal(grid8.shape)
         d -= d.mean()
         d /= norm_l2(Field(grid8, d))
         h = 1e-5
         fd = (
-            objective(Field(grid8, phi.values + h * d), ctx, f)
-            - objective(Field(grid8, phi.values - h * d), ctx, f)
+            objective(Field(grid8, phi.values + h * d), op, f)
+            - objective(Field(grid8, phi.values - h * d), op, f)
         ) / (2 * h)
         pairing = grid8.cell_volume * float(
-            np.sum((nonlinear_operator(phi, ctx).values - f.values) * d)
+            np.sum((nonlinear_operator(phi, op).values - f.values) * d)
         )
         assert fd == pytest.approx(pairing, rel=1e-5)
 
     def test_zero_states_zero_objective(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         z = Field.zeros(grid8)
-        ctx = StepContext(z, z.copy(), 0.1, params)
-        assert objective(z, ctx, z) == 0.0
+        op = StepOperator(z, z.copy(), 0.1, params)
+        assert objective(z, op, z) == 0.0
 
     def test_minimizer_satisfies_first_order_optimality(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        sol, _ = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-12))
-        base = objective(sol, ctx, f)
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        sol, _ = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-12))
+        base = objective(sol, op, f)
         for _ in range(5):
             d = rng.standard_normal(grid8.shape)
             d -= d.mean()
             d *= 1e-4 / np.max(np.abs(d))
-            assert objective(Field(grid8, sol.values + d), ctx, f) >= base - 1e-12 * abs(base)
+            assert objective(Field(grid8, sol.values + d), op, f) >= base - 1e-12 * abs(base)
 
     def test_convexity_along_random_lines(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        phi = ctx.phi_k
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        phi = op.phi_k
         d = rng.standard_normal(grid8.shape)
         d -= d.mean()
         h = 0.05
         for _ in range(20):
             s = rng.uniform(-1.0, 1.0)
-            f0 = objective(Field(grid8, phi.values + s * d), ctx, f)
-            fp = objective(Field(grid8, phi.values + (s + h) * d), ctx, f)
-            fm = objective(Field(grid8, phi.values + (s - h) * d), ctx, f)
+            f0 = objective(Field(grid8, phi.values + s * d), op, f)
+            fp = objective(Field(grid8, phi.values + (s + h) * d), op, f)
+            fm = objective(Field(grid8, phi.values + (s - h) * d), op, f)
             assert fp - 2 * f0 + fm >= -1e-10 * max(abs(f0), 1.0)
 
     def test_rejects_off_hyperplane(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
         with pytest.raises(MeanMismatchError):
-            objective(Field(grid8, ctx.phi_k.values + 1.0), ctx, f)
+            objective(Field(grid8, op.phi_k.values + 1.0), op, f)
 
 
 class TestSplittingConsistency:
@@ -387,8 +387,8 @@ class TestSplittingConsistency:
         values = []
         for scheme in Scheme:
             params = ModelParams(epsilon=0.4, reg_a=0.2, scheme=scheme)
-            ctx = StepContext(c, c.copy(), 0.1, params)
-            values.append(chemical_potential(c, ctx).flat[0])
+            op = StepOperator(c, c.copy(), 0.1, params)
+            values.append(chemical_potential(c, op).flat[0])
         assert values[0] == pytest.approx(values[1], rel=1e-14)
         assert values[0] == pytest.approx(0.6 * 0.9, rel=1e-13)
 
@@ -429,9 +429,9 @@ class TestManufacturedSolution:
         mms = ManufacturedSolution()
         dt, t1 = 1e-3, 0.4
         levels = [mms.field(g, t) for t in (t1, t1 - dt, t1 - 2 * dt)]
-        ctx = StepContext(levels[1], levels[2], dt, params)
+        op = StepOperator(levels[1], levels[2], dt, params)
         stencil = (1.5 * levels[0].values - 2 * levels[1].values + 0.5 * levels[2].values) / dt
-        expected = stencil - laplacian(Field(g, chemical_potential(levels[0], ctx))).values
+        expected = stencil - laplacian(Field(g, chemical_potential(levels[0], op))).values
         result = mms.spatial_source(g, t1, dt, params)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(result.values - expected)) < 1e-9 * scale
@@ -442,8 +442,8 @@ class TestManufacturedSolution:
         mms = ManufacturedSolution()
         dt = 1e-3
         src = mms.spatial_source(g, dt, dt, params)
-        ctx = StepContext(mms.field(g, 0.0), mms.field(g, -dt), dt, params, src)
-        sol, stats = psd_solve(ctx.phi_k, ctx, None, PsdConfig(tol=1e-13))
+        op = StepOperator(mms.field(g, 0.0), mms.field(g, -dt), dt, params, src)
+        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13))
         assert stats.converged
         target = mms.field(g, dt)
         assert np.max(np.abs(sol.values - target.values)) < 1e-10

@@ -20,7 +20,7 @@ from spfc import (
     sample,
     solve_cubic_monotone,
 )
-from spfc.model import MeanMismatchError, StepContext, StepOperator, grad_sq, gradient
+from spfc.model import MeanMismatchError, StepOperator, grad_sq, gradient
 from spfc.psd import (
     NonMonotoneCubicError,
     PsdConfig,
@@ -30,26 +30,25 @@ from spfc.psd import (
 )
 
 
-def make_context(grid, rng, params, dt=0.05, scale=0.2):
+def make_step(grid, rng, params, dt=0.05, scale=0.2):
     phi_k = random_field(grid, rng, scale=scale)
     shift = rng.standard_normal(grid.shape) * scale
     shift -= shift.mean()
     phi_km1 = Field(grid, phi_k.values + shift)
-    return StepContext(phi_k, phi_km1, dt, params)
+    return StepOperator(phi_k, phi_km1, dt, params)
 
 
-def precondition_solve(r, ctx):
+def precondition_solve(r, op):
     """Search direction ``d`` with ``L[d] = r - mean(r)``: the per-mode
     solve ``psd_solve`` applies to its residual."""
-    g = ctx.grid
-    return Field(g, g.irfft(StepOperator(ctx).pre_inv * g.rfft(r.values)))
+    g = op.grid
+    return Field(g, g.irfft(op.pre_inv * g.rfft(r.values)))
 
 
-def line_search_coefficients(phi, d, ctx, f):
+def line_search_coefficients(phi, d, op, f):
     """``(c0, c1, c2, c3)`` of the objective's directional derivative along
     ``d``, assembled from the step operator as ``psd_solve`` does."""
-    g = ctx.grid
-    op = StepOperator(ctx)
+    g = op.grid
     phi_hat, d_hat = g.rfft(phi.values), g.rfft(d.values)
     grad_phi = gradient(g, phi_hat)
     gsq = grad_sq(grad_phi)
@@ -70,11 +69,11 @@ class TestPreconditionSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = Field.constant(g, 0.0)
         dt = 0.05
-        ctx = StepContext(c, c.copy(), dt, params)
+        op = StepOperator(c, c.copy(), dt, params)
         r = sample(lambda x, y: np.sin(2 * np.pi * x / 2.0), g)
         lam = (2 * np.pi / 2.0) ** 2
         symbol = 1.5 / lam + dt * lam + params.a * dt + params.reg_a * dt**2 * lam + dt * lam**2
-        d = precondition_solve(r, ctx)
+        d = precondition_solve(r, op)
         assert np.max(np.abs(d.values - r.values / symbol)) < 1e-13
 
     def test_scheme2_symbol(self):
@@ -82,18 +81,18 @@ class TestPreconditionSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_2)
         c = Field.constant(g, 0.0)
         dt = 0.05
-        ctx = StepContext(c, c.copy(), dt, params)
+        op = StepOperator(c, c.copy(), dt, params)
         r = sample(lambda x, y: np.sin(2 * np.pi * x / 2.0), g)
         lam = (2 * np.pi / 2.0) ** 2
         symbol = 1.5 / lam + dt * lam + dt * (1 - lam) ** 2 + params.reg_a * dt**2 * lam
-        d = precondition_solve(r, ctx)
+        d = precondition_solve(r, op)
         assert np.max(np.abs(d.values - r.values / symbol)) < 1e-13
 
     def test_constant_residual_gives_zero_direction(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = Field.constant(grid8, 0.1)
-        ctx = StepContext(c, c.copy(), 0.05, params)
-        d = precondition_solve(Field.constant(grid8, 3.0), ctx)
+        op = StepOperator(c, c.copy(), 0.05, params)
+        d = precondition_solve(Field.constant(grid8, 3.0), op)
         assert np.max(np.abs(d.values)) < 1e-14
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -106,7 +105,7 @@ class TestPreconditionSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         dt = 0.05
         c = Field.constant(grid, 0.0)
-        ctx = StepContext(c, c.copy(), dt, params)
+        op = StepOperator(c, c.copy(), dt, params)
         raw = rng.standard_normal(grid.shape)
         if n % 2 == 0:
             coeffs = oracles.dft(raw, 1.0)
@@ -117,7 +116,7 @@ class TestPreconditionSolve:
             }
             raw = oracles.idft(kept, n, 2, 1.0)
         r = Field(grid, raw)
-        d = precondition_solve(r, ctx).values
+        d = precondition_solve(r, op).values
         applied = (
             1.5 * oracles.inv_neg_laplacian(d, 1.0)
             - dt * oracles.laplacian(d, 1.0)
@@ -131,43 +130,43 @@ class TestPreconditionSolve:
     def test_direction_is_mean_free(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = Field.constant(grid8, 0.0)
-        ctx = StepContext(c, c.copy(), 0.05, params)
-        d = precondition_solve(random_field(grid8, rng), ctx)
+        op = StepOperator(c, c.copy(), 0.05, params)
+        d = precondition_solve(random_field(grid8, rng), op)
         assert abs(d.mean()) < 1e-15
 
 
 class TestLineSearchCoefficients:
     def test_zero_direction_gives_zero_polynomial(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        coeffs = line_search_coefficients(ctx.phi_k, Field.zeros(grid8), ctx, f)
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        coeffs = line_search_coefficients(op.phi_k, Field.zeros(grid8), op, f)
         assert coeffs == (0.0, 0.0, 0.0, 0.0)
         assert solve_cubic_monotone(*coeffs) == 0.0
 
     def test_solution_has_zero_c0(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        sol, _ = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-13))
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        sol, _ = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-13))
         d = random_field(grid8, rng, mean_zero=True)
-        c0, c1, _, _ = line_search_coefficients(sol, d, ctx, f)
+        c0, c1, _, _ = line_search_coefficients(sol, d, op, f)
         assert abs(c0) < 1e-10 * max(c1, 1.0)
-        assert abs(solve_cubic_monotone(*line_search_coefficients(sol, d, ctx, f))) < 1e-9
+        assert abs(solve_cubic_monotone(*line_search_coefficients(sol, d, op, f))) < 1e-9
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_polynomial_matches_objective_derivative(self, grid8, rng, scheme):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        phi = ctx.phi_k
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        phi = op.phi_k
         d = random_field(grid8, rng, mean_zero=True)
-        c0, c1, c2, c3 = line_search_coefficients(phi, d, ctx, f)
+        c0, c1, c2, c3 = line_search_coefficients(phi, d, op, f)
         h = 1e-5
         for alpha in (-1.0, 0.0, 1.0):
             poly = ((c3 * alpha + c2) * alpha + c1) * alpha + c0
-            fp = objective(Field(grid8, phi.values + (alpha + h) * d.values), ctx, f)
-            fm = objective(Field(grid8, phi.values + (alpha - h) * d.values), ctx, f)
+            fp = objective(Field(grid8, phi.values + (alpha + h) * d.values), op, f)
+            fm = objective(Field(grid8, phi.values + (alpha - h) * d.values), op, f)
             fd = (fp - fm) / (2 * h)
             assert poly == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(abs(c0), c1))
 
@@ -214,77 +213,77 @@ class TestCubicRoot:
 class TestPsdSolve:
     def test_exact_guess_converges_immediately(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
-        f = rhs(ctx)
-        sol, _ = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-12))
-        _, stats = psd_solve(sol, ctx, f, PsdConfig(tol=1e-9))
+        op = make_step(grid8, rng, params)
+        f = rhs(op)
+        sol, _ = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-12))
+        _, stats = psd_solve(sol, op, f, PsdConfig(tol=1e-9))
         assert stats.iterations <= 1
 
     def test_constant_steady_state(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = Field.constant(grid8, 0.4)
-        ctx = StepContext(c, c.copy(), 0.1, params)
-        sol, stats = psd_solve(c, ctx, rhs(ctx), PsdConfig(tol=1e-9))
+        op = StepOperator(c, c.copy(), 0.1, params)
+        sol, stats = psd_solve(c, op, rhs(op), PsdConfig(tol=1e-9))
         assert stats.converged and stats.iterations == 0
         assert np.max(np.abs(sol.values - 0.4)) < 1e-13
 
     def test_multistart_uniqueness(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid16, rng, params)
-        f = rhs(ctx)
+        op = make_step(grid16, rng, params)
+        f = rhs(op)
         cfg = PsdConfig(tol=1e-11)
-        sol_a, _ = psd_solve(ctx.phi_k, ctx, f, cfg)
+        sol_a, _ = psd_solve(op.phi_k, op, f, cfg)
         other = Field(
             grid16,
-            ctx.phi_k.mean() + (lambda v: v - v.mean())(rng.standard_normal(grid16.shape)),
+            op.phi_k.mean() + (lambda v: v - v.mean())(rng.standard_normal(grid16.shape)),
         )
-        sol_b, _ = psd_solve(other, ctx, f, cfg)
+        sol_b, _ = psd_solve(other, op, f, cfg)
         assert norm_l2(Field(grid16, sol_a.values - sol_b.values)) < 1e-8
 
     def test_objective_monotone_and_mean_preserved(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid16, rng, params, scale=0.5)
-        f = rhs(ctx)
-        sol, stats = psd_solve(ctx.phi_k, ctx, f, PsdConfig(tol=1e-11, track_objective=True))
+        op = make_step(grid16, rng, params, scale=0.5)
+        f = rhs(op)
+        sol, stats = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-11, track_objective=True))
         hist = stats.objective_history
         assert len(hist) == stats.iterations + 1 > 1  # tracking is opt-in
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(hist, hist[1:]))
-        assert abs(sol.mean() - ctx.phi_k.mean()) <= 1e-12
+        assert abs(sol.mean() - op.phi_k.mean()) <= 1e-12
 
     def test_rejects_guess_off_hyperplane(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid8, rng, params)
+        op = make_step(grid8, rng, params)
         with pytest.raises(MeanMismatchError):
-            psd_solve(Field(grid8, ctx.phi_k.values + 1.0), ctx, None)
+            psd_solve(Field(grid8, op.phi_k.values + 1.0), op, None)
 
     def test_max_iter_exhaustion_reports_not_converged(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid16, rng, params, scale=1.0)
-        _, stats = psd_solve(ctx.phi_k, ctx, None, PsdConfig(tol=1e-13, max_iter=1))
+        op = make_step(grid16, rng, params, scale=1.0)
+        _, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13, max_iter=1))
         assert not stats.converged
         assert stats.iterations == 1
 
     def test_hm1_residual_norm_mode(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid16, rng, params)
-        sol, stats = psd_solve(ctx.phi_k, ctx, None, PsdConfig(tol=1e-10, residual_norm="hm1"))
+        op = make_step(grid16, rng, params)
+        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-10, residual_norm="hm1"))
         assert stats.converged
-        ref, _ = psd_solve(ctx.phi_k, ctx, None, PsdConfig(tol=1e-12))
+        ref, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-12))
         assert norm_l2(Field(grid16, sol.values - ref.values)) < 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_nonfinite_residual_stops_at_once(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid16, rng, params, scale=1e150)
+        op = make_step(grid16, rng, params, scale=1e150)
         with pytest.raises(PsdDivergenceError, match="iteration 0"):
-            psd_solve(ctx.phi_k, ctx, None, PsdConfig(track_objective=False))
+            psd_solve(op.phi_k, op, None, PsdConfig(track_objective=False))
 
     def test_contraction_ratios_on_standard_problem(self, rng):
         g = Grid(dim=2, n=32, length=100.0)
         params = ModelParams(epsilon=0.5, reg_a=0.015625)
         phi_k = Field(g, 0.05 * (2 * rng.random(g.shape) - 1.0))
-        ctx = StepContext(phi_k, phi_k.copy(), 0.05, params)
-        _, stats = psd_solve(phi_k, ctx, None, PsdConfig(tol=1e-12))
+        op = StepOperator(phi_k, phi_k.copy(), 0.05, params)
+        _, stats = psd_solve(phi_k, op, None, PsdConfig(tol=1e-12))
         assert stats.converged
         assert all(r <= 0.95 for r in stats.contraction_ratios[1:])
 
@@ -307,7 +306,7 @@ class TestPsdSolve:
 
     def test_stagnating_solve_stops_early(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        ctx = make_context(grid16, rng, params, scale=1e6)
+        op = make_step(grid16, rng, params, scale=1e6)
         # well before max_iter = 200
         with pytest.raises(PsdDivergenceError, match=r"fell less than 10x .* iteration \d\d:"):
-            psd_solve(ctx.phi_k, ctx, None, PsdConfig(track_objective=False))
+            psd_solve(op.phi_k, op, None, PsdConfig(track_objective=False))

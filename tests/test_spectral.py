@@ -21,7 +21,7 @@ from spfc import (
     norm_lp,
     sample,
 )
-from spfc.model import StepContext, StepOperator, p_laplacian_hat
+from spfc.model import StepOperator, p_laplacian_hat
 
 
 def signed_mode(grid, idx):
@@ -306,7 +306,7 @@ class TestNormsAndInner:
         g = Grid(dim=2, n=16, length=1.0)
         f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
         zero = Field.zeros(g)
-        op = StepOperator(StepContext(zero, zero.copy(), 0.1, ModelParams(epsilon=0.3, reg_a=0.2)))
+        op = StepOperator(zero, zero.copy(), 0.1, ModelParams(epsilon=0.3, reg_a=0.2))
         hm1 = op.residual_norm(g.rfft(f.values), "hm1")
         assert hm1 == pytest.approx(norm_l2(f) / (2 * np.pi), rel=1e-12)
 

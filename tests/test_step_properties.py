@@ -1,0 +1,78 @@
+"""Hypothesis properties of the BDF2 step over the parameter space, not only
+at the paper's points: mass is conserved, the modified energy does not
+increase when ``A >= eps^2/16``, and constant states are fixed points.
+
+Each example marches ten steps from a copied history level (the default
+start) on a small grid (dim 2 or 3, odd or even ``n``) with either scheme;
+the examples are drawn by the ``spfc`` profile registered in ``conftest.py``.
+"""
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from spfc import Field, Grid, ModelParams, Scheme, initial_state, run
+from spfc.stepper import step
+
+STEPS = 10
+MASS_TOL = 1e-11  # per step, times (1 + |m|)
+EMOD_TOL = 1e-9  # relative per-step uptick
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def stable_params(draw) -> ModelParams:
+    eps = draw(open_unit)
+    reg_a = eps**2 / 16.0 + draw(st.floats(0.0, 1.0))
+    return ModelParams(epsilon=eps, reg_a=reg_a, scheme=draw(st.sampled_from(Scheme)))
+
+
+@st.composite
+def grids(draw) -> Grid:
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from((6, 7, 8, 9) if dim == 3 else (7, 8, 15, 16)))
+    return Grid(dim=dim, n=n, length=draw(st.floats(2.0 * np.pi, 16.0 * np.pi)))
+
+
+dts = st.floats(1e-3, 1.0)
+means = st.floats(-1.0, 1.0)
+
+
+@given(
+    grid=grids(),
+    params=stable_params(),
+    dt=dts,
+    mean=means,
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mass_conserved_and_modified_energy_non_increasing(grid, params, dt, mean, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    phi0 = Field(grid, mean + amplitude * (2.0 * rng.random(grid.shape) - 1.0))
+    records = []
+    run([(dt, STEPS * dt)], initial_state(phi0), params,
+        energy_sink=records.append)
+    assert len(records) == STEPS + 1
+    # The first solve zeroes phi0's content on the kernel modes of -lap other
+    # than the mass (they exist on even grids); E loses a/2 of its squared norm
+    # and E_mod's step-difference term gains concave(0)/2 of it, so E_mod may
+    # rise by their difference, (eps - a)/2 > 0 for scheme 2 with eps > 1/2.
+    # The modes the scheme evolves keep the guarantee exactly.
+    spec = grid.rfft(phi0.values)
+    kernel = grid.kernel_mask.copy()
+    kernel[(0,) * grid.dim] = False
+    kernel_sq = grid.spectral_norm_factor * float(
+        np.sum(grid.parseval_weight[kernel] * np.abs(spec[kernel]) ** 2))
+    jump = 0.5 * (params.concave_symbol(0.0) - params.a) * kernel_sq
+    for k, (prev, curr) in enumerate(zip(records, records[1:])):
+        assert abs(curr.mass - prev.mass) <= MASS_TOL * (1.0 + abs(prev.mass))
+        allowance = jump if k == 0 else 0.0
+        assert curr.E_mod - prev.E_mod <= allowance + EMOD_TOL * abs(prev.E_mod)
+
+
+@given(grid=grids(), params=stable_params(), dt=dts, value=means)
+def test_constant_state_is_a_fixed_point(grid, params, dt, value):
+    state = initial_state(Field.constant(grid, value))
+    for _ in range(STEPS):
+        state, _ = step(state, dt, params)
+        assert np.max(np.abs(state.phi_curr.values - value)) <= 1e-12 * (1.0 + abs(value))

@@ -243,6 +243,8 @@ class TestRun:
             run([], state0, params)
         with pytest.raises(ValueError, match="whole number"):
             run([(0.3, 1.0)], state0, params)
+        with pytest.raises(ValueError, match="overflows"):
+            run([(0.05, 1e308)], state0, params)
 
     def test_failure_names_segment_and_step(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
