@@ -5,7 +5,8 @@ with the same number of points ``n`` on every axis.  Spectral data live in
 numpy's real-FFT (rfft) layout: the last axis keeps the modes
 ``0 .. floor(n/2)``, the others the full signed range.  The symbol arrays of
 the operators in :mod:`spfc.spectral` and :mod:`spfc.model` are precomputed
-here in that layout and cached on the (immutable, hashable) grid instance.
+here in that layout, computed once per ``(dim, n, length)`` and shared,
+read-only, by every equal grid.
 
 Wavenumber convention
 ---------------------
@@ -28,11 +29,33 @@ scheme's linearly unstable band near ``|k| = 1`` grows it without bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["Grid"]
+__all__ = ["Grid", "sum_product"]
+
+
+def sum_product(*arrays: np.ndarray) -> float:
+    """``sum(a * b * ...)`` over one to three same-shape float arrays: every
+    sum over grid points or modes is this one single-threaded ``np.einsum``
+    pass, with no temporaries.  (BLAS dots such as ``np.vdot`` spin a second
+    CPU unless the thread count is pinned.)"""
+    idx = "abc"[: arrays[0].ndim]
+    return float(np.einsum(",".join([idx] * len(arrays)) + "->", *arrays))
+
+
+def _shared(compute):
+    """Property whose read-only array is computed once per ``(dim, n, length)``
+    and shared by every equal grid."""
+
+    @lru_cache(maxsize=64)
+    def cached(key: tuple) -> np.ndarray:
+        arr = compute(Grid(*key))
+        arr.setflags(write=False)
+        return arr
+
+    return property(lambda self: cached((self.dim, self.n, self.length)), doc=compute.__doc__)
 
 
 @dataclass(frozen=True)
@@ -123,7 +146,7 @@ class Grid:
         """First-derivative symbols ``2*pi*i*m / L`` per axis (rfft layout)."""
         return tuple(2j * np.pi / self.length * m for m in self._rmodes)
 
-    @cached_property
+    @_shared
     def lam(self) -> np.ndarray:
         """Symbol of ``-laplacian``: ``4 pi^2 |m|^2 / L^2 >= 0`` (rfft layout)."""
         out = np.zeros(self.rshape)
@@ -131,12 +154,12 @@ class Grid:
             out = out + m**2
         return (2.0 * np.pi / self.length) ** 2 * out
 
-    @cached_property
+    @_shared
     def kernel_mask(self) -> np.ndarray:
         """Modes annihilated by the derivative calculus (zero mode; Nyquist)."""
         return self.lam == 0.0
 
-    @cached_property
+    @_shared
     def lam_inv(self) -> np.ndarray:
         """Symbol of ``(-laplacian)^(-1)`` with kernel modes mapped to zero."""
         with np.errstate(divide="ignore"):
@@ -159,11 +182,20 @@ class Grid:
         """``||f||_2^2 = factor * sum(weight * |rfftn(f)|^2)``."""
         return self.volume / self.size**2
 
+    @cached_property
+    def _pair_weight(self) -> np.ndarray:
+        """``parseval_weight`` on the float view of an rfft array (real and
+        imaginary parts interleaved), as a broadcast view of one row."""
+        row = np.repeat(self.parseval_weight[(0,) * (self.dim - 1)], 2)
+        return np.broadcast_to(row, self.rshape[:-1] + (row.size,))
+
     # ------------------------------------------------------------------
     # transforms and Parseval on raw rfft coefficients
     # ------------------------------------------------------------------
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values)
+        # one output array for all stages (rfftn otherwise allocates one per
+        # stage; a fresh array costs page faults)
+        return np.fft.rfftn(values, out=np.empty(self.rshape, dtype=np.complex128))
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.dim)))
@@ -177,13 +209,17 @@ class Grid:
             spec[..., j] = 0.5 * (plane + np.roll(np.flip(plane, axes), 1, axes).conj())
         return spec
 
-    def spectral_norm2_sq(self, spec: np.ndarray) -> float:
-        """Squared L2 norm from raw rfft coefficients (Parseval)."""
-        return self.spectral_norm_factor * float(
-            np.sum(self.parseval_weight * (spec.real**2 + spec.imag**2))
-        )
+    def spectral_norm2_sq(self, spec: np.ndarray, symbol=None) -> float:
+        """Squared L2 norm from raw rfft coefficients (Parseval), weighted by
+        a real ``symbol`` when given."""
+        return self.spectral_dot(spec, spec, symbol)
 
-    def spectral_dot(self, spec_a: np.ndarray, spec_b: np.ndarray) -> float:
-        """L2 inner product of two real fields from raw rfft coefficients."""
-        prod = spec_a.real * spec_b.real + spec_a.imag * spec_b.imag
-        return self.spectral_norm_factor * float(np.sum(self.parseval_weight * prod))
+    def spectral_dot(self, spec_a: np.ndarray, spec_b: np.ndarray, symbol=None) -> float:
+        """L2 inner product of two real fields from their raw (C-contiguous)
+        rfft coefficients, ``spectral_norm_factor * sum(parseval_weight *
+        symbol * Re(a conj b))`` (``symbol`` 1 when omitted)."""
+        if symbol is not None:
+            spec_b = symbol * spec_b
+        return self.spectral_norm_factor * sum_product(
+            self._pair_weight, spec_a.view(np.float64), spec_b.view(np.float64)
+        )

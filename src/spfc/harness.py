@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, sum_product
 from .model import (
     ManufacturedSolution,
     ModelParams,
@@ -186,8 +186,7 @@ def _manufactured_run(
         phi_prev, phi_curr = phi_curr, phi_new
         if track_h3:
             err_hat = grid.rfft(phi_curr.values - mms.field(grid, t_new).values)
-            power = grid.parseval_weight * (err_hat.real**2 + err_hat.imag**2)
-            h3_acc += dt * grid.spectral_norm_factor * float(np.sum(grid.lam**3 * power))
+            h3_acc += dt * grid.spectral_norm2_sq(err_hat, grid.lam**3)
     exact = mms.field(grid, n_steps * dt)
     err = norm_l2(Field(grid, phi_curr.values - exact.values))
     return err, math.sqrt(h3_acc)
@@ -416,10 +415,7 @@ def gradient_consistency_defect(
         phi = Field(grid, phi_k.values + _mean_zero(0.1 * rng.standard_normal(grid.shape)))
         d = _mean_zero(rng.standard_normal(grid.shape))
         d /= norm_l2(Field(grid, d))
-        pairing = float(
-            grid.cell_volume
-            * np.vdot((nonlinear_operator(phi, op).values - f.values), d).real
-        )
+        pairing = grid.cell_volume * sum_product(nonlinear_operator(phi, op).values - f.values, d)
         fp = objective(Field(grid, phi.values + fd_h * d), op, f)
         fm = objective(Field(grid, phi.values - fd_h * d), op, f)
         fd = (fp - fm) / (2.0 * fd_h)

@@ -23,13 +23,14 @@ energies from :func:`energy_hat` and :func:`modified_energy_hat` alone.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, sum_product
 from .spectral import Field
 
 __all__ = [
@@ -116,23 +117,37 @@ def _require_same_mass(phi: Field, ref: Field, what: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# spectral step kernel
+# spectral step kernel (``out``/``work``: optional caller-owned buffers,
+# overwritten and never read, so a PSD solve allocates its arrays once)
 # ----------------------------------------------------------------------
-def gradient(grid: Grid, spec: np.ndarray) -> list[np.ndarray]:
+def gradient(grid: Grid, spec: np.ndarray, work: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """Physical gradient components of the field with coefficients ``spec``."""
-    return [grid.irfft(ik * spec) for ik in grid.ik]
+    return [grid.irfft(np.multiply(ik, spec, out=work)) for ik in grid.ik]
 
 
-def grad_sq(grad_comps: list[np.ndarray]) -> np.ndarray:
+def _pointwise_dot(a: list[np.ndarray], b: list[np.ndarray], out=None, work=None) -> np.ndarray:
+    out = np.multiply(a[0], b[0], out=out)
+    for x, y in zip(a[1:], b[1:]):
+        out += np.multiply(x, y, out=work)
+    return out
+
+
+def grad_sq(grad_comps: list[np.ndarray], out=None, work=None) -> np.ndarray:
     """Pointwise ``|grad phi|^2`` from the physical gradient components."""
-    gsq = grad_comps[0] ** 2
-    for comp in grad_comps[1:]:
-        gsq += comp**2
-    return gsq
+    return _pointwise_dot(grad_comps, grad_comps, out, work)
+
+
+def _add_flux_divergence(grid: Grid, grad_comps, gsq, symbols, out, work) -> np.ndarray:
+    """``out += sum_i symbols[i] * rfft(gsq * grad_comps[i])``."""
+    for comp, sym in zip(grad_comps, symbols):
+        spec = grid.rfft(np.multiply(gsq, comp, out=work))
+        spec *= sym
+        out += spec
+    return out
 
 
 def p_laplacian_hat(
-    grid: Grid, grad_comps: list[np.ndarray], gsq: Optional[np.ndarray] = None
+    grid: Grid, grad_comps: list[np.ndarray], gsq: Optional[np.ndarray] = None, out=None, work=None
 ) -> np.ndarray:
     """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient
     (and ``|grad phi|^2``, formed here when not given).
@@ -141,23 +156,25 @@ def p_laplacian_hat(
     on the grid (plain collocation: its aliased modes are kept).
     """
     gsq = grad_sq(grad_comps) if gsq is None else gsq
-    acc = np.zeros(grid.rshape, dtype=np.complex128)
-    for comp, ik in zip(grad_comps, grid.ik):
-        acc += ik * grid.rfft(gsq * comp)
-    return -acc
+    out = np.empty(grid.rshape, dtype=np.complex128) if out is None else out
+    out.fill(0.0)
+    return _add_flux_divergence(grid, grad_comps, gsq, [-ik for ik in grid.ik], out, work)
 
 
 @lru_cache(maxsize=16)
 def _scheme_symbols(grid: Grid, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lin_sym, pre_inv) on the rfft layout for one (grid, params, dt):
-    the implicit convex part ``dt (energy + concave) + A dt^2 lam`` and the
-    inverse preconditioner symbol."""
+    """Read-only (implicit_sym, pre_inv) on the rfft layout for one (grid,
+    params, dt): ``1.5 lam_inv`` plus the implicit convex part
+    ``dt (energy + concave) + A dt^2 lam``, and the inverse preconditioner."""
     lam = grid.lam
     lin_sym = dt * (params.energy_symbol(lam) + params.concave_symbol(lam))
     lin_sym += params.reg_a * dt**2 * lam
     pre_sym = 1.5 * grid.lam_inv + dt * lam + lin_sym
     pre_inv = np.where(grid.kernel_mask, 0.0, 1.0 / pre_sym)
-    return lin_sym, pre_inv
+    implicit_sym = 1.5 * grid.lam_inv + lin_sym
+    for arr in (implicit_sym, pre_inv):
+        arr.setflags(write=False)
+    return implicit_sym, pre_inv
 
 
 class StepOperator:
@@ -172,6 +189,8 @@ class StepOperator:
     holds the rfft coefficients of ``(phi_k, phi_km1)`` when they are already
     known (real-field projected, see :meth:`Grid.project_real`); otherwise
     they are transformed on first use.
+
+    ``N[phi] = implicit_sym phi + explicit_hat + dt p_laplacian(phi)``.
     """
 
     def __init__(
@@ -187,7 +206,8 @@ class StepOperator:
         _require_same_mass(phi_k, phi_km1, "history levels carry different mass")
         self.phi_k, self.phi_km1, self.source = phi_k, phi_km1, source
         self.grid, self.params, self.dt = phi_k.grid, params, dt
-        self.lin_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
+        self.implicit_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
+        self._flux_symbols = [-dt * ik for ik in self.grid.ik]
         if spectra is not None:
             self.spectra = spectra
 
@@ -195,11 +215,16 @@ class StepOperator:
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         return tuple(self.grid.rfft(phi.values) for phi in (self.phi_k, self.phi_km1))
 
-    @cached_property
+    @property
     def bdf_tail_hat(self) -> np.ndarray:
         """The explicit part of ``3/2 phi - 2 phi^k + 1/2 phi^{k-1}``."""
         phi_k_hat, phi_km1_hat = self.spectra
         return -2.0 * phi_k_hat + 0.5 * phi_km1_hat
+
+    @cached_property
+    def explicit_hat(self) -> np.ndarray:
+        """The constant term of ``N``: ``lam_inv * bdf_tail_hat``."""
+        return self.grid.lam_inv * self.bdf_tail_hat
 
     @cached_property
     def rhs_hat(self) -> np.ndarray:
@@ -216,17 +241,25 @@ class StepOperator:
         return out
 
     def nonlinear_hat(
-        self, phi_hat: np.ndarray, grad_comps: list[np.ndarray], gsq: np.ndarray
+        self, phi_hat: np.ndarray, grad_comps: list[np.ndarray], gsq: np.ndarray,
+        out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Coefficients of ``N[phi]`` given the iterate's transform, gradient
         and ``|grad phi|^2``."""
-        g = self.grid
-        out = g.lam_inv * (1.5 * phi_hat + self.bdf_tail_hat)
-        out += self.lin_sym * phi_hat
-        out += self.dt * p_laplacian_hat(g, grad_comps, gsq)
-        return out
+        out = np.multiply(self.implicit_sym, phi_hat, out=out)
+        out += self.explicit_hat
+        return _add_flux_divergence(self.grid, grad_comps, gsq, self._flux_symbols, out, work)
 
     # -- scalar functionals --------------------------------------------
+    @cached_property
+    def _objective_arrays(self) -> tuple[np.ndarray, ...]:
+        """:attr:`bdf_tail_hat`, the implicit convex part ``lin_sym``, and work
+        arrays (two of rfft layout, two of grid shape) for
+        :meth:`objective_value`."""
+        g, tail = self.grid, self.bdf_tail_hat
+        work = (np.empty_like(tail), np.empty_like(tail), np.empty(g.shape), np.empty(g.shape))
+        return (tail, self.implicit_sym - 1.5 * g.lam_inv) + work
+
     def objective_value(
         self,
         phi_hat: np.ndarray,
@@ -235,15 +268,14 @@ class StepOperator:
     ) -> float:
         """Convex objective whose critical point solves ``N[phi] = f``."""
         g = self.grid
-        w = g.parseval_weight
-        nf = g.spectral_norm_factor
-        bdf_hat = 1.5 * phi_hat + self.bdf_tail_hat
-        quartic = g.cell_volume * float(np.sum(grad_sq(grad_comps) ** 2))
-        val = nf / 3.0 * float(np.sum(w * g.lam_inv * np.abs(bdf_hat) ** 2))
-        val += 0.25 * self.dt * quartic
-        val += 0.5 * nf * float(np.sum(w * self.lin_sym * np.abs(phi_hat) ** 2))
-        val -= g.spectral_dot(f_hat, phi_hat)
-        return val
+        tail, lin_sym, bdf_hat, prod, gsq, tmp = self._objective_arrays
+        np.multiply(1.5, phi_hat, out=bdf_hat)
+        bdf_hat += tail
+        val = g.spectral_dot(bdf_hat, np.multiply(g.lam_inv, bdf_hat, out=prod)) / 3.0
+        val += 0.5 * g.spectral_dot(phi_hat, np.multiply(lin_sym, phi_hat, out=prod))
+        grad_sq(grad_comps, gsq, tmp)
+        val += 0.25 * self.dt * g.cell_volume * sum_product(gsq, gsq)
+        return val - g.spectral_dot(f_hat, phi_hat)
 
     def line_coefficients(
         self,
@@ -252,35 +284,28 @@ class StepOperator:
         dir_grad_comps: list[np.ndarray],
         d_hat: np.ndarray,
         c0: float,
+        work: Optional[tuple[np.ndarray, ...]] = None,
     ) -> tuple[float, float, float, float]:
         """Cubic expansion of the directional derivative along ``d``.
 
         ``dF[phi + alpha d](d) = c3 a^3 + c2 a^2 + c1 a + c0`` where ``c0``
         (the residual pairing ``<N(phi) - f, d>``) and ``gg = |grad phi|^2``
-        are supplied by the caller.
+        are supplied by the caller; ``work``: three grid-shape buffers and
+        one rfft-layout buffer.
         """
-        g = self.grid
-        hvol = g.cell_volume
-        ge = grad_comps[0] * dir_grad_comps[0]
-        for gc, ec in zip(grad_comps[1:], dir_grad_comps[1:]):
-            ge += gc * ec
-        ee = grad_sq(dir_grad_comps)
-        dt = self.dt
-        c3 = dt * hvol * float(np.sum(ee**2))
-        c2 = 3.0 * dt * hvol * float(np.sum(ge * ee))
-        c1 = dt * hvol * float(np.sum(2.0 * ge**2 + gg * ee))
-        dsq = g.parseval_weight * (d_hat.real**2 + d_hat.imag**2)
-        c1 += g.spectral_norm_factor * float(
-            np.sum((1.5 * g.lam_inv + self.lin_sym) * dsq)
-        )
+        ge_buf, ee_buf, tmp, spec = (None,) * 4 if work is None else work
+        ge = _pointwise_dot(grad_comps, dir_grad_comps, ge_buf, tmp)
+        ee = grad_sq(dir_grad_comps, ee_buf, tmp)
+        scale = self.dt * self.grid.cell_volume
+        c3 = scale * sum_product(ee, ee)
+        c2 = 3.0 * scale * sum_product(ge, ee)
+        c1 = scale * (2.0 * sum_product(ge, ge) + sum_product(gg, ee))
+        c1 += self.grid.spectral_dot(d_hat, np.multiply(self.implicit_sym, d_hat, out=spec))
         return c0, c1, c2, c3
 
     def residual_norm(self, r_hat: np.ndarray, which: str = "l2") -> float:
-        g = self.grid
-        power = g.parseval_weight * (r_hat.real**2 + r_hat.imag**2)
-        if which == "hm1":
-            power = power * g.lam_inv
-        return float(np.sqrt(g.spectral_norm_factor * np.sum(power)))
+        symbol = self.grid.lam_inv if which == "hm1" else None
+        return math.sqrt(self.grid.spectral_norm2_sq(r_hat, symbol))
 
 
 # ----------------------------------------------------------------------
@@ -289,11 +314,10 @@ class StepOperator:
 def energy_hat(grid: Grid, params: ModelParams, spec: np.ndarray, gsq: np.ndarray) -> float:
     """Discrete free energy of the field with rfft coefficients ``spec`` and
     pointwise ``|grad phi|^2`` ``gsq``."""
-    quartic = grid.cell_volume * float(np.sum(gsq**2))
-    power = grid.parseval_weight * (spec.real**2 + spec.imag**2)
-    l2_sq = grid.spectral_norm_factor * float(np.sum(power))
-    grad_l2_sq = grid.cell_volume * float(np.sum(gsq))
-    lap_sq = grid.spectral_norm_factor * float(np.sum(grid.lam**2 * power))
+    quartic = grid.cell_volume * sum_product(gsq, gsq)
+    l2_sq = grid.spectral_norm2_sq(spec)
+    grad_l2_sq = grid.cell_volume * sum_product(gsq)
+    lap_sq = grid.spectral_norm2_sq(spec, grid.lam**2)
     return 0.25 * quartic + 0.5 * params.a * l2_sq - grad_l2_sq + 0.5 * lap_sq
 
 
@@ -307,9 +331,8 @@ def modified_energy_hat(
     the ``delta`` norm of the scheme's concave symbol: ``||grad delta||_2^2``
     for scheme 1, ``eps/2 ||delta||_2^2`` for scheme 2.
     """
-    power = grid.parseval_weight * (delta_hat.real**2 + delta_hat.imag**2)
-    weight = grid.lam_inv / (4.0 * dt) + 0.5 * params.concave_symbol(grid.lam)
-    return energy_value + grid.spectral_norm_factor * float(np.sum(weight * power))
+    symbol = grid.lam_inv / (4.0 * dt) + 0.5 * params.concave_symbol(grid.lam)
+    return energy_value + grid.spectral_norm2_sq(delta_hat, symbol)
 
 
 def energy(phi: Field, params: ModelParams) -> float:

@@ -184,20 +184,24 @@ def psd_solve(
     # preconditioner cannot move them
     zero_idx = (0,) * grid.dim
     mass_coeff = phi_hat[zero_idx]
-    phi_hat[grid.kernel_mask] = 0.0
+    kernel = np.nonzero(grid.kernel_mask)
+    phi_hat[kernel] = 0.0
     phi_hat[zero_idx] = mass_coeff
 
     f_hat = op.rhs_hat if f is None else grid.rfft(f.values)
     f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat), cfg.residual_norm)
     target = cfg.tol * (1.0 + f_norm)
 
-    g = gradient(grid, phi_hat)
+    # work arrays of the whole solve, updated in place
+    r_hat, d_hat = np.empty_like(phi_hat), np.empty_like(phi_hat)
+    gsq, ge, ee, tmp = (np.empty(grid.shape) for _ in range(4))
+    g = gradient(grid, phi_hat, d_hat)
     stats = SolveStats()
     for it in range(cfg.max_iter + 1):
-        gsq = grad_sq(g)
-        n_hat = op.nonlinear_hat(phi_hat, g, gsq)
-        r_hat = f_hat - n_hat
-        r_hat[grid.kernel_mask] = 0.0
+        grad_sq(g, gsq, tmp)
+        op.nonlinear_hat(phi_hat, g, gsq, r_hat, tmp)
+        np.subtract(f_hat, r_hat, out=r_hat)
+        r_hat[kernel] = 0.0
         res = op.residual_norm(r_hat, cfg.residual_norm)
         stats.residual_history.append(res)
         if cfg.track_objective:
@@ -217,14 +221,17 @@ def psd_solve(
             )
         if it == cfg.max_iter:
             break
-        d_hat = op.pre_inv * r_hat
-        e = gradient(grid, d_hat)
+        np.multiply(op.pre_inv, r_hat, out=d_hat)
         c0 = -grid.spectral_dot(r_hat, d_hat)
-        alpha = solve_cubic_monotone(*op.line_coefficients(g, gsq, e, d_hat, c0))
+        e = gradient(grid, d_hat, r_hat)  # r_hat is free until the next residual
+        coeffs = op.line_coefficients(g, gsq, e, d_hat, c0, (ge, ee, tmp, r_hat))
+        alpha = solve_cubic_monotone(*coeffs)
         stats.alphas.append(alpha)
-        phi_hat += alpha * d_hat
+        d_hat *= alpha
+        phi_hat += d_hat
         for comp, e_comp in zip(g, e):
-            comp += alpha * e_comp
+            e_comp *= alpha
+            comp += e_comp
     stats.finalize()
     phi = Field(grid, grid.irfft(phi_hat))
     if final_sink is not None:

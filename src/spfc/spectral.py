@@ -23,12 +23,13 @@ quadrature value of the continuum coefficient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, sum_product
 
 __all__ = [
     "Field",
@@ -105,11 +106,11 @@ def inner(f: Field, g: Field) -> float:
     """Discrete L2 inner product ``h^dim * sum f_i g_i``."""
     if f.grid != g.grid:
         raise ValueError("inner product of fields on different grids")
-    return f.grid.cell_volume * float(np.vdot(f.values, g.values).real)
+    return f.grid.cell_volume * sum_product(f.values, g.values)
 
 
 def norm_l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.cell_volume) * np.linalg.norm(f.values.ravel()))
+    return math.sqrt(inner(f, f))
 
 
 def norm_lp(f: Field, p: float) -> float:
@@ -118,9 +119,7 @@ def norm_lp(f: Field, p: float) -> float:
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(
-        (f.grid.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p)
-    )
+    return (f.grid.cell_volume * sum_product(np.abs(f.values) ** p)) ** (1.0 / p)
 
 
 def norm_h2(f: Field) -> float:
@@ -129,6 +128,4 @@ def norm_h2(f: Field) -> float:
 
 def norm_h2_hat(grid: Grid, spec: np.ndarray) -> float:
     """H^2 norm, symbol ``1 + lam + lam^2``, from raw rfft coefficients."""
-    power = grid.parseval_weight * (spec.real**2 + spec.imag**2)
-    sym = 1.0 + grid.lam + grid.lam**2
-    return float(np.sqrt(grid.spectral_norm_factor * np.sum(sym * power)))
+    return math.sqrt(grid.spectral_norm2_sq(spec, 1.0 + grid.lam + grid.lam**2))

@@ -24,6 +24,7 @@ from spfc.model import (
     ManufacturedSolution,
     MeanMismatchError,
     StepOperator,
+    grad_sq,
     gradient,
     p_laplacian_hat,
 )
@@ -174,6 +175,43 @@ class TestThreeDimensional:
         expected = oracles.p_laplacian(phi.values, 1.0)
         result = p_laplacian(phi)
         assert np.max(np.abs(result - expected)) < 1e-11 * np.max(np.abs(expected))
+
+
+class TestWorkBuffers:
+    """The kernels overwrite the ``out`` and ``work`` buffers a PSD solve
+    reuses across iterations and never read them: a dirty buffer gives the
+    fresh result bit for bit."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 9), (3, 6), (3, 7)])
+    def test_dirty_buffers_give_the_fresh_result(self, dim, n, rng):
+        g = Grid(dim=dim, n=n, length=7.0)
+        op = make_step(g, rng, ModelParams(epsilon=0.3, reg_a=0.2))
+        phi_hat = g.rfft(on_hyperplane(op, rng).values)
+        d_hat = g.rfft(rng.standard_normal(g.shape))
+
+        def dirty(shape, dtype=float):
+            return (1e3 * rng.standard_normal(shape)).astype(dtype)
+
+        grads = gradient(g, phi_hat)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(grads, gradient(g, phi_hat, dirty(g.rshape, complex))))
+        gsq = grad_sq(grads)
+        assert np.array_equal(gsq, grad_sq(grads, dirty(g.shape), dirty(g.shape)))
+        assert np.array_equal(
+            op.nonlinear_hat(phi_hat, grads, gsq),
+            op.nonlinear_hat(phi_hat, grads, gsq, dirty(g.rshape, complex), dirty(g.shape)),
+        )
+        assert np.array_equal(
+            p_laplacian_hat(g, grads, gsq),
+            p_laplacian_hat(g, grads, gsq, dirty(g.rshape, complex), dirty(g.shape)),
+        )
+        e = gradient(g, d_hat)
+        work = (dirty(g.shape), dirty(g.shape), dirty(g.shape), dirty(g.rshape, complex))
+        assert (op.line_coefficients(grads, gsq, e, d_hat, -1.0)
+                == op.line_coefficients(grads, gsq, e, d_hat, -1.0, work))
+        first = op.objective_value(phi_hat, grads, op.rhs_hat)
+        op.objective_value(d_hat, e, phi_hat)  # leaves its own work arrays dirty
+        assert op.objective_value(phi_hat, grads, op.rhs_hat) == first
 
 
 class TestChemicalPotential:

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from conftest import random_field
@@ -21,7 +22,8 @@ from spfc import (
     norm_lp,
     sample,
 )
-from spfc.model import StepOperator, p_laplacian_hat
+from spfc.grid import sum_product
+from spfc.model import StepOperator, _scheme_symbols, p_laplacian_hat
 
 
 def signed_mode(grid, idx):
@@ -51,6 +53,64 @@ class TestGrid:
         g = Grid(dim=2, n=8, length=1.0)
         assert g.ik[0][4, 0] == 0.0 and g.ik[1][0, 4] == 0.0
         assert g.ik[0][3, 0] == 3 * 2j * np.pi and g.ik[0][5, 0] == -3 * 2j * np.pi
+
+    def test_equal_grids_share_read_only_symbols(self):
+        a, b = Grid(3, 8, 2.0), Grid(3, 8, 2.0)
+        assert a is not b
+        for name in ("lam", "lam_inv", "kernel_mask"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+        params = ModelParams(epsilon=0.3, reg_a=0.2)
+        for x, y in zip(_scheme_symbols(a, params, 0.1), _scheme_symbols(b, params, 0.1)):
+            assert x is y and not x.flags.writeable
+
+
+@st.composite
+def grid_and_symbol(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(3, 24 if dim == 2 else 10))
+    grid = Grid(dim, n, draw(st.floats(0.5, 50.0)))
+    kind = draw(st.sampled_from(("one", "lam", "lam_inv", "h2", "random")))
+    symbol = {
+        "one": lambda: 1.0,
+        "lam": lambda: grid.lam,
+        "lam_inv": lambda: grid.lam_inv,
+        "h2": lambda: 1.0 + grid.lam + grid.lam**2,
+        "random": lambda: np.random.default_rng(n).random(grid.rshape),
+    }[kind]()
+    return grid, symbol, draw(st.integers(0, 2**32 - 1))
+
+
+class TestReductionKernel:
+    """``Grid.spectral_dot`` and ``sum_product`` (one single-threaded pass)
+    against the ``parseval_weight`` definition written out with ``np.sum``."""
+
+    @given(case=grid_and_symbol())
+    def test_spectral_dot_matches_parseval_definition(self, case):
+        grid, symbol, seed = case
+        rng = np.random.default_rng(seed)
+        a, b = (grid.rfft(rng.standard_normal(grid.shape)) for _ in range(2))
+
+        def reference(x, y):
+            prod = x.real * y.real + x.imag * y.imag
+            return grid.spectral_norm_factor * np.sum(grid.parseval_weight * symbol * prod)
+
+        aa, bb = reference(a, a), reference(b, b)
+        assert abs(grid.spectral_norm2_sq(a, symbol) - aa) <= 1e-13 * aa
+        assert abs(grid.spectral_dot(a, b, symbol) - reference(a, b)) <= 1e-13 * np.sqrt(aa * bb)
+        if np.ndim(symbol) == 0:
+            assert abs(grid.spectral_norm2_sq(a) - aa) <= 1e-13 * aa
+
+    @given(case=grid_and_symbol())
+    def test_sum_product_matches_np_sum(self, case):
+        grid, _, seed = case
+        rng = np.random.default_rng(seed)
+        x, y, z = (rng.standard_normal(grid.shape) for _ in range(3))
+        scale = np.sqrt(np.sum(x**2) * np.sum(y**2))
+        assert abs(sum_product(x, x) - np.sum(x**2)) <= 1e-13 * np.sum(x**2)
+        assert abs(sum_product(x, y) - np.sum(x * y)) <= 1e-13 * scale
+        assert abs(sum_product(x) - np.sum(x)) <= 1e-13 * np.sum(np.abs(x))
+        assert abs(sum_product(x, y, z) - np.sum(x * y * z)) <= 1e-13 * np.sum(np.abs(x * y * z))
 
 
 class TestRfftLayout:

@@ -14,9 +14,11 @@ from spfc import (
     energy,
     ghost_init,
     initial_state,
+    inner,
     modified_energy,
     norm_h2,
     norm_l2,
+    norm_lp,
     psd_solve,
     run,
     sample,
@@ -24,7 +26,7 @@ from spfc import (
 )
 from spfc.model import ManufacturedSolution, MeanMismatchError
 from spfc.psd import PsdConfig
-from spfc import stepper
+from spfc import harness, stepper
 from spfc.stepper import StepFailureError
 
 
@@ -348,3 +350,29 @@ class TestCarriedSpectra:
         assert a.phi_curr.values.tobytes() == b.phi_curr.values.tobytes()
         for spec_a, spec_b in zip(a.spectra, b.spectra):
             assert spec_a.tobytes() == spec_b.tobytes()
+
+
+class TestSingleThreadedReductions:
+    """No reduction goes through BLAS, whose idle threads spin a second CPU
+    when the thread count is not pinned (as under ``spfc simulate``)."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 12), (3, 8)])
+    def test_march_and_norms_call_no_blas(self, dim, n, rng, monkeypatch):
+        def blas(*args, **kwargs):
+            raise AssertionError("reduction through BLAS")
+
+        for name in ("dot", "vdot", "inner"):
+            monkeypatch.setattr(np, name, blas)
+        monkeypatch.setattr(np.linalg, "norm", blas)
+        grid = Grid(dim=dim, n=n, length=10.0)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16)
+        phi0 = random_field(grid, rng, scale=0.1)
+        records = []
+        run([(0.1, 0.3)], initial_state(phi0), params, energy_sink=records.append)
+        assert len(records) == 4 and all(np.isfinite(r.E_mod) for r in records)
+        assert inner(phi0, phi0) == pytest.approx(norm_l2(phi0) ** 2, rel=1e-13)
+        assert norm_lp(phi0, 2) == pytest.approx(norm_l2(phi0), rel=1e-13)
+        assert np.isfinite(norm_h2(phi0))
+        if dim == 2:
+            defect = harness.gradient_consistency_defect(grid, params, rng, 1)
+            assert defect < 1e-4
