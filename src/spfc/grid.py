@@ -215,11 +215,12 @@ class Grid:
         return self.spectral_dot(spec, spec, symbol)
 
     def spectral_dot(self, spec_a: np.ndarray, spec_b: np.ndarray, symbol=None) -> float:
-        """L2 inner product of two real fields from their raw (C-contiguous)
-        rfft coefficients, ``spectral_norm_factor * sum(parseval_weight *
-        symbol * Re(a conj b))`` (``symbol`` 1 when omitted)."""
+        """L2 inner product of two real fields from their raw rfft
+        coefficients, ``spectral_norm_factor * sum(parseval_weight * symbol *
+        Re(a conj b))`` (``symbol`` 1 when omitted)."""
         if symbol is not None:
             spec_b = symbol * spec_b
-        return self.spectral_norm_factor * sum_product(
-            self._pair_weight, spec_a.view(np.float64), spec_b.view(np.float64)
-        )
+        # the float view needs C-contiguous complex128 (a no-op when it is)
+        a = np.asarray(spec_a, dtype=np.complex128, order="C").view(np.float64)
+        b = np.asarray(spec_b, dtype=np.complex128, order="C").view(np.float64)
+        return self.spectral_norm_factor * sum_product(self._pair_weight, a, b)

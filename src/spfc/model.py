@@ -137,7 +137,7 @@ def grad_sq(grad_comps: list[np.ndarray], out=None, work=None) -> np.ndarray:
     return _pointwise_dot(grad_comps, grad_comps, out, work)
 
 
-def _add_flux_divergence(grid: Grid, grad_comps, gsq, symbols, out, work) -> np.ndarray:
+def _add_flux_divergence(grid: Grid, grad_comps, gsq, symbols, out, work=None) -> np.ndarray:
     """``out += sum_i symbols[i] * rfft(gsq * grad_comps[i])``."""
     for comp, sym in zip(grad_comps, symbols):
         spec = grid.rfft(np.multiply(gsq, comp, out=work))
@@ -147,7 +147,7 @@ def _add_flux_divergence(grid: Grid, grad_comps, gsq, symbols, out, work) -> np.
 
 
 def p_laplacian_hat(
-    grid: Grid, grad_comps: list[np.ndarray], gsq: Optional[np.ndarray] = None, out=None, work=None
+    grid: Grid, grad_comps: list[np.ndarray], gsq: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient
     (and ``|grad phi|^2``, formed here when not given).
@@ -156,20 +156,24 @@ def p_laplacian_hat(
     on the grid (plain collocation: its aliased modes are kept).
     """
     gsq = grad_sq(grad_comps) if gsq is None else gsq
-    out = np.empty(grid.rshape, dtype=np.complex128) if out is None else out
-    out.fill(0.0)
-    return _add_flux_divergence(grid, grad_comps, gsq, [-ik for ik in grid.ik], out, work)
+    out = np.zeros(grid.rshape, dtype=np.complex128)
+    return _add_flux_divergence(grid, grad_comps, gsq, [-ik for ik in grid.ik], out)
+
+
+def _lin_sym(grid: Grid, params: ModelParams, dt: float) -> np.ndarray:
+    """The implicit convex part ``dt (energy + concave) + A dt^2 lam``."""
+    lin_sym = dt * (params.energy_symbol(grid.lam) + params.concave_symbol(grid.lam))
+    lin_sym += params.reg_a * dt**2 * grid.lam
+    return lin_sym
 
 
 @lru_cache(maxsize=16)
 def _scheme_symbols(grid: Grid, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (implicit_sym, pre_inv) on the rfft layout for one (grid,
-    params, dt): ``1.5 lam_inv`` plus the implicit convex part
-    ``dt (energy + concave) + A dt^2 lam``, and the inverse preconditioner."""
-    lam = grid.lam
-    lin_sym = dt * (params.energy_symbol(lam) + params.concave_symbol(lam))
-    lin_sym += params.reg_a * dt**2 * lam
-    pre_sym = 1.5 * grid.lam_inv + dt * lam + lin_sym
+    params, dt): ``1.5 lam_inv`` plus :func:`_lin_sym`, and the inverse
+    preconditioner."""
+    lin_sym = _lin_sym(grid, params, dt)
+    pre_sym = 1.5 * grid.lam_inv + dt * grid.lam + lin_sym
     pre_inv = np.where(grid.kernel_mask, 0.0, 1.0 / pre_sym)
     implicit_sym = 1.5 * grid.lam_inv + lin_sym
     for arr in (implicit_sym, pre_inv):
@@ -219,12 +223,16 @@ class StepOperator:
     def bdf_tail_hat(self) -> np.ndarray:
         """The explicit part of ``3/2 phi - 2 phi^k + 1/2 phi^{k-1}``."""
         phi_k_hat, phi_km1_hat = self.spectra
-        return -2.0 * phi_k_hat + 0.5 * phi_km1_hat
+        tail = -2.0 * phi_k_hat
+        tail += 0.5 * phi_km1_hat
+        return tail
 
     @cached_property
     def explicit_hat(self) -> np.ndarray:
         """The constant term of ``N``: ``lam_inv * bdf_tail_hat``."""
-        return self.grid.lam_inv * self.bdf_tail_hat
+        tail = self.bdf_tail_hat
+        tail *= self.grid.lam_inv
+        return tail
 
     @cached_property
     def rhs_hat(self) -> np.ndarray:
@@ -251,15 +259,6 @@ class StepOperator:
         return _add_flux_divergence(self.grid, grad_comps, gsq, self._flux_symbols, out, work)
 
     # -- scalar functionals --------------------------------------------
-    @cached_property
-    def _objective_arrays(self) -> tuple[np.ndarray, ...]:
-        """:attr:`bdf_tail_hat`, the implicit convex part ``lin_sym``, and work
-        arrays (two of rfft layout, two of grid shape) for
-        :meth:`objective_value`."""
-        g, tail = self.grid, self.bdf_tail_hat
-        work = (np.empty_like(tail), np.empty_like(tail), np.empty(g.shape), np.empty(g.shape))
-        return (tail, self.implicit_sym - 1.5 * g.lam_inv) + work
-
     def objective_value(
         self,
         phi_hat: np.ndarray,
@@ -268,13 +267,12 @@ class StepOperator:
     ) -> float:
         """Convex objective whose critical point solves ``N[phi] = f``."""
         g = self.grid
-        tail, lin_sym, bdf_hat, prod, gsq, tmp = self._objective_arrays
-        np.multiply(1.5, phi_hat, out=bdf_hat)
-        bdf_hat += tail
-        val = g.spectral_dot(bdf_hat, np.multiply(g.lam_inv, bdf_hat, out=prod)) / 3.0
-        val += 0.5 * g.spectral_dot(phi_hat, np.multiply(lin_sym, phi_hat, out=prod))
-        grad_sq(grad_comps, gsq, tmp)
+        gsq = grad_sq(grad_comps)
+        bdf_hat = self.bdf_tail_hat
+        bdf_hat += 1.5 * phi_hat
+        val = g.spectral_norm2_sq(bdf_hat, g.lam_inv) / 3.0
         val += 0.25 * self.dt * g.cell_volume * sum_product(gsq, gsq)
+        val += 0.5 * g.spectral_norm2_sq(phi_hat, _lin_sym(g, self.params, self.dt))
         return val - g.spectral_dot(f_hat, phi_hat)
 
     def line_coefficients(

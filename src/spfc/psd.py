@@ -50,7 +50,7 @@ class PsdConfig:
     residual used in the stopping test (``"l2"`` or ``"hm1"``).
     ``track_objective`` records the objective at every iterate in
     :attr:`SolveStats.objective_history`, an independent evaluation that
-    costs about an eighth of a solve at N=256.
+    costs about a third of a solve at N=256.
     """
 
     tol: float = 1e-9

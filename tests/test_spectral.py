@@ -101,6 +101,16 @@ class TestReductionKernel:
         if np.ndim(symbol) == 0:
             assert abs(grid.spectral_norm2_sq(a) - aa) <= 1e-13 * aa
 
+    def test_spectral_dot_accepts_strided_and_real_spectra(self, rng):
+        grid = Grid(2, 8, 3.0)
+        a, b = (grid.rfft(rng.standard_normal(grid.shape)) for _ in range(2))
+        wide = np.zeros(grid.rshape[:-1] + (2 * grid.rshape[-1],), dtype=complex)
+        wide[:, ::2] = a
+        assert grid.spectral_dot(wide[:, ::2], b) == grid.spectral_dot(a, b)
+        t = np.ascontiguousarray(b.T).T  # Fortran-ordered copy of b
+        assert grid.spectral_dot(a, t, grid.lam) == grid.spectral_dot(a, b, grid.lam)
+        assert grid.spectral_dot(a.real, b) == grid.spectral_dot(a.real.astype(complex), b)
+
     @given(case=grid_and_symbol())
     def test_sum_product_matches_np_sum(self, case):
         grid, _, seed = case
