@@ -192,7 +192,10 @@ class StepOperator:
     delegate here, so the scheme algebra exists exactly once.  ``spectra``
     holds the rfft coefficients of ``(phi_k, phi_km1)`` when they are already
     known (real-field projected, see :meth:`Grid.project_real`); otherwise
-    they are transformed on first use.
+    they are transformed on first use.  ``fluxes`` holds the 4-Laplacian
+    coefficients ``p = -div(|grad phi|^2 grad phi)`` of the two levels when a
+    march carries them; :func:`spfc.psd.psd_solve` then starts from the
+    linearly implicit BDF2 predictor instead of a copy of ``phi_k``.
 
     ``N[phi] = implicit_sym phi + explicit_hat + dt p_laplacian(phi)``.
     """
@@ -200,6 +203,7 @@ class StepOperator:
     def __init__(
         self, phi_k: Field, phi_km1: Field, dt: float, params: ModelParams,
         source: Optional[Field] = None, spectra: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ):
         if phi_k.grid != phi_km1.grid:
             raise ValueError("history levels live on different grids")
@@ -212,6 +216,7 @@ class StepOperator:
         self.grid, self.params, self.dt = phi_k.grid, params, dt
         self.implicit_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
         self._flux_symbols = [-dt * ik for ik in self.grid.ik]
+        self.fluxes = fluxes
         if spectra is not None:
             self.spectra = spectra
 
@@ -301,9 +306,9 @@ class StepOperator:
         c1 += self.grid.spectral_dot(d_hat, np.multiply(self.implicit_sym, d_hat, out=spec))
         return c0, c1, c2, c3
 
-    def residual_norm(self, r_hat: np.ndarray, which: str = "l2") -> float:
-        symbol = self.grid.lam_inv if which == "hm1" else None
-        return math.sqrt(self.grid.spectral_norm2_sq(r_hat, symbol))
+    def residual_norm(self, r_hat: np.ndarray, which: str = "l2", work=None) -> float:
+        weighted = np.multiply(self.grid.lam_inv, r_hat, out=work) if which == "hm1" else r_hat
+        return math.sqrt(self.grid.spectral_dot(r_hat, weighted))
 
 
 # ----------------------------------------------------------------------
@@ -387,27 +392,15 @@ def _mms_basis(grid: Grid) -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class ManufacturedSolution:
     """Separable exact solution ``profile(x, y) * c(t)`` on the unit box with
-    ``profile = sin(2 pi x) cos(2 pi y) / (2 pi)``.
-
-    ``envelope`` selects the time factor: ``"cos"`` gives ``c(t) = cos t``;
-    ``"one"`` freezes the state (useful for stationarity checks).  The two
-    source constructors compensate the dynamics so that the sampled exact
-    solution solves, respectively, the semi-discrete-in-time system (pure
-    spatial error remains) or the continuum system (pure temporal error
+    ``profile = sin(2 pi x) cos(2 pi y) / (2 pi)`` and ``c(t) = cos t``.  The
+    two source constructors compensate the dynamics so that the sampled
+    exact solution solves, respectively, the semi-discrete-in-time system
+    (pure spatial error remains) or the continuum system (pure temporal error
     remains).
     """
 
-    envelope: str = "cos"
-
-    def __post_init__(self) -> None:
-        if self.envelope not in ("cos", "one"):
-            raise ValueError(f"unknown envelope {self.envelope!r}")
-
     def _c(self, t: float) -> float:
-        return float(np.cos(t)) if self.envelope == "cos" else 1.0
-
-    def _cdot(self, t: float) -> float:
-        return float(-np.sin(t)) if self.envelope == "cos" else 0.0
+        return float(np.cos(t))
 
     @staticmethod
     def _check_grid(grid: Grid) -> None:
@@ -426,7 +419,7 @@ class ManufacturedSolution:
         profile, _, lap_p_nl = _mms_basis(grid)
         c = self._c(t)
         mu_lin = params.energy_symbol(_LAM1)
-        values = self._cdot(t) * profile - c**3 * lap_p_nl + _LAM1 * mu_lin * c * profile
+        values = float(-np.sin(t)) * profile - c**3 * lap_p_nl + _LAM1 * mu_lin * c * profile
         return Field(grid, values)
 
     def spatial_source(

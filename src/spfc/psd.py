@@ -6,6 +6,11 @@ of the step operator, with the quartic term linearized at unit gradient
 magnitude), then minimizes the strictly convex objective along ``d`` by
 finding the unique root of a monotone cubic.  Iterate means are invariant:
 search directions carry no mass.
+
+With ``StepOperator.fluxes`` a solve from ``op.phi_k`` starts, at no
+transform, from the linearly implicit BDF2 step (flux extrapolated as
+``2 p^k - p^{k-1}``, linear part solved per mode), unless the copy already
+passes the stopping test: a state at equilibrium stays frozen.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ def psd_solve(
     op: StepOperator,
     f: Optional[Field] = None,
     cfg: Optional[PsdConfig] = None,
-    final_sink: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+    final_sink: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[Field, SolveStats]:
     """Solve ``N[phi] = f`` of the step ``op`` on the mass hyperplane of ``op.phi_k``.
 
@@ -169,8 +174,9 @@ def psd_solve(
     the residual is not finite, grows by more than 10x over five
     consecutive iterations, or falls by less than 10x over ``STALL_WINDOW``.
     ``final_sink``, if given, receives the solution's rfft coefficients
-    (projected onto real fields) and its ``|grad phi|^2``, so the caller
-    needs no transform of its own.
+    (projected onto real fields), its ``|grad phi|^2`` and its 4-Laplacian
+    coefficients (zero on the kernel modes), so the caller needs no
+    transform of its own.
     """
     cfg = cfg or PsdConfig()
     _require_same_mass(phi_guess, op.phi_k, "initial guess is off the mass hyperplane")
@@ -194,6 +200,19 @@ def psd_solve(
 
     # work arrays of the whole solve, updated in place
     r_hat, d_hat = np.empty_like(phi_hat), np.empty_like(phi_hat)
+    if phi_guess is op.phi_k and op.fluxes is not None:
+        # the copy's residual from the carried flux, with no transform
+        p_k, p_km1 = op.fluxes
+        np.multiply(op.implicit_sym, phi_hat, out=r_hat)
+        r_hat += op.explicit_hat
+        r_hat += np.multiply(op.dt, p_k, out=d_hat)
+        np.subtract(f_hat, r_hat, out=r_hat)
+        r_hat[kernel] = 0.0
+        if op.residual_norm(r_hat, cfg.residual_norm, d_hat) > target:
+            # not a fixed point: the linearly implicit BDF2 step is the copy
+            # plus (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes
+            r_hat += np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
+            phi_hat += np.divide(r_hat, op.implicit_sym, out=r_hat)
     gsq, ge, ee, tmp = (np.empty(grid.shape) for _ in range(4))
     g = gradient(grid, phi_hat, d_hat)
     stats = SolveStats()
@@ -202,7 +221,7 @@ def psd_solve(
         op.nonlinear_hat(phi_hat, g, gsq, r_hat, tmp)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
-        res = op.residual_norm(r_hat, cfg.residual_norm)
+        res = op.residual_norm(r_hat, cfg.residual_norm, d_hat)
         stats.residual_history.append(res)
         if cfg.track_objective:
             stats.objective_history.append(op.objective_value(phi_hat, g, f_hat))
@@ -232,8 +251,15 @@ def psd_solve(
         for comp, e_comp in zip(g, e):
             e_comp *= alpha
             comp += e_comp
+        del e, e_comp  # free the direction's gradient before the next one
     stats.finalize()
     phi = Field(grid, grid.irfft(phi_hat))
     if final_sink is not None:
-        final_sink(grid.project_real(phi_hat), gsq)
+        # the solution's flux from its last residual: N[phi] = f - r
+        np.subtract(f_hat, r_hat, out=r_hat)
+        r_hat -= np.multiply(op.implicit_sym, phi_hat, out=d_hat)
+        r_hat -= op.explicit_hat
+        r_hat /= op.dt
+        r_hat[kernel] = 0.0
+        final_sink(grid.project_real(phi_hat), gsq, grid.project_real(r_hat))
     return phi, stats

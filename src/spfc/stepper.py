@@ -48,7 +48,9 @@ class SimState:
 
     ``spectra``: the rfft coefficients of ``(phi_curr, phi_prev)``, carried
     from the solver and never modified in place; ``None`` on a state built by
-    hand, whose next step transforms the fields."""
+    hand, whose next step transforms the fields.  ``fluxes``: their 4-Laplacian
+    coefficients, for the next solve's start (see :mod:`spfc.psd`); ``None``
+    before the first step, which starts from the copy of ``phi_curr``."""
 
     phi_curr: Field
     phi_prev: Field
@@ -56,6 +58,7 @@ class SimState:
     step_index: int
     mass0: float
     spectra: Optional[tuple[np.ndarray, np.ndarray]] = None
+    fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 @dataclass
@@ -159,7 +162,8 @@ def step(
     """Advance one BDF2 step, the :class:`StepOperator` of ``state`` solved by
     :func:`psd_solve`; returns the new state and its diagnostics row, which
     comes from the solver's final spectrum with no transform of its own."""
-    op = StepOperator(state.phi_curr, state.phi_prev, dt, params, source, state.spectra)
+    op = StepOperator(state.phi_curr, state.phi_prev, dt, params, source, state.spectra,
+                      state.fluxes)
     final: list = []
     try:
         phi_new, stats = psd_solve(
@@ -175,7 +179,7 @@ def step(
         )
     if stats_sink is not None:
         stats_sink(stats)
-    phi_hat, gsq = final
+    phi_hat, gsq, flux = final
     new_state = SimState(
         phi_curr=phi_new,
         phi_prev=state.phi_curr,
@@ -183,6 +187,7 @@ def step(
         step_index=state.step_index + 1,
         mass0=state.mass0,
         spectra=(phi_hat, op.spectra[0]),
+        fluxes=(flux, flux if op.fluxes is None else op.fluxes[0]),
     )
     record = _record(new_state, dt, params, phi_hat, gsq, phi_hat - op.spectra[0],
                      stats.iterations, stats.residual_history[-1])
@@ -262,8 +267,9 @@ def run(
 
     for seg_index, ((dt, _), n_steps) in enumerate(zip(schedule, steps)):
         if seg_index > 0:
-            spec = state.spectra[0]
-            state = replace(state, phi_prev=state.phi_curr.copy(), spectra=(spec, spec.copy()))
+            spec, flux = state.spectra[0], state.fluxes[0]
+            state = replace(state, phi_prev=state.phi_curr.copy(), spectra=(spec, spec.copy()),
+                            fluxes=(flux, flux.copy()))
         t_start = state.time
         for j in range(n_steps):
             try:

@@ -206,6 +206,15 @@ class TestWorkBuffers:
         assert (op.line_coefficients(grads, gsq, e, d_hat, -1.0)
                 == op.line_coefficients(grads, gsq, e, d_hat, -1.0, work))
 
+    @pytest.mark.parametrize("dim,n", [(2, 8), (3, 7)])
+    @pytest.mark.parametrize("which", ["l2", "hm1"])
+    def test_residual_norm_ignores_a_dirty_buffer(self, dim, n, which, rng):
+        g = Grid(dim=dim, n=n, length=7.0)
+        op = make_step(g, rng, ModelParams(epsilon=0.3, reg_a=0.2))
+        r_hat = g.rfft(rng.standard_normal(g.shape))
+        work = (1e3 * rng.standard_normal(g.rshape)).astype(complex)
+        assert op.residual_norm(r_hat, which, work) == op.residual_norm(r_hat, which)
+
 
 class TestChemicalPotential:
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -478,14 +487,6 @@ class TestManufacturedSolution:
         assert stats.converged
         target = mms.field(g, dt)
         assert np.max(np.abs(sol.values - target.values)) < 1e-10
-
-    def test_stationary_envelope_source_is_time_independent(self):
-        g = Grid(dim=2, n=16, length=1.0)
-        params = ModelParams(epsilon=0.025, reg_a=0.25)
-        mms = ManufacturedSolution(envelope="one")
-        s1 = mms.temporal_source(g, 0.1, params)
-        s2 = mms.temporal_source(g, 2.9, params)
-        assert np.array_equal(s1.values, s2.values)
 
     def test_rejects_wrong_domain(self):
         g = Grid(dim=2, n=16, length=2.0)

@@ -24,7 +24,13 @@ from spfc import (
     sample,
     step,
 )
-from spfc.model import ManufacturedSolution, MeanMismatchError
+from spfc.model import (
+    ManufacturedSolution,
+    MeanMismatchError,
+    StepOperator,
+    gradient,
+    p_laplacian_hat,
+)
 from spfc.psd import PsdConfig
 from spfc import harness, stepper
 from spfc.stepper import StepFailureError
@@ -350,6 +356,76 @@ class TestCarriedSpectra:
         assert a.phi_curr.values.tobytes() == b.phi_curr.values.tobytes()
         for spec_a, spec_b in zip(a.spectra, b.spectra):
             assert spec_a.tobytes() == spec_b.tobytes()
+
+
+class TestPredictorStart:
+    """A step whose state carries the 4-Laplacian of both levels starts its
+    solve from the linearly implicit BDF2 step, unless the copy of the
+    current field already passes the stopping test."""
+
+    L = 8.0 * np.pi
+
+    @pytest.mark.parametrize("dim, n", [(2, 15), (2, 16), (3, 9), (3, 10)])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_carried_flux_is_the_states_4_laplacian(self, rng, dim, n, scheme):
+        g = Grid(dim=dim, n=n, length=self.L)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0, scheme=scheme)
+        states = []
+        run([(0.05, 0.15), (0.1, 0.45)], initial_state(band_field(g, rng)), params,
+            snapshot_sink=states.append,
+            snapshot_times=[0.05 * k for k in range(1, 4)] + [0.15 + 0.1 * k for k in range(1, 4)])
+        assert len(states) == 6
+        for st in states:
+            spec = g.rfft(st.phi_curr.values)
+            expected = p_laplacian_hat(g, gradient(g, spec))
+            # formed as (N - implicit_sym phi - explicit_hat) / dt, whose
+            # terms are ~1e4 times dt p here: round-off reaches ~3e-12
+            assert relative_gap(st.fluxes[0], expected) <= 1e-11
+
+    def test_near_equilibrium_step_keeps_the_copy(self, grid16, rng):
+        # TestRun's two-segment run, which decays to E ~ 1e-21: where the
+        # copy passes the stopping test, the step returns it
+        params = ModelParams(epsilon=0.5, reg_a=0.015625)
+        states = []
+        run([(0.05, 0.5), (0.1, 1.5)], initial_state(smooth_field(grid16, rng)), params,
+            snapshot_sink=states.append, snapshot_times=[0.5 + 0.1 * k for k in range(1, 10)])
+        frozen = 0
+        for st in states:
+            op = StepOperator(st.phi_curr, st.phi_prev, 0.1, params, None, st.spectra)
+            copy, stats = psd_solve(st.phi_curr, op)
+            if stats.iterations == 0:
+                frozen += 1
+                new, rec = step(st, 0.1, params)
+                assert st.fluxes is not None and rec.psd_iters == 0
+                assert new.phi_curr.values.tobytes() == copy.values.tobytes()
+        assert frozen > 0
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 12)])
+    def test_predictor_start_agrees_with_copy_start(self, rng, monkeypatch, dim, n):
+        g = Grid(dim=dim, n=n, length=self.L)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+        state = initial_state(band_field(g, rng))
+        for _ in range(3):
+            state, _ = step(state, 0.5, params)
+        op = StepOperator(state.phi_curr, state.phi_prev, 0.5, params, None, state.spectra,
+                          state.fluxes)
+        cfg = PsdConfig(tol=1e-10)
+        copy_start, copy_stats = psd_solve(state.phi_curr.copy(), op, None, cfg)
+        ffts = [0]
+        for name in ("rfft", "irfft"):
+            transform = getattr(Grid, name)
+
+            def counted(grid, arr, transform=transform):
+                ffts[0] += 1
+                return transform(grid, arr)
+
+            monkeypatch.setattr(Grid, name, counted)
+        predicted, stats = psd_solve(state.phi_curr, op, None, cfg)
+        assert stats.converged and 0 < stats.iterations < copy_stats.iterations
+        assert stats.residual_history[0] < 1e-2 * copy_stats.residual_history[0]
+        assert ffts[0] == 2 * dim * stats.iterations + 2 * dim + 1  # the start costs none
+        gap = np.max(np.abs(predicted.values - copy_start.values))
+        assert gap <= 1e-8 * np.max(np.abs(copy_start.values))
 
 
 class TestSingleThreadedReductions:
