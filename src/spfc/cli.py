@@ -19,6 +19,10 @@ from typing import Optional, Sequence
 
 from .config import ConfigError, RunConfig, parse_config, render_config
 from .harness import (
+    CLAIMS,
+    CONV_DT,
+    CONV_STEPS,
+    CONV_T,
     pattern_experiment,
     spatial_convergence_study,
     temporal_convergence_study,
@@ -137,10 +141,8 @@ def _write_rows(rows, path) -> None:
 
 def _run_conv_space(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
-    n_list = range(6, 22, 2) if cfg.profile == "full" else range(6, 14, 2)
-    rows = spatial_convergence_study(
-        list(n_list), dt_fixed=1e-4, params=cfg.pattern.params(), t_final=0.16
-    )
+    n_list = getattr(CLAIMS["spatial_accuracy"], cfg.profile)
+    rows = spatial_convergence_study(n_list, CONV_DT, cfg.pattern.params(), CONV_T)
     _write_rows(rows, os.path.join(out, "convergence_space.csv"))
     lines = [f"N={r.resolution:3d}  error_l2={r.error_l2:.6e}" for r in rows]
     ratio = rows[-1].error_l2 / rows[0].error_l2 if rows[0].error_l2 > 0 else float("nan")
@@ -151,11 +153,8 @@ def _run_conv_space(cfg: RunConfig) -> int:
 
 def _run_conv_time(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
-    n_fixed = 128 if cfg.profile == "full" else 64
-    nk_list = list(range(100, 900, 100))
-    rows, order = temporal_convergence_study(
-        nk_list, n_fixed=n_fixed, params=cfg.pattern.params(), t_final=0.16
-    )
+    n_fixed = getattr(CLAIMS["temporal_order"], cfg.profile)
+    rows, order = temporal_convergence_study(CONV_STEPS, n_fixed, cfg.pattern.params(), CONV_T)
     _write_rows(rows, os.path.join(out, "convergence_time.csv"))
     lines = [f"N_k={r.resolution:4d}  dt={r.dt:.3e}  error_l2={r.error_l2:.6e}" for r in rows]
     lines.append(f"fitted order = {order:.4f}  (N = {n_fixed}, scheme {cfg.pattern.scheme.value})")

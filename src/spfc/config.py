@@ -28,7 +28,7 @@ schedule              (required for simulate)  comma list of dt:t_end; whole    
 seed                  0                        RNG seed, >= 0                   sim
 snapshot_times        1,10,20,40,100,200       comma list of reals up to the    sim
                       (those in the schedule)  schedule's end, or empty
-profile               full                     full | ci                        conv, verify
+profile               full                     full | ci (harness.CLAIMS size)  conv, verify
 init.amplitude        0.05                     uniform noise amplitude, >= 0    sim
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
 init.site_profile     node                     node | gaussian                  sim

@@ -86,7 +86,6 @@ class SolveStats:
     contraction_ratios: list = field(default_factory=list)
     converged: bool = False
     objective_history: list = field(default_factory=list)
-    alphas: list = field(default_factory=list)
 
     def finalize(self) -> None:
         res = self.residual_history
@@ -245,7 +244,6 @@ def psd_solve(
         e = gradient(grid, d_hat, r_hat)  # r_hat is free until the next residual
         coeffs = op.line_coefficients(g, gsq, e, d_hat, c0, (ge, ee, tmp, r_hat))
         alpha = solve_cubic_monotone(*coeffs)
-        stats.alphas.append(alpha)
         d_hat *= alpha
         phi_hat += d_hat
         for comp, e_comp in zip(g, e):

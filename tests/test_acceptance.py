@@ -1,11 +1,18 @@
 """Acceptance suite: every shipped claim at its stated tolerance, one
 printed pass/fail line per criterion.
 
-Profiles: the temporal study runs at N=128 by default; set SPFC_PROFILE=ci
-to use N=64 (order is asserted either way).  The pattern-formation fixtures
-(N=256, t <= 100, three step sizes) are computed once and shared by the
-energy, dt-agreement, solver-behavior and H2-bound criteria.  Those, and
-criteria 3 and 4, carry the ``slow`` marker: ``-m "not slow"`` skips them.
+Tolerances and sizes come from ``spfc.harness.CLAIMS``, the table that
+``spfc verify`` and the conv subcommands read too.  Criteria 1, 7c, 7d, 8
+and 10 call the harness functions that ``spfc verify`` calls, so its
+``full`` profile prints the same measured values.
+
+Profiles: the temporal study runs at the table's ``full`` size (N=128) by
+default; SPFC_PROFILE=ci selects its ``ci`` size (N=64); no other criterion
+reads the ``ci`` column (order is asserted either way).  The
+pattern-formation fixtures (N=256, t <= 100, three step sizes) are computed
+once and shared by the energy, dt-agreement, solver-behavior and H2-bound
+criteria.  Those, and criteria 3 and 4, carry the ``slow`` marker:
+``-m "not slow"`` skips them.
 """
 
 import os
@@ -14,31 +21,25 @@ import time
 import numpy as np
 import pytest
 
-from spfc import (
-    Field,
-    Grid,
-    ModelParams,
-    Scheme,
-    norm_l2,
-    psd_solve,
-    sample,
-)
+from spfc import ModelParams, Scheme
 from spfc.harness import (
-    PatternConfig,
-    lemma_inequality_defects,
+    CLAIMS,
+    CONV_DT,
+    CONV_STEPS,
+    CONV_T,
+    acceptance_pattern,
+    gradient_mismatch,
+    inequality_excess,
+    mesh_iteration_counts,
+    multistart_gap,
     pattern_experiment,
-    random_init,
-    sbp_identity_defects,
+    sbp_defects,
     spatial_convergence_study,
     temporal_convergence_study,
-    gradient_consistency_defect,
 )
-from spfc.model import StepOperator
 from spfc.psd import PsdConfig
-from spfc.stepper import initial_state, run
 
 PROFILE = os.environ.get("SPFC_PROFILE", "full")
-SEED = 7
 
 
 def report(ok: bool, label: str, detail: str) -> None:
@@ -46,17 +47,9 @@ def report(ok: bool, label: str, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def pattern_cfg(dt: float, t_end: float, n: int = 256) -> PatternConfig:
-    return PatternConfig(
-        length=100.0,
-        n=n,
-        epsilon=0.5,
-        reg_a=0.5**2 / 16.0,
-        seed=SEED,
-        amplitude=0.05,
-        sites=((50.0, 50.0, 10.0),),
-        dt_schedule=((dt, t_end),),
-    )
+def sci(x: float) -> str:
+    """A tolerance as written in the claims: ``1e-9``, not ``1e-09``."""
+    return f"{x:.0e}".replace("e-0", "e-")
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +61,7 @@ def pattern_runs():
         records, stats = [], []
         t0 = time.process_time()
         pattern_experiment(
-            pattern_cfg(dt, 100.0),
+            acceptance_pattern(256, dt, 100.0),
             energy_sink=records.append,
             stats_sink=stats.append,
             psd_cfg=PsdConfig(track_objective=dt == 0.05),
@@ -83,65 +76,60 @@ def pattern_runs():
 
 class TestCriterion1OperatorIdentities:
     def test_sbp_identities(self):
-        rng = np.random.default_rng(SEED)
+        claim = CLAIMS["sbp_identities"]
         t0 = time.process_time()
-        worst = 0.0
-        details = []
-        for dim in (2, 3):
-            for n in (16, 32):
-                defects = sbp_identity_defects(Grid(dim=dim, n=n, length=1.0), 100, rng)
-                worst = max(worst, max(defects))
-                details.append(f"{dim}d/n{n}: {max(defects):.2e}")
+        defects = {grid: max(d) for grid, d in sbp_defects(*claim.full).items()}
         elapsed = time.process_time() - t0
-        ok = worst <= 1e-10 and elapsed < 10.0
+        worst = max(defects.values())
+        details = "; ".join(f"{dim}d/n{n}: {d:.2e}" for (dim, n), d in defects.items())
+        ok = worst <= claim.tol and elapsed < 10.0
         report(
             ok,
             "criterion 1 (summation-by-parts identities)",
-            f"worst relative defect {worst:.2e} (tol 1e-10) over 100 pairs each of "
-            f"{'; '.join(details)}; {elapsed:.1f} s (< 10 s)",
+            f"worst relative defect {worst:.2e} (tol {sci(claim.tol)}) over {claim.full[0]} "
+            f"pairs each of {details}; {elapsed:.1f} s (< 10 s)",
         )
 
 
 class TestCriterion2SpatialAccuracy:
     def test_spatial_spectral_accuracy(self):
         params = ModelParams(epsilon=0.025, reg_a=0.25)  # a = 0.975, A = 0.25
+        tol, floor = CLAIMS["spatial_accuracy"].tol, CLAIMS["spectral_saturation"].tol
         t0 = time.process_time()
-        rows = spatial_convergence_study(
-            list(range(6, 22, 2)), dt_fixed=1e-4, params=params, t_final=0.16
-        )
+        rows = spatial_convergence_study(CLAIMS["spatial_accuracy"].full, CONV_DT, params, CONV_T)
         elapsed = time.process_time() - t0
         errors = [r.error_l2 for r in rows]
         table = ", ".join(f"N={r.resolution}:{r.error_l2:.2e}" for r in rows)
         ratio = errors[-1] / errors[0]
-        saturated = [e < 1e-9 for e in errors]
+        saturated = [e < floor for e in errors]
         ok_saturation = any(saturated)
         first_sat = saturated.index(True) if ok_saturation else len(errors)
         ok_monotone = all(errors[i + 1] < errors[i] for i in range(first_sat))
-        ok = ratio < 1e-6 and ok_saturation and ok_monotone and elapsed < 120.0
+        ok = ratio < tol and ok_saturation and ok_monotone and elapsed < 120.0
         report(
             ok,
             "criterion 2 (spatial spectral accuracy)",
-            f"{table}; error(20)/error(6) = {ratio:.2e} (< 1e-6), "
-            f"monotone to saturation below 1e-9: {ok_monotone and ok_saturation}; "
-            f"{elapsed:.0f} s (< 120 s)",
+            f"{table}; error({rows[-1].resolution})/error({rows[0].resolution}) = {ratio:.2e} "
+            f"(< {sci(tol)}), monotone to saturation below {sci(floor)}: "
+            f"{ok_monotone and ok_saturation}; {elapsed:.0f} s (< 120 s)",
         )
 
 
 class TestCriterion3TemporalOrder:
     @pytest.mark.slow
     def test_second_order_both_schemes(self):
-        n_fixed = 64 if PROFILE == "ci" else 128
+        claim = CLAIMS["temporal_order"]
+        n_fixed = claim.ci if PROFILE == "ci" else claim.full
         budget = 120.0 if PROFILE == "ci" else 600.0
-        nk_list = list(range(100, 900, 100))
         t0 = time.process_time()
         results = {}
         for scheme in Scheme:
             params = ModelParams(epsilon=0.025, reg_a=0.25, scheme=scheme)
-            rows, order = temporal_convergence_study(nk_list, n_fixed, params, 0.16)
+            rows, order = temporal_convergence_study(CONV_STEPS, n_fixed, params, CONV_T)
             results[scheme] = (rows, order)
         elapsed = time.process_time() - t0
         orders = {s: results[s][1] for s in Scheme}
-        ok_orders = all(1.8 <= o <= 2.2 for o in orders.values())
+        ok_orders = all(abs(o - 2.0) <= claim.tol for o in orders.values())
         errs1 = [r.error_l2 for r in results[Scheme.BDF2_ES_1][0]]
         errs2 = [r.error_l2 for r in results[Scheme.BDF2_ES_2][0]]
         ok_smaller = all(e2 < e1 for e1, e2 in zip(errs1, errs2))
@@ -150,8 +138,9 @@ class TestCriterion3TemporalOrder:
             ok,
             "criterion 3 (temporal second order)",
             f"N={n_fixed}: order(scheme1)={orders[Scheme.BDF2_ES_1]:.3f}, "
-            f"order(scheme2)={orders[Scheme.BDF2_ES_2]:.3f} (need [1.8, 2.2]); "
-            f"scheme2 < scheme1 at all {len(nk_list)} step counts: {ok_smaller}; "
+            f"order(scheme2)={orders[Scheme.BDF2_ES_2]:.3f} "
+            f"(need [{2.0 - claim.tol:g}, {2.0 + claim.tol:g}]); "
+            f"scheme2 < scheme1 at all {len(CONV_STEPS)} step counts: {ok_smaller}; "
             f"{elapsed:.0f} s (< {budget:.0f} s)",
         )
 
@@ -159,11 +148,9 @@ class TestCriterion3TemporalOrder:
 class TestCriterion4MassConservation:
     @pytest.mark.slow
     def test_ten_thousand_steps(self):
-        cfg = pattern_cfg(0.05, 500.0, n=64)
+        cfg = acceptance_pattern(64, 0.05, 500.0)
         summary = pattern_experiment(cfg, psd_cfg=PsdConfig(track_objective=False))
-        grid = cfg.grid()
-        beta0 = random_init(cfg, grid).mean()
-        bound = 1e-11 * (1.0 + abs(beta0))
+        bound = CLAIMS["mass_conservation"].tol
         ok = summary.total_steps == 10000 and summary.mass_drift <= bound
         report(
             ok,
@@ -182,7 +169,8 @@ class TestCriterion5EnergyDissipation:
         worst = max(
             (b - a) / max(abs(a), 1e-300) for a, b in zip(emods, emods[1:])
         )
-        ok_mono = worst <= 1e-9
+        tol = CLAIMS["modified_energy_dissipation"].tol
+        ok_mono = worst <= tol
         ok_final = records[-1].E < records[0].E
         elapsed = run_data["seconds"]
         ok = ok_mono and ok_final and elapsed < 900.0
@@ -190,7 +178,7 @@ class TestCriterion5EnergyDissipation:
             ok,
             "criterion 5 (energy dissipation)",
             f"N=256, dt=0.05, {len(records) - 1} steps: worst E_mod uptick {worst:.2e} "
-            f"(tol 1e-9); E_N {records[0].E:.4g} -> {records[-1].E:.4g}; "
+            f"(tol {sci(tol)}); E_N {records[0].E:.4g} -> {records[-1].E:.4g}; "
             f"{elapsed:.0f} s (< 900 s)",
         )
 
@@ -212,13 +200,13 @@ class TestCriterion6DtAgreement:
                 values.append(rec.E)
             spread = (max(values) - min(values)) / abs(np.mean(values))
             spreads.append(spread)
-        worst = max(spreads)
-        ok = worst <= 0.01
+        worst, tol = max(spreads), CLAIMS["dt_agreement"].tol
+        ok = worst <= tol
         report(
             ok,
             "criterion 6 (dt agreement of energy curves)",
             f"dt in (0.1, 0.05, 0.025): worst relative spread {worst:.3%} "
-            f"over 10 shared times (tol 1%)",
+            f"over {len(sample_times)} shared times (tol {tol:.0%})",
         )
 
 
@@ -231,84 +219,64 @@ class TestCriterion7PsdBehavior:
             assert len(hist) == stats.iterations + 1, "objective not tracked"
             for a, b in zip(hist, hist[1:]):
                 worst = max(worst, (b - a) / max(abs(a), 1e-300))
-        ok = worst <= 1e-12
+        tol = CLAIMS["psd_objective_monotone"].tol
+        ok = worst <= tol
         report(
             ok,
             "criterion 7a (PSD objective monotonicity)",
             f"worst per-iteration objective uptick {worst:.2e} over all criterion-5 "
-            f"steps (tol 1e-12)",
+            f"steps (tol {sci(tol)})",
         )
 
     @pytest.mark.slow
     def test_contraction_ratios(self, pattern_runs):
-        worst = 0.0
-        for stats in pattern_runs[0.05]["stats"]:
-            tail = stats.contraction_ratios[2:]  # ratios after iteration 3
-            if tail:
-                worst = max(worst, max(tail))
-        ok = worst <= 0.95
+        stats = pattern_runs[0.05]["stats"]
+        tails = [s.contraction_ratios[2:] for s in stats]  # ratios after iteration 3
+        tails = [t for t in tails if t]
+        worst = max((max(t) for t in tails), default=0.0)
+        tol = CLAIMS["psd_contraction"].tol
+        ok = worst <= tol
         report(
             ok,
             "criterion 7b (geometric residual contraction)",
-            f"worst contraction ratio after iteration 3: {worst:.3f} (tol 0.95)",
+            f"worst contraction ratio after iteration 3: {worst:.3f} (tol {tol:g}) over "
+            f"{sum(map(len, tails))} ratios from {len(tails)} of {len(stats)} solves",
         )
 
     def test_mesh_independent_iterations(self):
-        counts = {}
-
-        def profile(x, y):
-            tau = 2.0 * np.pi / 100.0
-            return 0.05 * (np.cos(3 * tau * x) * np.cos(2 * tau * y) + np.sin(5 * tau * y))
-
-        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
-        for n in (64, 128, 256):
-            grid = Grid(dim=2, n=n, length=100.0)
-            phi0 = sample(profile, grid)
-            op = StepOperator(phi0, phi0.copy(), 0.05, params)
-            _, stats = psd_solve(phi0, op, None, PsdConfig(tol=1e-9))
-            counts[n] = stats.iterations
+        claim = CLAIMS["psd_mesh_independence"]
+        counts = mesh_iteration_counts(claim.full)
         spread = max(counts.values()) - min(counts.values())
-        ok = spread <= 3
+        ok = spread <= claim.tol
         report(
             ok,
             "criterion 7c (mesh-independent iteration count)",
-            f"iterations to tol 1e-9: {counts} (spread {spread} <= 3)",
+            f"iterations to tol 1e-9: {counts} (spread {spread} <= {claim.tol})",
         )
 
     def test_multistart_uniqueness(self):
-        cfg = pattern_cfg(0.05, 0.5)
-        grid = cfg.grid()
-        params = cfg.params()
-        state = initial_state(random_init(cfg, grid))
-        state = run([(0.05, 0.5)], state, params)
-        op = StepOperator(state.phi_curr, state.phi_prev, 0.05, params)
-        solver_cfg = PsdConfig(tol=1e-9)
-        sol_a, _ = psd_solve(state.phi_curr, op, None, solver_cfg)
-        rng = np.random.default_rng(SEED + 1)
-        perturbation = 0.1 * rng.standard_normal(grid.shape)
-        perturbation -= perturbation.mean()
-        other = Field(grid, state.phi_curr.values + perturbation)
-        sol_b, _ = psd_solve(other, op, None, solver_cfg)
-        gap = norm_l2(Field(grid, sol_a.values - sol_b.values))
-        ok = gap <= 1e-8
+        claim = CLAIMS["psd_multistart_uniqueness"]
+        gap = multistart_gap(claim.full)
+        ok = gap <= claim.tol
         report(
             ok,
             "criterion 7d (multi-start uniqueness)",
-            f"solution gap {gap:.2e} between two starts at N=256 (tol 1e-8)",
+            f"solution gap {gap:.2e} between two starts at N={claim.full} "
+            f"(tol {sci(claim.tol)})",
         )
 
 
 class TestCriterion8InequalityBattery:
     def test_thousand_random_fields(self):
-        rng = np.random.default_rng(SEED)
-        excess16 = lemma_inequality_defects(Grid(dim=2, n=16, length=1.0), 500, rng)
-        excess32 = lemma_inequality_defects(Grid(dim=2, n=32, length=1.0), 500, rng)
-        worst = max(max(excess16), max(excess32))
-        ok = worst <= 1e-12
+        claim = CLAIMS["interpolation_inequalities"]
+        fields, ns = claim.full
+        worst = max(inequality_excess(fields, ns))
+        ok = worst <= claim.tol
         report(
             ok,
             "criterion 8 (interpolation inequality battery)",
-            f"worst relative excess {worst:.2e} over 1000 mean-zero fields (tol 1e-12)",
+            f"worst relative excess {worst:.2e} over {fields * len(ns)} mean-zero fields "
+            f"(tol {sci(claim.tol)})",
         )
 
 
@@ -318,27 +286,23 @@ class TestCriterion9H2Boundedness:
         records = pattern_runs[0.05]["records"]
         h2 = [r.h2_norm for r in records]
         early = max(h2[: max(1, len(h2) // 10)])
-        overall = max(h2)
-        ok = overall <= 1.5 * early
+        overall, factor = max(h2), CLAIMS["h2_bound"].tol
+        ok = overall <= factor * early
         report(
             ok,
             "criterion 9 (uniform H2 bound)",
-            f"max H2 {overall:.4g} vs 1.5 x early max {1.5 * early:.4g}",
+            f"max H2 {overall:.4g} vs {factor:g} x early max {factor * early:.4g}",
         )
 
 
 class TestCriterion10GradientConsistency:
     def test_fifty_instances_both_schemes(self):
-        rng = np.random.default_rng(SEED)
-        grid = Grid(dim=2, n=8, length=1.0)
-        worst = 0.0
-        for scheme in Scheme:
-            params = ModelParams(epsilon=0.3, reg_a=0.25, scheme=scheme)
-            worst = max(worst, gradient_consistency_defect(grid, params, rng, 50))
-        ok = worst <= 1e-5
+        claim = CLAIMS["gradient_consistency"]
+        worst = max(gradient_mismatch(claim.full).values())
+        ok = worst <= claim.tol
         report(
             ok,
             "criterion 10 (gradient consistency)",
-            f"worst relative mismatch {worst:.2e} over 50 instances per scheme "
-            f"(tol 1e-5 at h=1e-5)",
+            f"worst relative mismatch {worst:.2e} over {claim.full} instances per scheme "
+            f"(tol {sci(claim.tol)} at h=1e-5)",
         )

@@ -281,6 +281,15 @@ class TestCli:
         assert main(["verify", "--set", "profile=ci", "--set", f"output_dir={out}"]) == 0
         assert "ALL CHECKS PASSED" in (out / "verify_report.txt").read_text()
 
+    def test_verify_reads_the_claims_table(self, tmp_path, monkeypatch):
+        claims = spfc.harness.CLAIMS
+        exact = claims["parseval_identity"]._replace(tol=0.0)
+        monkeypatch.setitem(claims, "parseval_identity", exact)
+        out = tmp_path / "v"
+        assert main(["verify", "--set", "profile=ci", "--set", f"output_dir={out}"]) == 3
+        text = (out / "verify_report.txt").read_text()
+        assert "FAIL  parseval_identity" in text and "CHECKS FAILED" in text
+
     def test_conv_space_ci_writes_table(self, tmp_path):
         out = tmp_path / "cs"
         code = main(

@@ -185,10 +185,6 @@ class TestVerifySuite:
         assert sbp and all(not e.passed for e in sbp)
         assert not report.all_passed
 
-    def test_advisory_entries_do_not_gate(self):
-        report = verify_suite(profile="ci")
-        assert any(e.advisory for e in report.entries)
-
     def test_rejects_unknown_profile(self):
         with pytest.raises(ValueError):
             verify_suite(profile="huge")

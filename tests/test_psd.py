@@ -288,10 +288,10 @@ class TestPsdSolve:
         assert all(r <= 0.95 for r in stats.contraction_ratios[1:])
 
     def test_mesh_independent_iteration_count(self):
-        from spfc.harness import _mesh_iteration_counts
+        from spfc.harness import mesh_iteration_counts
 
-        counts = _mesh_iteration_counts((32, 64, 128))
-        assert max(counts) - min(counts) <= 3
+        counts = mesh_iteration_counts((32, 64, 128))
+        assert max(counts.values()) - min(counts.values()) <= 3
 
     def test_divergence_detector(self):
         assert not _diverged([1.0, 2.0, 3.0])
