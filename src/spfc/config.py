@@ -33,7 +33,8 @@ init.amplitude        0.05                     uniform noise amplitude, >= 0    
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
 init.site_profile     node                     node | gaussian                  sim
 init.history          copy                     copy | ghost                     sim
-solver.tol            1e-9                     in (0, 1)                        sim
+solver.tol            1e-9                     in (0, 1); the floor that ends   sim
+                                               every solve (``PsdConfig``)
 solver.max_iter       200                      >= 1                             sim
 solver.residual_norm  l2                       l2 | hm1                         sim
 ====================  =======================  ===============================  ============

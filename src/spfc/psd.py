@@ -8,9 +8,50 @@ finding the unique root of a monotone cubic.  Iterate means are invariant:
 search directions carry no mass.
 
 With ``StepOperator.fluxes`` a solve from ``op.phi_k`` starts, at no
-transform, from the linearly implicit BDF2 step (flux extrapolated as
-``2 p^k - p^{k-1}``, linear part solved per mode), unless the copy already
-passes the stopping test: a state at equilibrium stays frozen.
+transform, from the linearly implicit BDF2 step ``phi_pred`` (flux
+extrapolated as ``2 p^k - p^{k-1}``, linear part solved per mode), unless
+the copy already passes the floor ``res <= tol (1 + ||f||)``: a state at
+equilibrium stays frozen.
+
+Stopping.  Every solve stops at the floor.  A predictor-started solve also
+stops, from iteration 1 on, at the step's own truncation error, when both
+
+* ``||pre_inv r|| <= KAPPA ||phi - phi_pred||`` (truncation test): the
+  preconditioned residual estimates the iterate's distance to the exact step
+  solution, and the predictor gap is a Milne-type estimate of the step's
+  local truncation error (Hairer & Wanner, *Solving ODEs II*, IV.8); and
+* ``|<r, delta>| <= THETA ||delta||_{-1}^2`` with ``delta = phi - phi^k``
+  (energy test), which keeps the modified energy non-increasing for the
+  returned iterate.
+
+The energy test's constant.  Pair ``N[phi] - f = -r`` with ``delta`` and
+``delta^k = phi^k - phi^{k-1}``.  The BDF2 term, the convex-concave split
+and the regularization give, with ``E~`` the modified energy of
+:func:`spfc.model.modified_energy_hat`, exactly
+
+    E~(phi, phi^k) - E~(phi^k, phi^{k-1}) + sum_m D(lam) |delta_m|^2 + R
+        = -<r, delta> / dt,
+
+where ``R >= 0`` collects ``||delta - delta^k||^2`` terms and the convexity
+remainder of the quartic term, and on each mode with ``lam > 0``
+
+    dt lam D(lam) = 1 + (dt/2) lam ((1 - lam)^2 - eps) + A dt^2 lam^2
+                  = (1 - eps dt lam / 4)^2 + (dt/2) lam (1 - lam)^2
+                    + (A - eps^2/16) dt^2 lam^2.
+
+All three terms are non-negative when ``A >= eps^2/16``: that is the paper's
+energy stability of the exact step.  With ``s = eps dt <= 1`` (and ``dt > s``)
+the sum is at least ``(1 - s lam/4)^2 + (s/2) lam (1 - lam)^2``, whose
+minimum over ``lam > 0`` and ``s <= 1`` is ``131/256``, at ``s = 1`` and
+``lam = 5/4``.  So ``dt D(lam) >= THETA / lam`` with ``THETA = 1/2``, and a
+solve that passes the energy test has ``-<r, delta> / dt`` no larger than
+the dissipation: ``E~`` does not rise.  As ``eps dt -> 4`` the minimum falls
+to 0 (at ``lam = 1``), so beyond ``eps dt = 1``, or below the stability
+threshold, a solve stops at the floor only.
+
+``KAPPA = 0.05``: on the N=256 acceptance pattern problem (200 steps of
+0.05) the fields stay within 0.2% of the 0.05-vs-0.025 time error of a
+1e-11 solve; 0.1 moves them by 3.6% of it.
 """
 
 from __future__ import annotations
@@ -21,6 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grid import sum_product
 from .model import StepOperator, _require_same_mass, grad_sq, gradient
 from .spectral import Field
 
@@ -35,6 +77,8 @@ __all__ = [
 
 
 STALL_WINDOW = 22  # twice the most iterations a tested solve takes per 10x residual drop (11)
+KAPPA = 0.05  # the iteration error's largest share of the truncation-error estimate
+THETA = 0.5  # the residual work's largest share of ||delta||_{-1}^2 (see the module docstring)
 
 
 class PsdDivergenceError(RuntimeError):
@@ -51,8 +95,10 @@ class NonMonotoneCubicError(RuntimeError):
 class PsdConfig:
     """Solver knobs.
 
-    ``residual_norm`` selects the norm of the mean-projected nonlinear
-    residual used in the stopping test (``"l2"`` or ``"hm1"``).
+    ``tol`` sets the floor ``res <= tol (1 + ||f||)``, which ends every solve;
+    a predictor-started solve may stop earlier, at its truncation error (see
+    the module docstring).  ``residual_norm`` selects the norm of the
+    mean-projected nonlinear residual ``res`` (``"l2"`` or ``"hm1"``).
     ``track_objective`` records the objective at every iterate in
     :attr:`SolveStats.objective_history`, an independent evaluation that
     costs about a third of a solve at N=256.
@@ -79,6 +125,8 @@ class SolveStats:
     ``contraction_ratios`` holds ``r_{n+1} / r_n`` starting from the second
     residual pair (the first ratio reflects the initial guess, not the
     iteration).  ``objective_history`` is populated when tracking is on.
+    ``stopped_by`` names the test that ended a converged solve: ``"floor"``
+    or ``"truncation"``.
     """
 
     iterations: int = 0
@@ -86,6 +134,7 @@ class SolveStats:
     contraction_ratios: list = field(default_factory=list)
     converged: bool = False
     objective_history: list = field(default_factory=list)
+    stopped_by: Optional[str] = None
 
     def finalize(self) -> None:
         res = self.residual_history
@@ -159,6 +208,25 @@ def _diverged(history: list) -> Optional[str]:
     return None
 
 
+def _truncated(op: StepOperator, phi_hat, r_hat, d_hat, update, work) -> bool:
+    """Whether the iterate ``phi_hat``, ``update`` away from the predictor,
+    with residual ``r_hat`` and ``d_hat = pre_inv r_hat``, passes the
+    truncation and energy tests.  The energy test forms ``phi - phi^k`` in
+    ``d_hat``, which holds ``pre_inv r_hat`` again on a ``False``, and
+    ``|phi - phi^k|^2`` in the front of the grid buffer ``work``."""
+    grid = op.grid
+    if grid.spectral_dot(d_hat, d_hat) > KAPPA**2 * grid.spectral_dot(update, update):
+        return False
+    delta = np.subtract(phi_hat, op.spectra[0], out=d_hat)
+    sq = np.abs(delta, out=work.reshape(-1)[: delta.size].reshape(delta.shape))
+    sq *= sq
+    delta_hm1_sq = grid.spectral_norm_factor * sum_product(grid.parseval_weight, grid.lam_inv, sq)
+    if abs(grid.spectral_dot(r_hat, delta)) <= THETA * delta_hm1_sq:
+        return True
+    np.multiply(op.pre_inv, r_hat, out=d_hat)
+    return False
+
+
 def psd_solve(
     phi_guess: Field,
     op: StepOperator,
@@ -169,7 +237,8 @@ def psd_solve(
     """Solve ``N[phi] = f`` of the step ``op`` on the mass hyperplane of ``op.phi_k``.
 
     ``f`` defaults to the step's own right-hand side.  Returns the solution
-    and the iteration diagnostics; raises :class:`PsdDivergenceError` when
+    and the iteration diagnostics (the stopping tests are in the module
+    docstring); raises :class:`PsdDivergenceError` when
     the residual is not finite, grows by more than 10x over five
     consecutive iterations, or falls by less than 10x over ``STALL_WINDOW``.
     ``final_sink``, if given, receives the solution's rfft coefficients
@@ -199,6 +268,7 @@ def psd_solve(
 
     # work arrays of the whole solve, updated in place
     r_hat, d_hat = np.empty_like(phi_hat), np.empty_like(phi_hat)
+    update = None  # set when the solve may stop at its truncation error
     if phi_guess is op.phi_k and op.fluxes is not None:
         # the copy's residual from the carried flux, with no transform
         p_k, p_km1 = op.fluxes
@@ -212,6 +282,8 @@ def psd_solve(
             # plus (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes
             r_hat += np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
             phi_hat += np.divide(r_hat, op.implicit_sym, out=r_hat)
+            if op.params.stable_guarantee and op.params.epsilon * op.dt <= 1.0:  # THETA holds
+                update = np.zeros_like(phi_hat)  # phi - phi_pred
     gsq, ge, ee, tmp = (np.empty(grid.shape) for _ in range(4))
     g = gradient(grid, phi_hat, d_hat)
     stats = SolveStats()
@@ -226,7 +298,7 @@ def psd_solve(
             stats.objective_history.append(op.objective_value(phi_hat, g, f_hat))
         stats.iterations = it
         if res <= target:
-            stats.converged = True
+            stats.converged, stats.stopped_by = True, "floor"
             break
         if not math.isfinite(res):
             stats.finalize()
@@ -237,15 +309,20 @@ def psd_solve(
                 f"residual {failure} at iteration {it}: "
                 f"history tail {stats.residual_history[-6:]}"
             )
+        np.multiply(op.pre_inv, r_hat, out=d_hat)
+        if update is not None and it > 0 and _truncated(op, phi_hat, r_hat, d_hat, update, tmp):
+            stats.converged, stats.stopped_by = True, "truncation"
+            break
         if it == cfg.max_iter:
             break
-        np.multiply(op.pre_inv, r_hat, out=d_hat)
         c0 = -grid.spectral_dot(r_hat, d_hat)
         e = gradient(grid, d_hat, r_hat)  # r_hat is free until the next residual
         coeffs = op.line_coefficients(g, gsq, e, d_hat, c0, (ge, ee, tmp, r_hat))
         alpha = solve_cubic_monotone(*coeffs)
         d_hat *= alpha
         phi_hat += d_hat
+        if update is not None:
+            update += d_hat
         for comp, e_comp in zip(g, e):
             e_comp *= alpha
             comp += e_comp

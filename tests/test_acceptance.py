@@ -37,7 +37,8 @@ from spfc.harness import (
     spatial_convergence_study,
     temporal_convergence_study,
 )
-from spfc.psd import PsdConfig
+from spfc.model import StepOperator
+from spfc.psd import PsdConfig, psd_solve
 
 PROFILE = os.environ.get("SPFC_PROFILE", "full")
 
@@ -55,21 +56,34 @@ def sci(x: float) -> str:
 @pytest.fixture(scope="module")
 def pattern_runs():
     """The criterion-5 problem at three step sizes, records + solver stats;
-    the dt = 0.05 run tracks the objective for criterion 7a."""
+    the dt = 0.05 run tracks the objective for criterion 7a and re-solves
+    every 5th state from the copy for criterion 7b (``copy_stats``; their
+    time is not counted in ``seconds``)."""
     runs = {}
     for dt in (0.1, 0.05, 0.025):
-        records, stats = [], []
+        cfg = acceptance_pattern(256, dt, 100.0)
+        records, stats, copy_stats, resolve_seconds = [], [], [], [0.0]
+
+        def resolve_from_copy(st, dt=dt, params=cfg.params()):
+            t = time.process_time()
+            op = StepOperator(st.phi_curr, st.phi_prev, dt, params, None, st.spectra)
+            copy_stats.append(psd_solve(st.phi_curr, op, None, PsdConfig())[1])
+            resolve_seconds[0] += time.process_time() - t
+
         t0 = time.process_time()
         pattern_experiment(
-            acceptance_pattern(256, dt, 100.0),
+            cfg,
             energy_sink=records.append,
             stats_sink=stats.append,
             psd_cfg=PsdConfig(track_objective=dt == 0.05),
+            snapshot_sink=resolve_from_copy if dt == 0.05 else None,
+            snapshot_times=[5 * dt * k for k in range(1, 401)] if dt == 0.05 else (),
         )
         runs[dt] = {
             "records": records,
             "stats": stats,
-            "seconds": time.process_time() - t0,
+            "copy_stats": copy_stats,
+            "seconds": time.process_time() - t0 - resolve_seconds[0],
         }
     return runs
 
@@ -230,17 +244,20 @@ class TestCriterion7PsdBehavior:
 
     @pytest.mark.slow
     def test_contraction_ratios(self, pattern_runs):
-        stats = pattern_runs[0.05]["stats"]
+        # the march's predictor-started solves mostly stop before iteration
+        # 3; the copy-started re-solves of every 5th state run long enough
+        stats = pattern_runs[0.05]["copy_stats"]
         tails = [s.contraction_ratios[2:] for s in stats]  # ratios after iteration 3
         tails = [t for t in tails if t]
         worst = max((max(t) for t in tails), default=0.0)
         tol = CLAIMS["psd_contraction"].tol
-        ok = worst <= tol
+        ok = worst <= tol and sum(map(len, tails)) >= 1000
         report(
             ok,
             "criterion 7b (geometric residual contraction)",
             f"worst contraction ratio after iteration 3: {worst:.3f} (tol {tol:g}) over "
-            f"{sum(map(len, tails))} ratios from {len(tails)} of {len(stats)} solves",
+            f"{sum(map(len, tails))} ratios (>= 1000) from {len(tails)} of {len(stats)} "
+            f"copy-started solves of every 5th state",
         )
 
     def test_mesh_independent_iterations(self):

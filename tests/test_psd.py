@@ -20,7 +20,16 @@ from spfc import (
     sample,
     solve_cubic_monotone,
 )
-from spfc.model import MeanMismatchError, StepOperator, grad_sq, gradient
+from spfc import initial_state, psd, run, step
+from spfc.model import (
+    MeanMismatchError,
+    StepOperator,
+    energy_hat,
+    grad_sq,
+    gradient,
+    modified_energy_hat,
+    p_laplacian_hat,
+)
 from spfc.psd import (
     NonMonotoneCubicError,
     PsdConfig,
@@ -310,3 +319,95 @@ class TestPsdSolve:
         # well before max_iter = 200
         with pytest.raises(PsdDivergenceError, match=r"fell less than 10x .* iteration \d\d:"):
             psd_solve(op.phi_k, op, None, PsdConfig(track_objective=False))
+
+
+class TestTruncationStop:
+    """The stop of a predictor-started solve at its truncation error, and the
+    energy estimate behind its energy test (module docstring of spfc.psd)."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 9), (3, 5)])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_energy_identity_of_any_iterate(self, rng, dim, n, scheme):
+        # E~(phi, phi^k) - E~(phi^k, phi^{k-1}) + sum D |delta|^2 + R = -<r, delta>/dt
+        # for any phi on the mass hyperplane, R its non-negative remainder
+        g = Grid(dim=dim, n=n, length=6.0)
+        eps, dt = 0.7, 0.3
+        params = ModelParams(epsilon=eps, reg_a=eps**2 / 16.0 + 0.01, scheme=scheme)
+        op = make_step(g, rng, params, dt=dt)
+        phi = Field(g, op.phi_k.values + 0.2 * random_field(g, rng, mean_zero=True).values)
+        phi_hat, (phi_k_hat, phi_km1_hat) = g.rfft(phi.values), op.spectra
+        grad_phi = gradient(g, phi_hat)
+        r_hat = op.rhs_hat - op.nonlinear_hat(phi_hat, grad_phi, grad_sq(grad_phi))
+        delta_hat, step_k = phi_hat - phi_k_hat, phi_k_hat - phi_km1_hat
+        lam = g.lam
+        dissipation = g.spectral_norm2_sq(
+            delta_hat, g.lam_inv / dt + 0.5 * params.energy_symbol(lam) + params.reg_a * dt * lam)
+        remainder = g.spectral_norm2_sq(
+            delta_hat - step_k, g.lam_inv / (4.0 * dt) + 0.5 * params.concave_symbol(lam))
+
+        def quartic(spec):
+            gsq = grad_sq(gradient(g, spec))
+            return 0.25 * g.cell_volume * float(np.sum(gsq * gsq))
+
+        def modified_energy(spec, step):
+            e = energy_hat(g, params, spec, grad_sq(gradient(g, spec)))
+            return modified_energy_hat(g, params, dt, e, step)
+
+        convexity = quartic(phi_k_hat) - quartic(phi_hat) + g.spectral_dot(
+            p_laplacian_hat(g, grad_phi), delta_hat)
+        assert convexity >= 0.0
+        rise = modified_energy(phi_hat, delta_hat) - modified_energy(phi_k_hat, step_k)
+        lhs = rise + dissipation + remainder + convexity
+        rhs_value = -g.spectral_dot(r_hat, delta_hat) / dt
+        assert lhs == pytest.approx(rhs_value, rel=1e-10, abs=1e-12 * dissipation)
+
+    def test_theta_bounds_the_dissipation_where_the_stop_applies(self):
+        # dt lam D(lam) >= THETA for A = eps^2/16 and eps dt <= 1 (the worst
+        # A); the infimum, 131/256, is approached at eps dt = 1, eps -> 1 and
+        # lam = 5/4
+        lam = np.linspace(1e-3, 40.0, 40001)
+        worst = np.inf
+        for eps in (0.01, 0.3, 0.7, 0.999):
+            for dt in np.linspace(1e-3, 1.0 / eps, 60):
+                p = ModelParams(epsilon=eps, reg_a=eps**2 / 16.0)
+                scaled = 1.0 + 0.5 * dt * lam * p.energy_symbol(lam) + p.reg_a * dt**2 * lam**2
+                worst = min(worst, scaled.min())
+        assert psd.THETA <= 131.0 / 256.0 <= worst <= 131.0 / 256.0 + 1e-3
+        # at eps dt = 4 the dissipation of mode lam = 1 vanishes: no THETA > 0 holds
+        p = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+        assert 1.0 + 0.5 * 8.0 * p.energy_symbol(1.0) + p.reg_a * 64.0 == pytest.approx(0.0)
+
+    def test_failed_energy_test_changes_no_iterate(self, rng, monkeypatch):
+        # with THETA = 0 every truncation test that passes is followed by a
+        # failing energy test; the solve must then go on exactly as a solve
+        # whose truncation test never passes (KAPPA = 0)
+        g = Grid(dim=2, n=16, length=8.0 * np.pi)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+        dt = 0.5
+        state = initial_state(Field(g, 0.1 + 0.05 * rng.standard_normal(g.shape)))
+        for _ in range(3):
+            state, _ = step(state, dt, params)
+        op = StepOperator(state.phi_curr, state.phi_prev, dt, params, None, state.spectra,
+                          state.fluxes)
+        _, stats = psd_solve(state.phi_curr, op)
+        assert stats.stopped_by == "truncation"
+        results = []
+        for name in ("THETA", "KAPPA"):
+            with monkeypatch.context() as m:
+                m.setattr(psd, name, 0.0)
+                results.append(psd_solve(state.phi_curr, op))
+        (a, stats_a), (b, stats_b) = results
+        assert stats_a.stopped_by == stats_b.stopped_by == "floor"
+        assert stats_a.residual_history == stats_b.residual_history
+        assert a.values.tobytes() == b.values.tobytes()
+        assert stats.iterations < stats_a.iterations
+
+    def test_no_truncation_stop_beyond_the_theta_range(self, rng):
+        # eps dt = 1.5 > 1: THETA is not proven there, so only the floor stops
+        g = Grid(dim=2, n=16, length=8.0 * np.pi)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+        stats = []
+        run([(3.0, 15.0)], initial_state(Field(g, 0.1 + 0.05 * rng.standard_normal(g.shape))),
+            params, stats_sink=stats.append)
+        assert {s.stopped_by for s in stats} == {"floor"}
+        assert any(s.iterations > 1 for s in stats[1:])

@@ -1,16 +1,18 @@
 """Hypothesis properties of the BDF2 step over the parameter space, not only
 at the paper's points: mass is conserved, the modified energy does not
-increase when ``A >= eps^2/16``, and constant states are fixed points.
+increase when ``A >= eps^2/16`` (also for iterates returned at the
+truncation stop of :mod:`spfc.psd`), and constant states are fixed points.
 
-Each example marches ten steps from a copied history level (the default
-start) on a small grid (dim 2 or 3, odd or even ``n``) with either scheme;
-the examples are drawn by the ``spfc`` profile registered in ``conftest.py``.
+Each example marches from a copied history level (the default start) on a
+small grid (dim 2 or 3, odd or even ``n``) with either scheme; the examples
+are drawn by the ``spfc`` profile registered in ``conftest.py``.
 """
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from spfc import Field, Grid, ModelParams, Scheme, initial_state, run
+from spfc.harness import CLAIMS
 from spfc.stepper import step
 
 STEPS = 10
@@ -70,9 +72,38 @@ def test_mass_conserved_and_modified_energy_non_increasing(grid, params, dt, mea
         assert curr.E_mod - prev.E_mod <= allowance + EMOD_TOL * abs(prev.E_mod)
 
 
+def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():
+    # from step 2 on, a solve starts from the predictor and may stop at its
+    # truncation error; the module docstring of spfc.psd derives the energy
+    # test that keeps E_mod from rising for the iterate it returns
+    tol, stops = CLAIMS["modified_energy_dissipation"].tol, []
+
+    @given(grid=grids(), params=stable_params(), dt=dts, mean=means,
+           amplitude=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def march(grid, params, dt, mean, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        phi0 = Field(grid, mean + amplitude * (2.0 * rng.random(grid.shape) - 1.0))
+        records, stats = [], []
+        run([(dt, 5 * dt)], initial_state(phi0), params,
+            energy_sink=records.append, stats_sink=stats.append)
+        assert stats[0].stopped_by == "floor"  # step 1 starts from the copy
+        for s in stats[1:]:
+            assert s.stopped_by == "floor" or (s.stopped_by == "truncation" and s.iterations > 0)
+            stops.append(s.stopped_by)
+        emods = [r.E_mod for r in records[1:]]
+        for prev, curr in zip(emods, emods[1:]):
+            assert curr - prev <= tol * abs(prev)
+
+    march()
+    # the stop is no dead branch: it ends most predictor-started solves
+    assert stops.count("truncation") >= len(stops) / 4
+
+
 @given(grid=grids(), params=stable_params(), dt=dts, value=means)
 def test_constant_state_is_a_fixed_point(grid, params, dt, value):
     state = initial_state(Field.constant(grid, value))
     for _ in range(STEPS):
-        state, _ = step(state, dt, params)
+        stats = []
+        state, _ = step(state, dt, params, stats_sink=stats.append)
         assert np.max(np.abs(state.phi_curr.values - value)) <= 1e-12 * (1.0 + abs(value))
+        assert stats[0].stopped_by == "floor" and stats[0].iterations == 0  # frozen

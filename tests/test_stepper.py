@@ -32,7 +32,7 @@ from spfc.model import (
     p_laplacian_hat,
 )
 from spfc.psd import PsdConfig
-from spfc import harness, stepper
+from spfc import harness, psd, stepper
 from spfc.stepper import StepFailureError
 
 
@@ -401,7 +401,7 @@ class TestPredictorStart:
         assert frozen > 0
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 12)])
-    def test_predictor_start_agrees_with_copy_start(self, rng, monkeypatch, dim, n):
+    def test_predictor_start_stops_within_its_truncation_error(self, rng, monkeypatch, dim, n):
         g = Grid(dim=dim, n=n, length=self.L)
         params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
         state = initial_state(band_field(g, rng))
@@ -409,8 +409,7 @@ class TestPredictorStart:
             state, _ = step(state, 0.5, params)
         op = StepOperator(state.phi_curr, state.phi_prev, 0.5, params, None, state.spectra,
                           state.fluxes)
-        cfg = PsdConfig(tol=1e-10)
-        copy_start, copy_stats = psd_solve(state.phi_curr.copy(), op, None, cfg)
+        exact, copy_stats = psd_solve(state.phi_curr.copy(), op, None, PsdConfig(tol=1e-10))
         ffts = [0]
         for name in ("rfft", "irfft"):
             transform = getattr(Grid, name)
@@ -420,12 +419,21 @@ class TestPredictorStart:
                 return transform(grid, arr)
 
             monkeypatch.setattr(Grid, name, counted)
-        predicted, stats = psd_solve(state.phi_curr, op, None, cfg)
-        assert stats.converged and 0 < stats.iterations < copy_stats.iterations
+        predicted, stats = psd_solve(state.phi_curr, op)
+        assert stats.converged and stats.stopped_by == "truncation"
+        assert 0 < stats.iterations < copy_stats.iterations
         assert stats.residual_history[0] < 1e-2 * copy_stats.residual_history[0]
         assert ffts[0] == 2 * dim * stats.iterations + 2 * dim + 1  # the start costs none
-        gap = np.max(np.abs(predicted.values - copy_start.values))
-        assert gap <= 1e-8 * np.max(np.abs(copy_start.values))
+        # the linearly implicit BDF2 step, formed here from the operator's data
+        (p_k, p_km1), phi_k_hat = op.fluxes, op.spectra[0]
+        r = op.rhs_hat - op.implicit_sym * phi_k_hat - op.explicit_hat - op.dt * (2 * p_k - p_km1)
+        r[g.kernel_mask] = 0.0
+        phi_pred = Field(g, g.irfft(phi_k_hat + r / op.implicit_sym))
+        # the truncation test's promise: the iterate lies within a small
+        # multiple of KAPPA times its distance from the predictor
+        lte = norm_l2(Field(g, predicted.values - phi_pred.values))
+        gap = norm_l2(Field(g, predicted.values - exact.values))
+        assert 0.0 < gap <= 2.0 * psd.KAPPA * lte
 
 
 class TestSingleThreadedReductions:
