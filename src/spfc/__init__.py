@@ -5,28 +5,10 @@ command-line front end.
 """
 
 from .grid import Grid
-from .spectral import (
-    Field,
-    sample,
-    grad,
-    laplacian,
-    inner,
-    norm_l2,
-    norm_lp,
-    norm_h2,
-)
-from .model import (
-    Scheme,
-    ModelParams,
-    StepOperator,
-    energy,
-    nonlinear_operator,
-    rhs,
-    objective,
-    ManufacturedSolution,
-)
+from .spectral import Field, inner, norm_l2
+from .model import Scheme, ModelParams, StepOperator, energy, ManufacturedSolution
 from .psd import PsdConfig, SolveStats, psd_solve, solve_cubic_monotone
-from .stepper import SimState, EnergyRecord, ghost_init, initial_state, modified_energy, step, run
+from .stepper import SimState, EnergyRecord, ghost_init, initial_state, step, run
 from .harness import (
     PatternConfig,
     ConvergenceRow,

@@ -4,9 +4,9 @@ A :class:`Grid` describes a uniform lattice on the periodic box ``(0, L)^dim``
 with the same number of points ``n`` on every axis.  Spectral data live in
 numpy's real-FFT (rfft) layout: the last axis keeps the modes
 ``0 .. floor(n/2)``, the others the full signed range.  The symbol arrays of
-the operators in :mod:`spfc.spectral` and :mod:`spfc.model` are precomputed
-here in that layout, computed once per ``(dim, n, length)`` and shared,
-read-only, by every equal grid.
+the operators in :mod:`spfc.model` are precomputed here in that layout,
+computed once per ``(dim, n, length)`` and shared, read-only, by every equal
+grid.
 
 Wavenumber convention
 ---------------------

@@ -10,10 +10,11 @@ diffusion,
 and the dynamics is the H^-1 gradient flow ``d phi/dt = lap mu``.  One
 implicit BDF2 step with time step ``dt`` is equivalent to the nonlinear
 equation ``N[phi] = f`` on the mass hyperplane, which in turn is the
-Euler-Lagrange equation of the strictly convex objective implemented in
-:func:`objective`.  :class:`StepOperator` is one step: its data and the
-spectral-space form of all of this, used by the public functions here and the
-iterative solver in :mod:`spfc.psd`.  The two schemes differ only in
+Euler-Lagrange equation of the strictly convex objective
+:meth:`StepOperator.objective_value`.  :class:`StepOperator` is one step: its
+data and the spectral-space form of all of this, used by the iterative
+solver in :mod:`spfc.psd` and by the checks of :mod:`spfc.harness`.  The two
+schemes differ only in
 :meth:`ModelParams.concave_symbol`, the part of the quadratic energy they
 extrapolate.  The gradient, ``|grad phi|^2`` and the 4-Laplacian flux come
 from :func:`gradient`, :func:`grad_sq` and :func:`p_laplacian_hat` alone; the
@@ -44,9 +45,6 @@ __all__ = [
     "energy_hat",
     "modified_energy_hat",
     "energy",
-    "nonlinear_operator",
-    "rhs",
-    "objective",
     "ManufacturedSolution",
 ]
 
@@ -188,8 +186,7 @@ class StepOperator:
 
     Works on raw arrays: fields as rfft coefficient arrays (``*_hat``) plus,
     where the quartic term is involved, the physical gradient components from
-    :func:`gradient`.  The Field-level functions below and the PSD solver both
-    delegate here, so the scheme algebra exists exactly once.  ``spectra``
+    :func:`gradient`; the scheme algebra exists here exactly once.  ``spectra``
     holds the rfft coefficients of ``(phi_k, phi_km1)`` when they are already
     known (real-field projected, see :meth:`Grid.project_real`); otherwise
     they are transformed on first use.  ``fluxes`` holds the 4-Laplacian
@@ -312,7 +309,7 @@ class StepOperator:
 
 
 # ----------------------------------------------------------------------
-# public field-level operations
+# energies
 # ----------------------------------------------------------------------
 def energy_hat(grid: Grid, params: ModelParams, spec: np.ndarray, gsq: np.ndarray) -> float:
     """Discrete free energy of the field with rfft coefficients ``spec`` and
@@ -343,29 +340,6 @@ def energy(phi: Field, params: ModelParams) -> float:
     g = phi.grid
     spec = g.rfft(phi.values)
     return energy_hat(g, params, spec, grad_sq(gradient(g, spec)))
-
-
-def nonlinear_operator(phi: Field, op: StepOperator) -> Field:
-    """The step operator ``N[phi]`` (inverse Laplacian acts on the mean-zero
-    part of the BDF combination)."""
-    _require_same_mass(phi, op.phi_k, "nonlinear_operator is defined on the mass hyperplane")
-    g = op.grid
-    phi_hat = g.rfft(phi.values)
-    grad_comps = gradient(g, phi_hat)
-    return Field(g, g.irfft(op.nonlinear_hat(phi_hat, grad_comps, grad_sq(grad_comps))))
-
-
-def rhs(op: StepOperator) -> Field:
-    """Right-hand side ``f`` of ``N[phi] = f`` (source folded in if present)."""
-    return Field(op.grid, op.grid.irfft(op.rhs_hat))
-
-
-def objective(phi: Field, op: StepOperator, f: Field) -> float:
-    """Strictly convex objective minimized by the step solution."""
-    _require_same_mass(phi, op.phi_k, "objective is defined on the mass hyperplane")
-    g = op.grid
-    phi_hat = g.rfft(phi.values)
-    return op.objective_value(phi_hat, gradient(g, phi_hat), g.rfft(f.values))
 
 
 # ----------------------------------------------------------------------

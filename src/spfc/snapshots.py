@@ -35,7 +35,8 @@ ENERGY_HEADER = ",".join(ENERGY_COLUMNS) + "\n"
 
 
 class SnapshotError(ValueError):
-    """Malformed snapshot file (bad header, version/shape mismatch, short payload)."""
+    """Malformed snapshot file (bad header, version/shape mismatch, invalid
+    grid, short or non-finite payload)."""
 
 
 @dataclass
@@ -75,6 +76,8 @@ def write_snapshot(field: Field, meta: SnapshotMeta, path) -> None:
 
 
 def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
+    """The field and metadata of a snapshot file; any malformed file raises
+    :class:`SnapshotError`."""
     with open(path, "rb") as fh:
         header = bytearray()
         while True:
@@ -88,7 +91,10 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
                 raise SnapshotError("header too long; not a snapshot file")
         payload = fh.read()
 
-    parts = header.decode("utf-8").split()
+    try:
+        parts = header.decode("utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"header is not UTF-8: {exc}") from exc
     if not parts or parts[0] != MAGIC:
         raise SnapshotError(f"bad magic; expected {MAGIC!r}")
     kv = {}
@@ -112,16 +118,19 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
         raise SnapshotError(f"malformed header: {exc}") from exc
     if meta.version != FORMAT_VERSION:
         raise SnapshotError(f"unsupported format version {meta.version}")
-    if meta.dim not in (2, 3):
-        raise SnapshotError(f"bad dimension {meta.dim}")
-    expected = meta.n**meta.dim * 8
+    try:
+        grid = Grid(dim=meta.dim, n=meta.n, length=meta.length)
+    except ValueError as exc:
+        raise SnapshotError(f"bad grid: {exc}") from exc
+    expected = grid.size * 8
     if len(payload) != expected:
         raise SnapshotError(
             f"truncated payload: expected {expected} bytes, got {len(payload)}"
         )
-    values = np.frombuffer(payload, dtype="<f8").reshape((meta.n,) * meta.dim)
-    grid = Grid(dim=meta.dim, n=meta.n, length=meta.length)
-    return Field(grid, values.copy()), meta
+    try:
+        return Field(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()), meta
+    except ValueError as exc:
+        raise SnapshotError(f"bad payload: {exc}") from exc
 
 
 def energy_row(r: EnergyRecord) -> str:

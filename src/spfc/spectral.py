@@ -1,4 +1,4 @@
-"""Grid functions and the Fourier collocation calculus on them.
+"""Grid functions, the Fourier normalization they share, and their L2 norms.
 
 Normalization (fixed here, used everywhere)
 -------------------------------------------
@@ -19,13 +19,18 @@ With the ``h^dim``-weighted discrete L2 norm, Parseval reads
 ``spectral_norm_factor = L^dim / n^(2 dim)``.  ``h^dim * F[m]`` is the
 quadrature value of the continuum coefficient
 ``int f(x) exp(-2 pi i m . x / L) dx``.
+
+Derivatives act on rfft arrays only, through the symbols of :class:`Grid`
+(``ik``, ``lam``, ``lam_inv``) and the kernels of :mod:`spfc.model`
+(``gradient``, ``grad_sq``, ``p_laplacian_hat``): the calculus the solver
+runs is the only one.  This module holds the grid function itself and its
+nodal L2 inner product and norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,13 +38,8 @@ from .grid import Grid, sum_product
 
 __all__ = [
     "Field",
-    "sample",
-    "grad",
-    "laplacian",
     "inner",
     "norm_l2",
-    "norm_lp",
-    "norm_h2",
     "norm_h2_hat",
 ]
 
@@ -63,40 +63,12 @@ class Field:
             raise ValueError("field contains non-finite values")
         self.values = np.ascontiguousarray(v)
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
     def mean(self) -> float:
         """Plain nodal average; the discrete integral is ``mean * volume``."""
         return float(self.values.mean())
-
-
-# ----------------------------------------------------------------------
-# sampling and differential operators
-# ----------------------------------------------------------------------
-def sample(fn: Callable[..., np.ndarray], grid: Grid) -> Field:
-    """Pointwise evaluation of ``fn(x, y[, z])`` at the grid nodes."""
-    return Field(grid, np.asarray(fn(*grid.coords()), dtype=np.float64))
-
-
-def grad(f: Field) -> tuple[Field, ...]:
-    """Spectral gradient; one component Field per axis."""
-    spec = f.grid.rfft(f.values)
-    return tuple(Field(f.grid, f.grid.irfft(ik * spec)) for ik in f.grid.ik)
-
-
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian (symbol ``-4 pi^2 |m|^2 / L^2``)."""
-    grid = f.grid
-    return Field(grid, grid.irfft(-grid.lam * grid.rfft(f.values)))
 
 
 # ----------------------------------------------------------------------
@@ -111,19 +83,6 @@ def inner(f: Field, g: Field) -> float:
 
 def norm_l2(f: Field) -> float:
     return math.sqrt(inner(f, f))
-
-
-def norm_lp(f: Field, p: float) -> float:
-    """Discrete Lp norm (``h^dim`` weights); ``p = inf`` gives the max norm."""
-    if p == np.inf:
-        return float(np.max(np.abs(f.values)))
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return (f.grid.cell_volume * sum_product(np.abs(f.values) ** p)) ** (1.0 / p)
-
-
-def norm_h2(f: Field) -> float:
-    return norm_h2_hat(f.grid, f.grid.rfft(f.values))
 
 
 def norm_h2_hat(grid: Grid, spec: np.ndarray) -> float:

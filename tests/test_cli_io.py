@@ -191,6 +191,31 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotError, match="version"):
             read_snapshot(path)
 
+    @staticmethod
+    def _file(n="8", length="1.0", payload=np.zeros(64), tail=b""):
+        header = (f"spfcfield version=1 dim=2 n={n} length={length} time=0.0 step=0 "
+                  "scheme=bdf2_es_1 epsilon=0.5 A=0.1 seed=0").encode()
+        return header + tail + b"\n" + np.asarray(payload, dtype="<f8").tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": "2", "payload": np.zeros(4)},  # too small for a Grid
+            {"length": "nan"},
+            {"n": "-4", "payload": np.zeros(16)},  # n^dim * 8 bytes, n invalid
+            {"payload": np.full(64, np.nan)},
+            {"tail": b" \xff"},  # not UTF-8
+        ],
+        ids=["n=2", "length=nan", "n=-4", "nan-payload", "non-utf8"],
+    )
+    def test_malformed_file_raises_snapshot_error(self, tmp_path, kwargs):
+        path = tmp_path / "m.spfc"
+        path.write_bytes(self._file(**kwargs))
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+        path.write_bytes(self._file())  # the same file, well formed
+        assert read_snapshot(path)[1].n == 8
+
     def test_metadata_field_mismatch_rejected_on_write(self, tmp_path, rng):
         grid = Grid(dim=2, n=8, length=1.0)
         meta = SnapshotMeta(
@@ -211,7 +236,7 @@ class TestEnergyLog:
         grid = Grid(dim=2, n=16, length=2.0)
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = 0.4
-        e_value = energy(Field.constant(grid, c), params)
+        e_value = energy(Field(grid, np.full(grid.shape, c)), params)
         assert e_value == pytest.approx(0.5 * params.a * c**2 * grid.volume, rel=1e-13)
         rec = EnergyRecord(0, 0.0, e_value, e_value, c, 0.0, 0, 0.0)
         path = tmp_path / "e.csv"

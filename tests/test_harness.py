@@ -4,7 +4,7 @@ desk-scale convergence studies, pattern runs and the verification battery."""
 import numpy as np
 import pytest
 
-from spfc import Field, ModelParams, harness
+from spfc import Grid, ModelParams, harness
 from spfc.harness import (
     ConvergenceRow,
     PatternConfig,
@@ -174,12 +174,23 @@ class TestVerifySuite:
         assert "ALL CHECKS PASSED" in text
         assert "sbp_identities_2d_n16" in text
 
-    def test_mutated_symbol_turns_sbp_red(self, monkeypatch):
-        # scaling the Laplacian breaks identities 1 and 3 (2 scales both sides)
-        lap = harness.laplacian
-        monkeypatch.setattr(
-            harness, "laplacian", lambda f: Field(f.grid, (1.0 + 1e-6) * lap(f).values)
-        )
+    @pytest.mark.parametrize("symbol", ["lam", "ik"])
+    def test_mutated_symbol_turns_sbp_red(self, monkeypatch, symbol):
+        # a symbol scaled by 1 + 1e-6 breaks identities 1 and 3 (2 scales both
+        # sides with lam and has no gradient); only the SBP check sees it, so
+        # no symbol cache of a later check is built from the scaled one
+        original, sbp_defects = vars(Grid)[symbol], harness.sbp_defects
+
+        def scaled(grid):
+            value = original.__get__(grid)
+            return tuple(1.000001 * ik for ik in value) if symbol == "ik" else 1.000001 * value
+
+        def perturbed(*args):
+            with monkeypatch.context() as m:
+                m.setattr(Grid, symbol, property(scaled))
+                return sbp_defects(*args)
+
+        monkeypatch.setattr(harness, "sbp_defects", perturbed)
         report = verify_suite(profile="ci")
         sbp = [e for e in report.entries if e.name.startswith("sbp")]
         assert sbp and all(not e.passed for e in sbp)

@@ -8,18 +8,7 @@ import pytest
 
 import oracles
 from conftest import random_field
-from spfc import (
-    Field,
-    Grid,
-    ModelParams,
-    Scheme,
-    norm_l2,
-    objective,
-    psd_solve,
-    rhs,
-    sample,
-    solve_cubic_monotone,
-)
+from spfc import Field, Grid, ModelParams, Scheme, norm_l2, psd_solve, solve_cubic_monotone
 from spfc import initial_state, psd, run, step
 from spfc.model import (
     MeanMismatchError,
@@ -54,14 +43,14 @@ def precondition_solve(r, op):
     return Field(g, g.irfft(op.pre_inv * g.rfft(r.values)))
 
 
-def line_search_coefficients(phi, d, op, f):
+def line_search_coefficients(phi, d, op):
     """``(c0, c1, c2, c3)`` of the objective's directional derivative along
     ``d``, assembled from the step operator as ``psd_solve`` does."""
     g = op.grid
     phi_hat, d_hat = g.rfft(phi.values), g.rfft(d.values)
     grad_phi = gradient(g, phi_hat)
     gsq = grad_sq(grad_phi)
-    c0 = g.spectral_dot(op.nonlinear_hat(phi_hat, grad_phi, gsq) - g.rfft(f.values), d_hat)
+    c0 = g.spectral_dot(op.nonlinear_hat(phi_hat, grad_phi, gsq) - op.rhs_hat, d_hat)
     return op.line_coefficients(grad_phi, gsq, gradient(g, d_hat), d_hat, c0)
 
 
@@ -76,10 +65,11 @@ class TestPreconditionSolve:
     def test_single_mode_eigen_solve(self):
         g = Grid(dim=2, n=16, length=2.0)
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        c = Field.constant(g, 0.0)
+        c = Field(g, np.zeros(g.shape))
         dt = 0.05
         op = StepOperator(c, c.copy(), dt, params)
-        r = sample(lambda x, y: np.sin(2 * np.pi * x / 2.0), g)
+        x, y = g.coords()
+        r = Field(g, np.sin(2 * np.pi * x / 2.0))
         lam = (2 * np.pi / 2.0) ** 2
         symbol = 1.5 / lam + dt * lam + params.a * dt + params.reg_a * dt**2 * lam + dt * lam**2
         d = precondition_solve(r, op)
@@ -88,10 +78,11 @@ class TestPreconditionSolve:
     def test_scheme2_symbol(self):
         g = Grid(dim=2, n=16, length=2.0)
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=Scheme.BDF2_ES_2)
-        c = Field.constant(g, 0.0)
+        c = Field(g, np.zeros(g.shape))
         dt = 0.05
         op = StepOperator(c, c.copy(), dt, params)
-        r = sample(lambda x, y: np.sin(2 * np.pi * x / 2.0), g)
+        x, y = g.coords()
+        r = Field(g, np.sin(2 * np.pi * x / 2.0))
         lam = (2 * np.pi / 2.0) ** 2
         symbol = 1.5 / lam + dt * lam + dt * (1 - lam) ** 2 + params.reg_a * dt**2 * lam
         d = precondition_solve(r, op)
@@ -99,9 +90,9 @@ class TestPreconditionSolve:
 
     def test_constant_residual_gives_zero_direction(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        c = Field.constant(grid8, 0.1)
+        c = Field(grid8, np.full(grid8.shape, 0.1))
         op = StepOperator(c, c.copy(), 0.05, params)
-        d = precondition_solve(Field.constant(grid8, 3.0), op)
+        d = precondition_solve(Field(grid8, np.full(grid8.shape, 3.0)), op)
         assert np.max(np.abs(d.values)) < 1e-14
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -113,7 +104,7 @@ class TestPreconditionSolve:
         grid = Grid(dim=2, n=n, length=1.0)
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         dt = 0.05
-        c = Field.constant(grid, 0.0)
+        c = Field(grid, np.zeros(grid.shape))
         op = StepOperator(c, c.copy(), dt, params)
         raw = rng.standard_normal(grid.shape)
         if n % 2 == 0:
@@ -138,7 +129,7 @@ class TestPreconditionSolve:
 
     def test_direction_is_mean_free(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        c = Field.constant(grid8, 0.0)
+        c = Field(grid8, np.zeros(grid8.shape))
         op = StepOperator(c, c.copy(), 0.05, params)
         d = precondition_solve(random_field(grid8, rng), op)
         assert abs(d.mean()) < 1e-15
@@ -148,35 +139,36 @@ class TestLineSearchCoefficients:
     def test_zero_direction_gives_zero_polynomial(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        f = rhs(op)
-        coeffs = line_search_coefficients(op.phi_k, Field.zeros(grid8), op, f)
+        coeffs = line_search_coefficients(op.phi_k, Field(grid8, np.zeros(grid8.shape)), op)
         assert coeffs == (0.0, 0.0, 0.0, 0.0)
         assert solve_cubic_monotone(*coeffs) == 0.0
 
     def test_solution_has_zero_c0(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        f = rhs(op)
-        sol, _ = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-13))
+        sol, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13))
         d = random_field(grid8, rng, mean_zero=True)
-        c0, c1, _, _ = line_search_coefficients(sol, d, op, f)
+        c0, c1, _, _ = line_search_coefficients(sol, d, op)
         assert abs(c0) < 1e-10 * max(c1, 1.0)
-        assert abs(solve_cubic_monotone(*line_search_coefficients(sol, d, op, f))) < 1e-9
+        assert abs(solve_cubic_monotone(*line_search_coefficients(sol, d, op))) < 1e-9
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_polynomial_matches_objective_derivative(self, grid8, rng, scheme):
         params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
         op = make_step(grid8, rng, params)
-        f = rhs(op)
         phi = op.phi_k
         d = random_field(grid8, rng, mean_zero=True)
-        c0, c1, c2, c3 = line_search_coefficients(phi, d, op, f)
+        c0, c1, c2, c3 = line_search_coefficients(phi, d, op)
+        phi_hat, d_hat = grid8.rfft(phi.values), grid8.rfft(d.values)
+
+        def along(s):
+            p_hat = phi_hat + s * d_hat
+            return op.objective_value(p_hat, gradient(grid8, p_hat), op.rhs_hat)
+
         h = 1e-5
         for alpha in (-1.0, 0.0, 1.0):
             poly = ((c3 * alpha + c2) * alpha + c1) * alpha + c0
-            fp = objective(Field(grid8, phi.values + (alpha + h) * d.values), op, f)
-            fm = objective(Field(grid8, phi.values + (alpha - h) * d.values), op, f)
-            fd = (fp - fm) / (2 * h)
+            fd = (along(alpha + h) - along(alpha - h)) / (2 * h)
             assert poly == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(abs(c0), c1))
 
 class TestCubicRoot:
@@ -223,37 +215,34 @@ class TestPsdSolve:
     def test_exact_guess_converges_immediately(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        f = rhs(op)
-        sol, _ = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-12))
-        _, stats = psd_solve(sol, op, f, PsdConfig(tol=1e-9))
+        sol, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-12))
+        _, stats = psd_solve(sol, op, None, PsdConfig(tol=1e-9))
         assert stats.iterations <= 1
 
     def test_constant_steady_state(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        c = Field.constant(grid8, 0.4)
+        c = Field(grid8, np.full(grid8.shape, 0.4))
         op = StepOperator(c, c.copy(), 0.1, params)
-        sol, stats = psd_solve(c, op, rhs(op), PsdConfig(tol=1e-9))
+        sol, stats = psd_solve(c, op, None, PsdConfig(tol=1e-9))
         assert stats.converged and stats.iterations == 0
         assert np.max(np.abs(sol.values - 0.4)) < 1e-13
 
     def test_multistart_uniqueness(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params)
-        f = rhs(op)
         cfg = PsdConfig(tol=1e-11)
-        sol_a, _ = psd_solve(op.phi_k, op, f, cfg)
+        sol_a, _ = psd_solve(op.phi_k, op, None, cfg)
         other = Field(
             grid16,
             op.phi_k.mean() + (lambda v: v - v.mean())(rng.standard_normal(grid16.shape)),
         )
-        sol_b, _ = psd_solve(other, op, f, cfg)
+        sol_b, _ = psd_solve(other, op, None, cfg)
         assert norm_l2(Field(grid16, sol_a.values - sol_b.values)) < 1e-8
 
     def test_objective_monotone_and_mean_preserved(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=0.5)
-        f = rhs(op)
-        sol, stats = psd_solve(op.phi_k, op, f, PsdConfig(tol=1e-11, track_objective=True))
+        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-11, track_objective=True))
         hist = stats.objective_history
         assert len(hist) == stats.iterations + 1 > 1  # tracking is opt-in
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(hist, hist[1:]))

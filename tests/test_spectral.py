@@ -1,6 +1,7 @@
-"""Tests for the rfft layout and the collocation operators: transforms and
-symbols against a direct DFT oracle, operator identities, the inverse
-Laplacian, inner products and norms."""
+"""Tests for the rfft layout and the collocation calculus the solver runs:
+transforms and symbols against a direct DFT oracle, the gradient kernel and
+the Laplacian symbol, operator identities, the inverse Laplacian, inner
+products and norms."""
 
 import itertools
 
@@ -10,20 +11,11 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import random_field
-from spfc import (
-    Field,
-    Grid,
-    ModelParams,
-    grad,
-    inner,
-    laplacian,
-    norm_h2,
-    norm_l2,
-    norm_lp,
-    sample,
-)
+from spfc import Field, Grid, ModelParams, inner, norm_l2
 from spfc.grid import sum_product
-from spfc.model import StepOperator, _scheme_symbols, p_laplacian_hat
+from spfc.harness import CLAIMS, lemma_inequality_defects, sbp_identity_defects
+from spfc.model import StepOperator, _scheme_symbols, grad_sq, gradient, p_laplacian_hat
+from spfc.spectral import norm_h2_hat
 
 
 def signed_mode(grid, idx):
@@ -193,7 +185,7 @@ class TestField:
 class TestTransforms:
     def test_constant_has_only_zero_mode(self):
         g = Grid(dim=2, n=10, length=2.5)
-        spec = g.rfft(Field.constant(g, 1.0).values)
+        spec = g.rfft(Field(g, np.full(g.shape, 1.0)).values)
         assert g.cell_volume * spec[0, 0] == pytest.approx(g.volume, rel=1e-14)
         others = spec.copy()
         others[0, 0] = 0.0
@@ -201,7 +193,8 @@ class TestTransforms:
 
     def test_single_mode_two_coefficients(self):
         g = Grid(dim=2, n=16, length=3.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x / g.length), g)
+        x, y = g.coords()
+        f = Field(g, np.sin(2 * np.pi * x / g.length))
         spec = g.cell_volume * g.rfft(f.values)
         c_plus, c_minus = spec[1, 0], spec[-1, 0]
         assert abs(c_plus) == pytest.approx(abs(c_minus), rel=1e-12)
@@ -247,20 +240,10 @@ class TestTransforms:
         f = rng.standard_normal(g.shape)
         assert np.max(np.abs(g.irfft(g.rfft(f)) - f)) < 1e-12
 
-
-class TestSample:
-    def test_constant_function(self, grid8):
-        f = sample(lambda x, y: 3.0 + 0.0 * x, grid8)
-        assert np.all(f.values == 3.0)
-
-    def test_exact_solution_amplitude_bound(self):
-        g = Grid(dim=2, n=32, length=1.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) / (2 * np.pi), g)
-        assert np.max(np.abs(f.values)) <= 1.0 / (2.0 * np.pi) + 1e-15
-
     def test_sampled_sine_is_single_mode(self):
         g = Grid(dim=2, n=8, length=1.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
+        x, y = g.coords()
+        f = Field(g, np.sin(2 * np.pi * x))
         spec = g.cell_volume * g.rfft(f.values)
         expected = oracles.dft(f.values, 1.0)
         nonzero = {m for m, c in expected.items() if abs(c) > 1e-12}
@@ -270,36 +253,38 @@ class TestSample:
 
 
 class TestDerivatives:
+    """``model.gradient`` (the symbols ``Grid.ik``) and the Laplacian symbol
+    ``-Grid.lam``, applied in the rfft layout as the solver applies them."""
+
     def test_gradient_of_single_mode_exact(self):
         g = Grid(dim=2, n=16, length=5.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x / 5.0), g)
-        gx, gy = grad(f)
-        x = g.coords()[0]
+        x, y = g.coords()
+        gx, gy = gradient(g, g.rfft(np.sin(2 * np.pi * x / 5.0)))
         expected = (2 * np.pi / 5.0) * np.cos(2 * np.pi * x / 5.0)
-        assert np.max(np.abs(gx.values - expected)) < 1e-13
-        assert np.max(np.abs(gy.values)) < 1e-13
+        assert np.max(np.abs(gx - expected)) < 1e-13
+        assert np.max(np.abs(gy)) < 1e-13
 
     def test_gradient_of_constant_is_zero(self, grid8):
-        for comp in grad(Field.constant(grid8, 4.2)):
-            assert np.max(np.abs(comp.values)) < 1e-14
+        for comp in gradient(grid8, grid8.rfft(np.full(grid8.shape, 4.2))):
+            assert np.max(np.abs(comp)) < 1e-14
 
     def test_gradient_matches_dense_oracle_n8(self, grid8, rng):
         f = random_field(grid8, rng)
-        gx, gy = grad(f)
+        gx, gy = gradient(grid8, grid8.rfft(f.values))
         ox = oracles.derivative(f.values, 1.0, 0)
         oy = oracles.derivative(f.values, 1.0, 1)
         scale = max(np.max(np.abs(ox)), np.max(np.abs(oy)))
-        assert np.max(np.abs(gx.values - ox)) < 1e-12 * scale
-        assert np.max(np.abs(gy.values - oy)) < 1e-12 * scale
+        assert np.max(np.abs(gx - ox)) < 1e-12 * scale
+        assert np.max(np.abs(gy - oy)) < 1e-12 * scale
 
     def test_divergence_of_gradient_is_laplacian(self, rng):
         for n in (8, 9):  # even grid exercises the Nyquist folding
             g = Grid(dim=2, n=n, length=1.0)
-            f = random_field(g, rng)
-            composed = g.irfft(sum(ik * g.rfft(c.values) for ik, c in zip(g.ik, grad(f))))
-            direct = laplacian(f)
-            scale = np.max(np.abs(direct.values))
-            assert np.max(np.abs(composed - direct.values)) < 1e-12 * scale
+            spec = g.rfft(random_field(g, rng).values)
+            composed = g.irfft(sum(ik * g.rfft(c) for ik, c in zip(g.ik, gradient(g, spec))))
+            direct = g.irfft(-g.lam * spec)
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(composed - direct)) < 1e-12 * scale
 
     # the flux divergence of the 4-Laplacian, -div(|v|^2 v), applied to a
     # given vector field v
@@ -318,12 +303,14 @@ class TestDerivatives:
 
     def test_laplacian_eigenfunction(self):
         g = Grid(dim=2, n=16, length=1.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), g)
-        expected = -2.0 * (2 * np.pi) ** 2 * f.values
-        assert np.max(np.abs(laplacian(f).values - expected)) < 1e-11
+        x, y = g.coords()
+        f = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        expected = -2.0 * (2 * np.pi) ** 2 * f
+        assert np.max(np.abs(g.irfft(-g.lam * g.rfft(f)) - expected)) < 1e-11
 
     def test_laplacian_of_constant_is_zero(self, grid8):
-        assert np.max(np.abs(laplacian(Field.constant(grid8, 7.0)).values)) < 1e-14
+        lap = grid8.irfft(-grid8.lam * grid8.rfft(np.full(grid8.shape, 7.0)))
+        assert np.max(np.abs(lap)) < 1e-14
 
 
 class TestFractionalOperators:
@@ -336,7 +323,8 @@ class TestFractionalOperators:
 
     def test_inverse_on_single_mode(self):
         g = Grid(dim=2, n=16, length=2.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x / 2.0), g)
+        x, y = g.coords()
+        f = Field(g, np.sin(2 * np.pi * x / 2.0))
         expected = (2.0 / (2 * np.pi)) ** 2 * f.values
         assert np.max(np.abs(self.apply(f) - expected)) < 1e-13
 
@@ -353,14 +341,13 @@ class TestFractionalOperators:
 class TestNormsAndInner:
     def test_constant_on_unit_box(self):
         g = Grid(dim=2, n=12, length=1.0)
-        f = Field.constant(g, 1.0)
+        f = Field(g, np.full(g.shape, 1.0))
         assert norm_l2(f) == pytest.approx(1.0, rel=1e-14)
-        for p in (1, 2, 4, np.inf):
-            assert norm_lp(f, p) == pytest.approx(1.0, rel=1e-14)
 
     def test_sine_l2_norm(self):
         g = Grid(dim=2, n=16, length=1.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
+        x, y = g.coords()
+        f = Field(g, np.sin(2 * np.pi * x))
         assert norm_l2(f) ** 2 == pytest.approx(0.5, rel=1e-13)
 
     def test_inner_symmetric_bilinear(self, grid8, rng):
@@ -374,38 +361,63 @@ class TestNormsAndInner:
     def test_hm1_single_mode(self):
         # the solver's H^-1 residual norm
         g = Grid(dim=2, n=16, length=1.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
-        zero = Field.zeros(g)
+        x, y = g.coords()
+        f = Field(g, np.sin(2 * np.pi * x))
+        zero = Field(g, np.zeros(g.shape))
         op = StepOperator(zero, zero.copy(), 0.1, ModelParams(epsilon=0.3, reg_a=0.2))
         hm1 = op.residual_norm(g.rfft(f.values), "hm1")
         assert hm1 == pytest.approx(norm_l2(f) / (2 * np.pi), rel=1e-12)
 
     def test_h_norms_on_single_mode(self):
         g = Grid(dim=2, n=16, length=1.0)
-        f = sample(lambda x, y: np.sin(2 * np.pi * x), g)
+        x, y = g.coords()
+        f = Field(g, np.sin(2 * np.pi * x))
         lam = (2 * np.pi) ** 2
-        assert norm_h2(f) == pytest.approx(np.sqrt(1 + lam + lam**2) * norm_l2(f), rel=1e-12)
+        h2 = norm_h2_hat(g, g.rfft(f.values))
+        assert h2 == pytest.approx(np.sqrt(1 + lam + lam**2) * norm_l2(f), rel=1e-12)
 
     def test_parseval(self, grid16, rng):
         f = random_field(grid16, rng)
         spec = grid16.rfft(f.values)
         assert grid16.spectral_norm2_sq(spec) == pytest.approx(norm_l2(f) ** 2, rel=1e-12)
 
-    def test_norm_lp_rejects_bad_exponent(self, grid8):
-        with pytest.raises(ValueError):
-            norm_lp(Field.zeros(grid8), 0.5)
+
+@st.composite
+def sbp_case(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(3, 32 if dim == 2 else 15))
+    grid = Grid(dim, n, draw(st.floats(2.0 * np.pi, 16.0 * np.pi)))
+    return grid, draw(st.integers(0, 2**32 - 1))
 
 
 class TestSummationByParts:
-    """Module-level spot checks; the full battery runs in the acceptance suite."""
+    """The identities on the kernels the solver runs; the full battery runs
+    in the acceptance suite."""
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (2, 9), (3, 8)])
     def test_identities_on_random_pairs(self, dim, n, rng):
-        from spfc.harness import sbp_identity_defects
-
         g = Grid(dim=dim, n=n, length=1.0)
         defects = sbp_identity_defects(g, 10, rng)
         assert max(defects) < 1e-10
+
+    @given(case=sbp_case())
+    def test_identities_on_random_grids(self, case):
+        # the three identities of criterion 1, and the 4-Laplacian's
+        # <p_laplacian_hat(phi), psi> = <|grad phi|^2 grad phi, grad psi>,
+        # relative to the Cauchy-Schwarz bound of its right side
+        grid, seed = case
+        rng = np.random.default_rng(seed)
+        tol = CLAIMS["sbp_identities"].tol
+        assert max(sbp_identity_defects(grid, 3, rng)) <= tol
+        phi_hat, psi_hat = (grid.rfft(rng.standard_normal(grid.shape)) for _ in range(2))
+        grad_phi, grad_psi = gradient(grid, phi_hat), gradient(grid, psi_hat)
+        gsq = grad_sq(grad_phi)
+        flux = [gsq * c for c in grad_phi]
+        lhs = grid.spectral_dot(p_laplacian_hat(grid, grad_phi, gsq), psi_hat)
+        rhs = grid.cell_volume * sum(sum_product(a, b) for a, b in zip(flux, grad_psi))
+        bound = grid.cell_volume * np.sqrt(
+            sum_product(grad_sq(flux)) * sum_product(grad_sq(grad_psi)))
+        assert abs(lhs - rhs) <= tol * bound
 
     def test_first_identity_against_oracle_quadrature(self, grid8, rng):
         f = random_field(grid8, rng)
@@ -422,7 +434,5 @@ class TestSummationByParts:
 
 class TestInterpolationInequalities:
     def test_battery_small(self, grid16, rng):
-        from spfc.harness import lemma_inequality_defects
-
         excess = lemma_inequality_defects(grid16, 100, rng)
         assert max(excess) <= 1e-12

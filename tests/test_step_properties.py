@@ -101,7 +101,7 @@ def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():
 
 @given(grid=grids(), params=stable_params(), dt=dts, value=means)
 def test_constant_state_is_a_fixed_point(grid, params, dt, value):
-    state = initial_state(Field.constant(grid, value))
+    state = initial_state(Field(grid, np.full(grid.shape, value)))
     for _ in range(STEPS):
         stats = []
         state, _ = step(state, dt, params, stats_sink=stats.append)
