@@ -8,7 +8,7 @@ from .grid import Grid
 from .spectral import Field, inner, norm_l2
 from .model import Scheme, ModelParams, StepOperator, energy, ManufacturedSolution
 from .psd import PsdConfig, SolveStats, psd_solve, solve_cubic_monotone
-from .stepper import SimState, EnergyRecord, ghost_init, initial_state, step, run
+from .stepper import SimState, EnergyRecord, initial_state, step, run
 from .harness import (
     PatternConfig,
     ConvergenceRow,

@@ -32,11 +32,9 @@ profile               full                     full | ci (harness.CLAIMS size)  
 init.amplitude        0.05                     uniform noise amplitude, >= 0    sim
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
 init.site_profile     node                     node | gaussian                  sim
-init.history          copy                     copy | ghost                     sim
 solver.tol            1e-9                     in (0, 1); the floor that ends   sim
                                                every solve (``PsdConfig``)
 solver.max_iter       200                      >= 1                             sim
-solver.residual_norm  l2                       l2 | hm1                         sim
 ====================  =======================  ===============================  ============
 """
 
@@ -167,10 +165,8 @@ KEYS = {
         Key("init.sites", "pattern.sites", _list(";", "x:y:magnitude"), _SIM,
             text=_joined("; ")),
         Key("init.site_profile", "pattern.site_profile", str, _SIM),
-        Key("init.history", "pattern.history", str, _SIM),
         Key("solver.tol", "solver.tol", _number, _SIM),
         Key("solver.max_iter", "solver.max_iter", _integer, _SIM),
-        Key("solver.residual_norm", "solver.residual_norm", str, _SIM),
     )
 }
 

@@ -81,8 +81,8 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < float("inf"):
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     # ------------------------------------------------------------------
     # basic geometry

@@ -96,10 +96,9 @@ class PatternConfig:
     ``sites`` are nucleation impulses ``(x, y, magnitude)``; each adds its
     magnitude at the single nearest grid node (``site_profile="node"``) or as
     a periodic Gaussian bump of width ``2 h`` (``"gaussian"``).  ``reg_a``
-    defaults to the stability threshold ``epsilon^2 / 16``.  ``history`` is
-    the start rule of the two-level history, ``"copy"`` or ``"ghost"`` (see
-    :func:`spfc.stepper.initial_state`).  An invalid setup cannot be
-    constructed; each ``ValueError`` names the offending field first.
+    defaults to the stability threshold ``epsilon^2 / 16``.  An invalid
+    setup cannot be constructed; each ``ValueError`` names the offending
+    field first.
     """
 
     length: float = 100.0
@@ -112,7 +111,6 @@ class PatternConfig:
     dt_schedule: tuple[tuple[float, float], ...] = ((0.05, 100.0),)
     scheme: Scheme = Scheme.BDF2_ES_1
     site_profile: str = "node"
-    history: str = "copy"
 
     def __post_init__(self) -> None:
         self.grid()
@@ -130,8 +128,6 @@ class PatternConfig:
                 raise ValueError(f"sites: ({x}, {y}) lies outside (0, {self.length})^2")
         if self.site_profile not in ("node", "gaussian"):
             raise ValueError(f"site_profile must be node or gaussian, got {self.site_profile!r}")
-        if self.history not in ("copy", "ghost"):
-            raise ValueError(f"history must be copy or ghost, got {self.history!r}")
 
     def grid(self) -> Grid:
         return Grid(dim=2, n=self.n, length=self.length)
@@ -276,7 +272,7 @@ def pattern_experiment(
     grid = cfg.grid()
     params = cfg.params()
     phi0 = random_init(cfg, grid)
-    state0 = initial_state(phi0, params, cfg.dt_schedule[0][0], history=cfg.history)
+    state0 = initial_state(phi0)
     t_end = cfg.dt_schedule[-1][1]
     times = [t for t in snapshot_times if t <= t_end + 1e-9]
 

@@ -1,5 +1,6 @@
 """Square phase field crystal model: energy, chemical potentials and the
-per-step nonlinear operator / convex objective for both BDF2 variants.
+per-step nonlinear operator / convex objective for both BDF2 variants and
+their BDF1 start step.
 
 The free energy density combines a quartic gradient term with linear
 diffusion,
@@ -8,8 +9,8 @@ diffusion,
              - ||grad phi||_2^2 + 1/2 ||lap phi||_2^2,      a = 1 - epsilon,
 
 and the dynamics is the H^-1 gradient flow ``d phi/dt = lap mu``.  One
-implicit BDF2 step with time step ``dt`` is equivalent to the nonlinear
-equation ``N[phi] = f`` on the mass hyperplane, which in turn is the
+implicit BDF2 (or BDF1) step with time step ``dt`` is equivalent to the
+nonlinear equation ``N[phi] = f`` on the mass hyperplane, which in turn is the
 Euler-Lagrange equation of the strictly convex objective
 :meth:`StepOperator.objective_value`.  :class:`StepOperator` is one step: its
 data and the spectral-space form of all of this, used by the iterative
@@ -78,7 +79,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.reg_a < 0.0:
+        if not self.reg_a >= 0.0:
             raise ValueError(f"reg_a must be nonnegative, got {self.reg_a}")
 
     @property
@@ -165,65 +166,92 @@ def _lin_sym(grid: Grid, params: ModelParams, dt: float) -> np.ndarray:
     return lin_sym
 
 
-@lru_cache(maxsize=16)
-def _scheme_symbols(grid: Grid, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (implicit_sym, pre_inv) on the rfft layout for one (grid,
-    params, dt): ``1.5 lam_inv`` plus :func:`_lin_sym`, and the inverse
-    preconditioner."""
+def _step_symbols(
+    grid: Grid, params: ModelParams, dt: float, lead: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (implicit_sym, pre_inv) on the rfft layout of a step whose
+    time difference leads with ``lead phi`` (1 for BDF1, 3/2 for BDF2):
+    ``lead lam_inv`` plus :func:`_lin_sym`, and the inverse preconditioner."""
     lin_sym = _lin_sym(grid, params, dt)
-    pre_sym = 1.5 * grid.lam_inv + dt * grid.lam + lin_sym
+    pre_sym = lead * grid.lam_inv + dt * grid.lam + lin_sym
     pre_inv = np.where(grid.kernel_mask, 0.0, 1.0 / pre_sym)
-    implicit_sym = 1.5 * grid.lam_inv + lin_sym
+    implicit_sym = lead * grid.lam_inv + lin_sym
     for arr in (implicit_sym, pre_inv):
         arr.setflags(write=False)
     return implicit_sym, pre_inv
 
 
+@lru_cache(maxsize=16)
+def _scheme_symbols(grid: Grid, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The BDF2 step's :func:`_step_symbols`, shared by every step of a march
+    (a BDF1 step is one step, so its symbols are not kept)."""
+    return _step_symbols(grid, params, dt, 1.5)
+
+
 class StepOperator:
-    """One implicit step ``N[phi] = f``: the two history levels, the step
-    size, the model constants and an optional source at the new time level,
-    with the spectral-space machinery of the step.
+    """One implicit step ``N[phi] = f``: the history levels, the step size,
+    the model constants and an optional source at the new time level, with
+    the spectral-space machinery of the step.
+
+    With ``phi_km1`` the step is BDF2, time difference
+    ``3/2 phi - 2 phi^k + 1/2 phi^{k-1}`` and concave part extrapolated to
+    ``2 phi^k - phi^{k-1}``.  With ``phi_km1=None`` it is BDF1 with the same
+    convex split: time difference ``phi - phi^k``, concave part at ``phi^k``.
+    Both carry the Douglas-Dupont term ``A dt lam (phi - phi^k)``, and both
+    dissipate the modified energy when ``A >= eps^2/16``.
 
     Works on raw arrays: fields as rfft coefficient arrays (``*_hat``) plus,
     where the quartic term is involved, the physical gradient components from
     :func:`gradient`; the scheme algebra exists here exactly once.  ``spectra``
-    holds the rfft coefficients of ``(phi_k, phi_km1)`` when they are already
-    known (real-field projected, see :meth:`Grid.project_real`); otherwise
-    they are transformed on first use.  ``fluxes`` holds the 4-Laplacian
-    coefficients ``p = -div(|grad phi|^2 grad phi)`` of the two levels when a
-    march carries them; :func:`spfc.psd.psd_solve` then starts from the
+    holds the rfft coefficients of the levels, ``(phi_k, phi_km1)`` or
+    ``(phi_k,)``, when they are already known (real-field projected, see
+    :meth:`Grid.project_real`); otherwise they are transformed on first use.
+    ``fluxes`` holds the 4-Laplacian coefficients
+    ``p = -div(|grad phi|^2 grad phi)`` of the two levels of a BDF2 step when
+    a march carries them; :func:`spfc.psd.psd_solve` then starts from the
     linearly implicit BDF2 predictor instead of a copy of ``phi_k``.
 
     ``N[phi] = implicit_sym phi + explicit_hat + dt p_laplacian(phi)``.
     """
 
     def __init__(
-        self, phi_k: Field, phi_km1: Field, dt: float, params: ModelParams,
-        source: Optional[Field] = None, spectra: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        self, phi_k: Field, phi_km1: Optional[Field], dt: float, params: ModelParams,
+        source: Optional[Field] = None, spectra: Optional[tuple[np.ndarray, ...]] = None,
         fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ):
-        if phi_k.grid != phi_km1.grid:
-            raise ValueError("history levels live on different grids")
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if source is not None and source.grid != phi_k.grid:
             raise ValueError("source lives on a different grid")
-        _require_same_mass(phi_k, phi_km1, "history levels carry different mass")
-        self.phi_k, self.phi_km1, self.source = phi_k, phi_km1, source
         self.grid, self.params, self.dt = phi_k.grid, params, dt
-        self.implicit_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
+        if phi_km1 is None:
+            if fluxes is not None:
+                raise ValueError("a BDF1 step carries no fluxes")
+            self.lead = 1.0
+            self.implicit_sym, self.pre_inv = _step_symbols(self.grid, params, dt, self.lead)
+        else:
+            if phi_k.grid != phi_km1.grid:
+                raise ValueError("history levels live on different grids")
+            _require_same_mass(phi_k, phi_km1, "history levels carry different mass")
+            self.lead = 1.5
+            self.implicit_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
+        self.phi_k, self.phi_km1, self.source = phi_k, phi_km1, source
         self._flux_symbols = [-dt * ik for ik in self.grid.ik]
         self.fluxes = fluxes
         if spectra is not None:
             self.spectra = spectra
 
     @cached_property
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self.grid.rfft(phi.values) for phi in (self.phi_k, self.phi_km1))
+    def spectra(self) -> tuple[np.ndarray, ...]:
+        levels = (self.phi_k,) if self.phi_km1 is None else (self.phi_k, self.phi_km1)
+        return tuple(self.grid.rfft(phi.values) for phi in levels)
 
     @property
     def bdf_tail_hat(self) -> np.ndarray:
-        """The explicit part of ``3/2 phi - 2 phi^k + 1/2 phi^{k-1}``."""
+        """The explicit part of the time difference: ``-phi^k`` (BDF1) or
+        ``-2 phi^k + 1/2 phi^{k-1}`` (BDF2), as a fresh array."""
+        if self.phi_km1 is None:
+            return -self.spectra[0]
         phi_k_hat, phi_km1_hat = self.spectra
         tail = -2.0 * phi_k_hat
         tail += 0.5 * phi_km1_hat
@@ -238,11 +266,13 @@ class StepOperator:
 
     @cached_property
     def rhs_hat(self) -> np.ndarray:
-        """Coefficients of the step's right-hand side ``f``: the extrapolated
-        concave part and the regularization (and the source, if any)."""
+        """Coefficients of the step's right-hand side ``f``: the concave part
+        at ``phi^k`` (BDF1) or extrapolated (BDF2), and the regularization
+        (and the source, if any)."""
         g, p, dt = self.grid, self.params, self.dt
-        phi_k_hat, phi_km1_hat = self.spectra
-        out = dt * p.concave_symbol(g.lam) * (2.0 * phi_k_hat - phi_km1_hat)
+        phi_k_hat = self.spectra[0]
+        concave_at = phi_k_hat if self.phi_km1 is None else 2.0 * phi_k_hat - self.spectra[1]
+        out = dt * p.concave_symbol(g.lam) * concave_at
         out += p.reg_a * dt**2 * g.lam * phi_k_hat
         if self.source is not None:
             # fold the source through (-lap)^{-1}; kernel modes (and with
@@ -271,8 +301,8 @@ class StepOperator:
         g = self.grid
         gsq = grad_sq(grad_comps)
         bdf_hat = self.bdf_tail_hat
-        bdf_hat += 1.5 * phi_hat
-        val = g.spectral_norm2_sq(bdf_hat, g.lam_inv) / 3.0
+        bdf_hat += self.lead * phi_hat
+        val = g.spectral_norm2_sq(bdf_hat, g.lam_inv) / (2.0 * self.lead)
         val += 0.25 * self.dt * g.cell_volume * sum_product(gsq, gsq)
         val += 0.5 * g.spectral_norm2_sq(phi_hat, _lin_sym(g, self.params, self.dt))
         return val - g.spectral_dot(f_hat, phi_hat)
@@ -303,9 +333,9 @@ class StepOperator:
         c1 += self.grid.spectral_dot(d_hat, np.multiply(self.implicit_sym, d_hat, out=spec))
         return c0, c1, c2, c3
 
-    def residual_norm(self, r_hat: np.ndarray, which: str = "l2", work=None) -> float:
-        weighted = np.multiply(self.grid.lam_inv, r_hat, out=work) if which == "hm1" else r_hat
-        return math.sqrt(self.grid.spectral_dot(r_hat, weighted))
+    def residual_norm(self, r_hat: np.ndarray) -> float:
+        """The solver's residual norm: l2 of the field with coefficients ``r_hat``."""
+        return math.sqrt(self.grid.spectral_dot(r_hat, r_hat))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ With ``StepOperator.fluxes`` a solve from ``op.phi_k`` starts, at no
 transform, from the linearly implicit BDF2 step ``phi_pred`` (flux
 extrapolated as ``2 p^k - p^{k-1}``, linear part solved per mode), unless
 the copy already passes the floor ``res <= tol (1 + ||f||)``: a state at
-equilibrium stays frozen.
+equilibrium stays frozen.  A BDF1 step carries no fluxes: it starts from
+the copy and stops at the floor only.
 
 Stopping.  Every solve stops at the floor.  A predictor-started solve also
 stops, from iteration 1 on, at the step's own truncation error, when both
@@ -24,7 +25,8 @@ stops, from iteration 1 on, at the step's own truncation error, when both
   (energy test), which keeps the modified energy non-increasing for the
   returned iterate.
 
-The energy test's constant.  Pair ``N[phi] - f = -r`` with ``delta`` and
+The energy test's constant.  It is derived for BDF2 steps, the only ones
+that carry fluxes.  Pair ``N[phi] - f = -r`` with ``delta`` and
 ``delta^k = phi^k - phi^{k-1}``.  The BDF2 term, the convex-concave split
 and the regularization give, with ``E~`` the modified energy of
 :func:`spfc.model.modified_energy_hat`, exactly
@@ -97,16 +99,14 @@ class PsdConfig:
 
     ``tol`` sets the floor ``res <= tol (1 + ||f||)``, which ends every solve;
     a predictor-started solve may stop earlier, at its truncation error (see
-    the module docstring).  ``residual_norm`` selects the norm of the
-    mean-projected nonlinear residual ``res`` (``"l2"`` or ``"hm1"``).
-    ``track_objective`` records the objective at every iterate in
-    :attr:`SolveStats.objective_history`, an independent evaluation that
-    costs about a third of a solve at N=256.
+    the module docstring); ``res`` is the l2 norm of the mean-projected
+    nonlinear residual.  ``track_objective`` records the objective at every
+    iterate in :attr:`SolveStats.objective_history`, an independent
+    evaluation that costs about a third of a solve at N=256.
     """
 
     tol: float = 1e-9
     max_iter: int = 200
-    residual_norm: str = "l2"
     track_objective: bool = False
 
     def __post_init__(self) -> None:
@@ -114,8 +114,6 @@ class PsdConfig:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.residual_norm not in ("l2", "hm1"):
-            raise ValueError(f"residual_norm must be l2 or hm1, got {self.residual_norm!r}")
 
 
 @dataclass
@@ -263,7 +261,7 @@ def psd_solve(
     phi_hat[zero_idx] = mass_coeff
 
     f_hat = op.rhs_hat if f is None else grid.rfft(f.values)
-    f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat), cfg.residual_norm)
+    f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat))
     target = cfg.tol * (1.0 + f_norm)
 
     # work arrays of the whole solve, updated in place
@@ -277,7 +275,7 @@ def psd_solve(
         r_hat += np.multiply(op.dt, p_k, out=d_hat)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
-        if op.residual_norm(r_hat, cfg.residual_norm, d_hat) > target:
+        if op.residual_norm(r_hat) > target:
             # not a fixed point: the linearly implicit BDF2 step is the copy
             # plus (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes
             r_hat += np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
@@ -292,7 +290,7 @@ def psd_solve(
         op.nonlinear_hat(phi_hat, g, gsq, r_hat, tmp)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
-        res = op.residual_norm(r_hat, cfg.residual_norm, d_hat)
+        res = op.residual_norm(r_hat)
         stats.residual_history.append(res)
         if cfg.track_objective:
             stats.objective_history.append(op.objective_value(phi_hat, g, f_hat))

@@ -8,6 +8,7 @@ Python's shortest round-trip decimal form, so write/read is lossless.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Grid
+from .model import ModelParams, Scheme
 from .spectral import Field
 from .stepper import EnergyRecord
 
@@ -36,7 +38,7 @@ ENERGY_HEADER = ",".join(ENERGY_COLUMNS) + "\n"
 
 class SnapshotError(ValueError):
     """Malformed snapshot file (bad header, version/shape mismatch, invalid
-    grid, short or non-finite payload)."""
+    grid or model constants, short or non-finite payload)."""
 
 
 @dataclass
@@ -120,8 +122,11 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
         raise SnapshotError(f"unsupported format version {meta.version}")
     try:
         grid = Grid(dim=meta.dim, n=meta.n, length=meta.length)
+        ModelParams(meta.epsilon, meta.reg_a, Scheme(meta.scheme))
     except ValueError as exc:
-        raise SnapshotError(f"bad grid: {exc}") from exc
+        raise SnapshotError(f"bad header: {exc}") from exc
+    if not math.isfinite(meta.time) or meta.step < 0 or meta.seed < 0:
+        raise SnapshotError(f"bad header: time={meta.time} step={meta.step} seed={meta.seed}")
     expected = grid.size * 8
     if len(payload) != expected:
         raise SnapshotError(

@@ -1,6 +1,13 @@
-"""Time integration driver: history initialization, BDF2 stepping through
-the PSD solver, modified-energy accounting, mass tracking and time-step
-schedules with history restarts.
+"""Time integration driver: BDF2 stepping through the PSD solver,
+modified-energy accounting, mass tracking and time-step schedules.
+
+One start rule: a step is BDF1 (:class:`spfc.model.StepOperator` with no
+``phi_km1``) when the state carries no history level at its ``dt``, and BDF2
+otherwise.  That makes the first step of every march BDF1, and the first
+step after a segment boundary where ``dt`` changes; a boundary with
+unchanged ``dt`` carries the history on.  The BDF1 step dissipates the
+modified energy at any step ratio, and its local error is second order, so
+the march stays second order in time.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from .model import (
     grad_sq,
     gradient,
     modified_energy_hat,
-    p_laplacian_hat,
 )
 from .psd import PsdConfig, SolveStats, psd_solve
 from .spectral import Field, norm_h2_hat
@@ -27,7 +33,6 @@ __all__ = [
     "SimState",
     "EnergyRecord",
     "StepFailureError",
-    "ghost_init",
     "initial_state",
     "step",
     "run",
@@ -41,20 +46,22 @@ class StepFailureError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Two-level state of the march plus conserved-mass bookkeeping.
+    """State of the march plus conserved-mass bookkeeping.
 
-    ``spectra``: the rfft coefficients of ``(phi_curr, phi_prev)``, carried
-    from the solver and never modified in place; ``None`` on a state built by
-    hand, whose next step transforms the fields.  ``fluxes``: their 4-Laplacian
-    coefficients, for the next solve's start (see :mod:`spfc.psd`); ``None``
-    before the first step, which starts from the copy of ``phi_curr``."""
+    ``phi_prev`` is the history level, ``None`` where the march has none at
+    the coming step's ``dt`` (its next step is BDF1).  ``spectra``: the rfft
+    coefficients of ``(phi_curr, phi_prev)``, or ``(phi_curr,)`` with no
+    history, carried from the solver and never modified in place; ``None`` on
+    a state built by hand, whose next step transforms the fields.
+    ``fluxes``: their 4-Laplacian coefficients, for the next BDF2 solve's
+    start (see :mod:`spfc.psd`); ``None`` where there is no history."""
 
     phi_curr: Field
-    phi_prev: Field
+    phi_prev: Optional[Field]
     time: float
     step_index: int
     mass0: float
-    spectra: Optional[tuple[np.ndarray, np.ndarray]] = None
+    spectra: Optional[tuple[np.ndarray, ...]] = None
     fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
@@ -72,61 +79,13 @@ class EnergyRecord:
     final_residual: float
 
 
-def ghost_init(
-    phi0: Field,
-    dt: float,
-    params: ModelParams,
-    source: Optional[Field] = None,
-) -> Field:
-    """Second-order history extrapolation ``phi^{-1} = phi^0 - dt * lap(mu^0)``.
-
-    ``source`` (the forcing at t = 0, if the problem has one) enters on the
-    time-derivative side like everywhere else; the mean of ``phi^{-1}``
-    equals the mean of ``phi^0`` to round-off.
-    """
-    g = phi0.grid
-    spec = g.rfft(phi0.values)
-    # chemical potential of the initial state
-    mu_hat = params.energy_symbol(g.lam) * spec
-    mu_hat += p_laplacian_hat(g, gradient(g, spec))
-    rate_hat = -g.lam * mu_hat
-    if source is not None:
-        src_hat = g.rfft(source.values)
-        src_hat[(0,) * g.dim] = 0.0  # forcing carries no mass
-        rate_hat = rate_hat + src_hat
-    rate = g.irfft(rate_hat)
-    rate -= rate.mean()  # exact in exact arithmetic; pins the mass mode
-    return Field(g, phi0.values - dt * rate)
-
-
-def initial_state(
-    phi0: Field,
-    params: Optional[ModelParams] = None,
-    dt: Optional[float] = None,
-    history: str = "copy",
-    source: Optional[Field] = None,
-) -> SimState:
-    """Build the two-level start state.
-
-    ``history="copy"`` starts from ``phi^{-1} = phi^0``, the rule :func:`run`
-    also uses at every segment boundary.  It is first order in time: on a
-    smooth 2D state (n = 32, eps = 0.5, A = eps^2/16, T = 1, scheme 1) the
-    error at T goes 1.71e-2 -> 8.82e-4 for 25 -> 400 steps, against
-    1.04e-3 -> 4.35e-6 from the ghost start.  ``history="ghost"`` uses
-    :func:`ghost_init` and requires ``params`` and ``dt``; it is second
-    order, but on rough data its explicit step of a sixth-order operator
-    gives a ghost level of size 1e3, whose first solve can stall.  ROADMAP.md
-    item 2 replaces both rules with a variable-step BDF2 start.
-    """
-    if history == "copy":
-        phi_prev = phi0.copy()
-    elif history == "ghost":
-        if params is None or dt is None:
-            raise ValueError("ghost history needs params and dt")
-        phi_prev = ghost_init(phi0, dt, params, source)
-    else:
+def initial_state(phi0: Field, history: str = "copy") -> SimState:
+    """The start state of a march: ``phi0`` at ``t = 0`` with no history
+    level, so the first step is BDF1.  ``history`` accepts only ``"copy"``,
+    the name of the old default rule, and is kept for callers that pass it."""
+    if history != "copy":
         raise ValueError(f"unknown history rule {history!r}")
-    return SimState(phi0, phi_prev, time=0.0, step_index=0, mass0=phi0.mean())
+    return SimState(phi0, None, time=0.0, step_index=0, mass0=phi0.mean())
 
 
 def _record(
@@ -150,9 +109,10 @@ def step(
     source: Optional[Field] = None,
     stats_sink: Optional[Callable[[SolveStats], None]] = None,
 ) -> tuple[SimState, EnergyRecord]:
-    """Advance one BDF2 step, the :class:`StepOperator` of ``state`` solved by
-    :func:`psd_solve`; returns the new state and its diagnostics row, which
-    comes from the solver's final spectrum with no transform of its own."""
+    """Advance one step, the :class:`StepOperator` of ``state`` (BDF1 when it
+    has no history level) solved by :func:`psd_solve`; returns the new state
+    and its diagnostics row, which comes from the solver's final spectrum
+    with no transform of its own."""
     op = StepOperator(state.phi_curr, state.phi_prev, dt, params, source, state.spectra,
                       state.fluxes)
     final: list = []
@@ -223,14 +183,11 @@ def run(
 ) -> SimState:
     """March through a schedule of ``(dt, t_end)`` segments.
 
-    At every segment boundary the two-level history is re-seeded with
-    ``phi^{-1} = phi^0`` (current field), even when ``dt`` does not change.
-    Like the copy start of :func:`initial_state`, this is first order in
-    time: from a ghost start, the schedule ``[(dt, 0.5), (dt, 1)]`` errs
-    7.73e-3 -> 8.82e-4 for 50 -> 400 steps on the problem measured there,
-    against 2.71e-4 -> 4.35e-6 for one segment (ROADMAP.md item 2).  Energy
-    records are emitted every step, snapshots at the first state reaching
-    each requested time.
+    At a segment boundary where ``dt`` changes the history level is dropped,
+    so the segment starts with a BDF1 step; at an unchanged ``dt`` the
+    history carries on.  Energy records are emitted every step (the
+    ``t = 0`` row's E_mod is E where ``state0`` has no history), snapshots at
+    the first state reaching each requested time.
     """
     steps = segment_steps(schedule, state0.time)
     if not params.stable_guarantee:
@@ -257,15 +214,16 @@ def run(
         g, phi = state.phi_curr.grid, state.phi_curr.values
         spec = g.rfft(phi)
         gsq = grad_sq(gradient(g, spec))
-        delta_hat = g.rfft(phi - state.phi_prev.values)
+        if state.phi_prev is None:
+            delta_hat = np.zeros_like(spec)
+        else:
+            delta_hat = g.rfft(phi - state.phi_prev.values)
         energy_sink(_record(state, first_dt, params, spec, gsq, delta_hat, 0, 0.0))
     emit_snapshots(state, first_dt)
 
     for seg_index, ((dt, _), n_steps) in enumerate(zip(schedule, steps)):
-        if seg_index > 0:
-            spec, flux = state.spectra[0], state.fluxes[0]
-            state = replace(state, phi_prev=state.phi_curr.copy(), spectra=(spec, spec.copy()),
-                            fluxes=(flux, flux.copy()))
+        if seg_index > 0 and dt != schedule[seg_index - 1][0]:
+            state = replace(state, phi_prev=None, spectra=state.spectra[:1], fluxes=None)
         t_start = state.time
         for j in range(n_steps):
             try:

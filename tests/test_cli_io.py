@@ -77,9 +77,9 @@ class TestParseConfig:
             ("schedule = ", "schedule"),
             ("seed = -1", "seed"),
             ("init.amplitude = -0.1", "init.amplitude"),
-            ("init.history = ghosts", "init.history"),
+            ("init.history = copy", "init.history"),  # removed keys are unknown
             ("init.site_profile = box", "init.site_profile"),
-            ("solver.residual_norm = h1", "solver.residual_norm"),
+            ("solver.residual_norm = l2", "solver.residual_norm"),
             ("model.A = -1", "model.A"),
         ],
     )
@@ -192,21 +192,36 @@ class TestSnapshotFormat:
             read_snapshot(path)
 
     @staticmethod
-    def _file(n="8", length="1.0", payload=np.zeros(64), tail=b""):
-        header = (f"spfcfield version=1 dim=2 n={n} length={length} time=0.0 step=0 "
-                  "scheme=bdf2_es_1 epsilon=0.5 A=0.1 seed=0").encode()
-        return header + tail + b"\n" + np.asarray(payload, dtype="<f8").tobytes()
+    def _file(payload=np.zeros(64), tail=b"", **fields):
+        values = {"n": "8", "length": "1.0", "time": "0.0", "step": "0", "scheme": "bdf2_es_1",
+                  "epsilon": "0.5", "A": "0.1", "seed": "0"} | fields
+        header = "spfcfield version=1 dim=2 " + " ".join(f"{k}={v}" for k, v in values.items())
+        return header.encode() + tail + b"\n" + np.asarray(payload, dtype="<f8").tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n": "2", "payload": np.zeros(4)},  # too small for a Grid
             {"length": "nan"},
+            {"length": "inf"},
             {"n": "-4", "payload": np.zeros(16)},  # n^dim * 8 bytes, n invalid
             {"payload": np.full(64, np.nan)},
             {"tail": b" \xff"},  # not UTF-8
+            {"time": "nan"},
+            {"time": "inf"},
+            {"step": "-3"},
+            {"scheme": "bogus"},
+            {"epsilon": "7"},
+            {"epsilon": "0.0"},
+            {"A": "-1"},
+            {"A": "nan"},
+            {"seed": "-2"},
+            {"length": "inf", "time": "nan", "step": "-3", "scheme": "bogus", "epsilon": "7",
+             "A": "-1", "seed": "-2"},
         ],
-        ids=["n=2", "length=nan", "n=-4", "nan-payload", "non-utf8"],
+        ids=["n=2", "length=nan", "length=inf", "n=-4", "nan-payload", "non-utf8", "time=nan",
+             "time=inf", "step=-3", "scheme=bogus", "epsilon=7", "epsilon=0", "A=-1", "A=nan",
+             "seed=-2", "all-bad"],
     )
     def test_malformed_file_raises_snapshot_error(self, tmp_path, kwargs):
         path = tmp_path / "m.spfc"
@@ -469,14 +484,10 @@ class TestCli:
                      "--set", f"output_dir={tmp_path / 'b'}"]) == 0
         assert not list((tmp_path / "b").glob("snap_*.spfc"))
 
-    def test_ghost_history_changes_energy_log(self, tmp_path):
-        cfg = self._write_cfg(tmp_path)
-        logs = {}
-        for rule in ("copy", "ghost"):
-            out = tmp_path / rule
-            args = ["--set", f"init.history={rule}", "--set", f"output_dir={out}"]
-            short = ["--set", "schedule=0.05:0.2", "--set", "snapshot_times=0.2"]
-            assert main(["simulate", "--config", cfg] + short + args) == 0
-            assert f"init.history = {rule}" in (out / "config.resolved").read_text()
-            logs[rule] = (out / "energy.csv").read_bytes()
-        assert logs["copy"] != logs["ghost"]
+    @pytest.mark.parametrize(
+        "key, value", [("init.history", "copy"), ("solver.residual_norm", "l2")])
+    def test_removed_key_exits_two(self, tmp_path, capsys, key, value):
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n{key} = {value}\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"config key {key!r} (line 9): unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -44,10 +44,8 @@ VALUES = {
         lambda sites: "; ".join(":".join(site) for site in sites)
     ),
     "init.site_profile": st.sampled_from(["node", "gaussian"]),
-    "init.history": st.sampled_from(["copy", "ghost"]),
     "solver.tol": _reals(1e-14, 0.5),
     "solver.max_iter": st.integers(1, 1000).map(str),
-    "solver.residual_norm": st.sampled_from(["l2", "hm1"]),
 }
 
 

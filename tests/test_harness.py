@@ -76,7 +76,6 @@ class TestPatternConfig:
             ({"dt_schedule": ((0.3, 1.0),)}, "dt_schedule"),
             ({"dt_schedule": ((0.1, 1.0), (0.1, 0.5))}, "dt_schedule"),
             ({"site_profile": "box"}, "site_profile"),
-            ({"history": "ghosts"}, "history"),
         ],
     )
     def test_invalid_setup_names_its_field_first(self, kwargs, field):

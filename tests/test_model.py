@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import random_field
-from spfc import Field, Grid, ModelParams, Scheme, energy, ghost_init, norm_l2
+from spfc import Field, Grid, ModelParams, Scheme, energy, norm_l2
 from spfc.model import (
     ManufacturedSolution,
     MeanMismatchError,
@@ -19,12 +19,12 @@ from spfc.model import (
 from spfc.psd import PsdConfig, psd_solve
 
 
-def make_step(grid, rng, params, dt=0.05, scale=0.2):
+def make_step(grid, rng, params, dt=0.05, scale=0.2, bdf1=False):
     phi_k = random_field(grid, rng, scale=scale)
     shift = rng.standard_normal(grid.shape) * scale
     shift -= shift.mean()
     phi_km1 = Field(grid, phi_k.values + shift)
-    return StepOperator(phi_k, phi_km1, dt, params)
+    return StepOperator(phi_k, None if bdf1 else phi_km1, dt, params)
 
 
 def on_hyperplane(op, rng, scale=0.1):
@@ -67,9 +67,12 @@ def chemical_potential(phi, op):
 
 
 def lap_mu_zero(phi0, params):
-    """Laplacian of the initial chemical potential, read off ``ghost_init``:
-    with dt = 1 the ghost level is ``phi0 - lap(mu^0)``."""
-    return phi0.values - ghost_init(phi0, 1.0, params).values
+    """Laplacian of the chemical potential, ``-lam (energy_symbol phi + p)``
+    in the rfft layout."""
+    g = phi0.grid
+    spec = g.rfft(phi0.values)
+    mu_hat = params.energy_symbol(g.lam) * spec + p_laplacian_hat(g, gradient(g, spec))
+    return g.irfft(-g.lam * mu_hat)
 
 
 class TestModelParams:
@@ -213,15 +216,6 @@ class TestWorkBuffers:
         assert (op.line_coefficients(grads, gsq, e, d_hat, -1.0)
                 == op.line_coefficients(grads, gsq, e, d_hat, -1.0, work))
 
-    @pytest.mark.parametrize("dim,n", [(2, 8), (3, 7)])
-    @pytest.mark.parametrize("which", ["l2", "hm1"])
-    def test_residual_norm_ignores_a_dirty_buffer(self, dim, n, which, rng):
-        g = Grid(dim=dim, n=n, length=7.0)
-        op = make_step(g, rng, ModelParams(epsilon=0.3, reg_a=0.2))
-        r_hat = g.rfft(rng.standard_normal(g.shape))
-        work = (1e3 * rng.standard_normal(g.rshape)).astype(complex)
-        assert op.residual_norm(r_hat, which, work) == op.residual_norm(r_hat, which)
-
 
 class TestChemicalPotential:
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -267,7 +261,7 @@ class TestChemicalPotential:
 
 class TestMuZero:
     def test_constant(self, grid8):
-        # mu^0 = a c is constant, so the ghost level moves nowhere
+        # mu^0 = a c is constant, so its Laplacian vanishes
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         assert np.max(np.abs(lap_mu_zero(Field(grid8, np.full(grid8.shape, 0.4)), params))) < 1e-13
 
@@ -348,6 +342,37 @@ class TestNonlinearOperatorAndRhs:
         result = grid8.irfft(op.rhs_hat)
         assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bdf1_operator_and_rhs_match_term_oracle(self, grid8, rng, scheme):
+        # time difference phi - phi^k, concave part at phi^k, the same
+        # Douglas-Dupont term
+        params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
+        op = make_step(grid8, rng, params, dt=0.07, bdf1=True)
+        assert op.phi_km1 is None and len(op.spectra) == 1
+        shift = 0.1 * rng.standard_normal(grid8.shape)
+        phi = Field(grid8, op.phi_k.values + shift - shift.mean())
+        v, vk, dt = phi.values, op.phi_k.values, op.dt
+        expected = oracles.inv_neg_laplacian(v - vk, 1.0)
+        expected += dt * oracles.p_laplacian(v, 1.0)
+        expected += -params.reg_a * dt**2 * oracles.laplacian(v, 1.0)
+        lap_v = oracles.laplacian(v, 1.0)
+        if scheme is Scheme.BDF2_ES_1:
+            expected += dt * (params.a * v + oracles.laplacian(lap_v, 1.0))
+            rhs = -2 * dt * oracles.laplacian(vk, 1.0)
+        else:
+            expected += dt * (v + 2 * lap_v + oracles.laplacian(lap_v, 1.0))
+            rhs = dt * params.epsilon * vk
+        rhs += -params.reg_a * dt**2 * oracles.laplacian(vk, 1.0)
+        result = grid8.irfft(n_hat(op, grid8.rfft(phi.values)))
+        assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(grid8.irfft(op.rhs_hat) - rhs)) < 1e-10 * np.max(np.abs(rhs))
+
+    def test_bdf1_step_takes_no_fluxes(self, grid8):
+        c = Field(grid8, np.full(grid8.shape, 0.6))
+        zero = np.zeros(grid8.rshape, dtype=complex)
+        with pytest.raises(ValueError, match="no fluxes"):
+            StepOperator(c, None, 0.1, ModelParams(epsilon=0.3, reg_a=0.2), fluxes=(zero, zero))
+
     def test_solved_step_satisfies_operator_equation(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
@@ -360,20 +385,29 @@ class TestNonlinearOperatorAndRhs:
 
 
 class TestObjective:
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_directional_derivative_identity(self, grid8, rng, scheme):
-        params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
-        op = make_step(grid8, rng, params)
+    @staticmethod
+    def check_directional_derivative(op, rng):
+        g = op.grid
         phi = on_hyperplane(op, rng)
-        d = rng.standard_normal(grid8.shape)
+        d = rng.standard_normal(g.shape)
         d -= d.mean()
-        d /= norm_l2(Field(grid8, d))
+        d /= norm_l2(Field(g, d))
         h = 1e-5
         along = objective_along(op, phi, d)
         fd = (along(h) - along(-h)) / (2 * h)
-        residual = grid8.irfft(n_hat(op, grid8.rfft(phi.values)) - op.rhs_hat)
-        pairing = grid8.cell_volume * float(np.sum(residual * d))
+        residual = g.irfft(n_hat(op, g.rfft(phi.values)) - op.rhs_hat)
+        pairing = g.cell_volume * float(np.sum(residual * d))
         assert fd == pytest.approx(pairing, rel=1e-5)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_directional_derivative_identity(self, grid8, rng, scheme):
+        params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
+        self.check_directional_derivative(make_step(grid8, rng, params), rng)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bdf1_directional_derivative_identity(self, grid8, rng, scheme):
+        params = ModelParams(epsilon=0.3, reg_a=0.2, scheme=scheme)
+        self.check_directional_derivative(make_step(grid8, rng, params, bdf1=True), rng)
 
     def test_zero_states_zero_objective(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)

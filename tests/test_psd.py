@@ -55,7 +55,7 @@ def line_search_coefficients(phi, d, op):
 
 
 class TestPsdConfig:
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": 1.5}, {"max_iter": 0}, {"residual_norm": "h7"}])
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": 1.5}, {"max_iter": 0}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PsdConfig(**kwargs)
@@ -260,14 +260,6 @@ class TestPsdSolve:
         _, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13, max_iter=1))
         assert not stats.converged
         assert stats.iterations == 1
-
-    def test_hm1_residual_norm_mode(self, grid16, rng):
-        params = ModelParams(epsilon=0.3, reg_a=0.2)
-        op = make_step(grid16, rng, params)
-        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-10, residual_norm="hm1"))
-        assert stats.converged
-        ref, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-12))
-        assert norm_l2(Field(grid16, sol.values - ref.values)) < 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_nonfinite_residual_stops_at_once(self, grid16, rng):

@@ -14,7 +14,7 @@ from conftest import random_field
 from spfc import Field, Grid, ModelParams, inner, norm_l2
 from spfc.grid import sum_product
 from spfc.harness import CLAIMS, lemma_inequality_defects, sbp_identity_defects
-from spfc.model import StepOperator, _scheme_symbols, grad_sq, gradient, p_laplacian_hat
+from spfc.model import _scheme_symbols, grad_sq, gradient, p_laplacian_hat
 from spfc.spectral import norm_h2_hat
 
 
@@ -359,14 +359,12 @@ class TestNormsAndInner:
         )
 
     def test_hm1_single_mode(self):
-        # the solver's H^-1 residual norm
+        # the H^-1 norm of E_mod and of the truncation stop's energy test
         g = Grid(dim=2, n=16, length=1.0)
         x, y = g.coords()
         f = Field(g, np.sin(2 * np.pi * x))
-        zero = Field(g, np.zeros(g.shape))
-        op = StepOperator(zero, zero.copy(), 0.1, ModelParams(epsilon=0.3, reg_a=0.2))
-        hm1 = op.residual_norm(g.rfft(f.values), "hm1")
-        assert hm1 == pytest.approx(norm_l2(f) / (2 * np.pi), rel=1e-12)
+        hm1_sq = g.spectral_norm2_sq(g.rfft(f.values), g.lam_inv)
+        assert np.sqrt(hm1_sq) == pytest.approx(norm_l2(f) / (2 * np.pi), rel=1e-12)
 
     def test_h_norms_on_single_mode(self):
         g = Grid(dim=2, n=16, length=1.0)

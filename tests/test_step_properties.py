@@ -1,11 +1,13 @@
-"""Hypothesis properties of the BDF2 step over the parameter space, not only
-at the paper's points: mass is conserved, the modified energy does not
-increase when ``A >= eps^2/16`` (also for iterates returned at the
-truncation stop of :mod:`spfc.psd`), and constant states are fixed points.
+"""Hypothesis properties of the BDF2 step and its BDF1 start over the
+parameter space, not only at the paper's points: mass is conserved, the
+modified energy does not increase when ``A >= eps^2/16`` (across a change
+of ``dt`` too, and for iterates returned at the truncation stop of
+:mod:`spfc.psd`), and constant states are fixed points.
 
-Each example marches from a copied history level (the default start) on a
-small grid (dim 2 or 3, odd or even ``n``) with either scheme; the examples
-are drawn by the ``spfc`` profile registered in ``conftest.py``.
+Each example marches from a state with no history (so its first step is
+BDF1) on a small grid (dim 2 or 3, odd or even ``n``) with either scheme;
+the examples are drawn by the ``spfc`` profile registered in
+``conftest.py``.
 """
 
 import numpy as np
@@ -44,16 +46,21 @@ means = st.floats(-1.0, 1.0)
     grid=grids(),
     params=stable_params(),
     dt=dts,
+    ratio=st.floats(0.25, 10.0),
     mean=means,
     amplitude=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_mass_conserved_and_modified_energy_non_increasing(grid, params, dt, mean, amplitude, seed):
+def test_mass_conserved_and_modified_energy_non_increasing(
+    grid, params, dt, ratio, mean, amplitude, seed
+):
+    # two segments, dt then ratio * dt: each starts with a BDF1 step, which
+    # dissipates E_mod at any step ratio
     rng = np.random.default_rng(seed)
     phi0 = Field(grid, mean + amplitude * (2.0 * rng.random(grid.shape) - 1.0))
-    records = []
-    run([(dt, STEPS * dt)], initial_state(phi0), params,
-        energy_sink=records.append)
+    records, half = [], STEPS // 2
+    run([(dt, half * dt), (ratio * dt, half * dt + half * ratio * dt)], initial_state(phi0),
+        params, energy_sink=records.append)
     assert len(records) == STEPS + 1
     # The first solve zeroes phi0's content on the kernel modes of -lap other
     # than the mass (they exist on even grids); E loses a/2 of its squared norm
@@ -86,7 +93,7 @@ def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():
         records, stats = [], []
         run([(dt, 5 * dt)], initial_state(phi0), params,
             energy_sink=records.append, stats_sink=stats.append)
-        assert stats[0].stopped_by == "floor"  # step 1 starts from the copy
+        assert stats[0].stopped_by == "floor"  # step 1 is BDF1, started from the copy
         for s in stats[1:]:
             assert s.stopped_by == "floor" or (s.stopped_by == "truncation" and s.iterations > 0)
             stops.append(s.stopped_by)
