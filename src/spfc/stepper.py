@@ -1,10 +1,11 @@
 """Time integration driver: BDF2 stepping through the PSD solver,
 modified-energy accounting, mass tracking and time-step schedules.
 
-One start rule: a step is BDF1 (:class:`spfc.model.StepOperator` with no
-``phi_km1``) when the state carries no history level at its ``dt``, and BDF2
+One start rule, applied by :func:`step`: a step is BDF1
+(:class:`spfc.model.StepOperator` with no ``phi_km1``) when the state carries
+no history level at its ``dt`` (``SimState.history_dt``), and BDF2
 otherwise.  That makes the first step of every march BDF1, and the first
-step after a segment boundary where ``dt`` changes; a boundary with
+step after a change of ``dt``, at a segment boundary or between calls; an
 unchanged ``dt`` carries the history on.  The BDF1 step dissipates the
 modified energy at any step ratio, and its local error is second order, so
 the march stays second order in time.
@@ -13,7 +14,7 @@ the march stays second order in time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,11 +49,12 @@ class StepFailureError(RuntimeError):
 class SimState:
     """State of the march plus conserved-mass bookkeeping.
 
-    ``phi_prev`` is the history level, ``None`` where the march has none at
-    the coming step's ``dt`` (its next step is BDF1).  ``spectra``: the rfft
-    coefficients of ``(phi_curr, phi_prev)``, or ``(phi_curr,)`` with no
-    history, carried from the solver and never modified in place; ``None`` on
-    a state built by hand, whose next step transforms the fields.
+    ``phi_prev`` is the history level, one step of ``history_dt`` before
+    ``phi_curr``, or ``None``; the next step is BDF2 only when its ``dt``
+    equals ``history_dt`` (see :func:`step`).  ``spectra``: the rfft
+    coefficients of ``(phi_curr, phi_prev)``, carried from the solver and
+    never modified in place; ``None`` on a state built by hand, whose next
+    step transforms the fields.
     ``fluxes``: their 4-Laplacian coefficients, for the next BDF2 solve's
     start (see :mod:`spfc.psd`); ``None`` where there is no history."""
 
@@ -61,6 +63,7 @@ class SimState:
     time: float
     step_index: int
     mass0: float
+    history_dt: Optional[float] = None
     spectra: Optional[tuple[np.ndarray, ...]] = None
     fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -88,6 +91,12 @@ def initial_state(phi0: Field, history: str = "copy") -> SimState:
     return SimState(phi0, None, time=0.0, step_index=0, mass0=phi0.mean())
 
 
+def _history_level(state: SimState, dt: float) -> Optional[Field]:
+    """The history level a step of ``dt`` from ``state`` uses: ``phi_prev``
+    when it lies one step of ``dt`` back, else ``None`` (the step is BDF1)."""
+    return state.phi_prev if state.history_dt == dt else None
+
+
 def _record(
     state: SimState, dt: float, params: ModelParams, spec: np.ndarray, gsq: np.ndarray,
     delta_hat: np.ndarray, iters: int, residual: float,
@@ -110,11 +119,16 @@ def step(
     stats_sink: Optional[Callable[[SolveStats], None]] = None,
 ) -> tuple[SimState, EnergyRecord]:
     """Advance one step, the :class:`StepOperator` of ``state`` (BDF1 when it
-    has no history level) solved by :func:`psd_solve`; returns the new state
-    and its diagnostics row, which comes from the solver's final spectrum
-    with no transform of its own."""
-    op = StepOperator(state.phi_curr, state.phi_prev, dt, params, source, state.spectra,
-                      state.fluxes)
+    has no history level at ``dt``) solved by :func:`psd_solve`; returns the
+    new state and its diagnostics row, which comes from the solver's final
+    spectrum with no transform of its own."""
+    phi_km1 = _history_level(state, dt)
+    if phi_km1 is not None:
+        op = StepOperator(state.phi_curr, phi_km1, dt, params, source, state.spectra,
+                          state.fluxes)
+    else:
+        spectra = None if state.spectra is None else state.spectra[:1]
+        op = StepOperator(state.phi_curr, None, dt, params, source, spectra)
     final: list = []
     try:
         phi_new, stats = psd_solve(
@@ -137,6 +151,7 @@ def step(
         time=state.time + dt,
         step_index=state.step_index + 1,
         mass0=state.mass0,
+        history_dt=dt,
         spectra=(phi_hat, op.spectra[0]),
         fluxes=(flux, flux if op.fluxes is None else op.fluxes[0]),
     )
@@ -183,11 +198,11 @@ def run(
 ) -> SimState:
     """March through a schedule of ``(dt, t_end)`` segments.
 
-    At a segment boundary where ``dt`` changes the history level is dropped,
-    so the segment starts with a BDF1 step; at an unchanged ``dt`` the
-    history carries on.  Energy records are emitted every step (the
-    ``t = 0`` row's E_mod is E where ``state0`` has no history), snapshots at
-    the first state reaching each requested time.
+    Each step applies the start rule of :func:`step`, so a segment whose
+    ``dt`` differs from the step before it starts with a BDF1 step.  Energy
+    records are emitted every step (the ``t = 0`` row's E_mod is E where
+    ``state0`` has no history at the first ``dt``), snapshots at the first
+    state reaching each requested time.
     """
     steps = segment_steps(schedule, state0.time)
     if not params.stable_guarantee:
@@ -214,16 +229,15 @@ def run(
         g, phi = state.phi_curr.grid, state.phi_curr.values
         spec = g.rfft(phi)
         gsq = grad_sq(gradient(g, spec))
-        if state.phi_prev is None:
+        phi_km1 = _history_level(state, first_dt)
+        if phi_km1 is None:
             delta_hat = np.zeros_like(spec)
         else:
-            delta_hat = g.rfft(phi - state.phi_prev.values)
+            delta_hat = g.rfft(phi - phi_km1.values)
         energy_sink(_record(state, first_dt, params, spec, gsq, delta_hat, 0, 0.0))
     emit_snapshots(state, first_dt)
 
     for seg_index, ((dt, _), n_steps) in enumerate(zip(schedule, steps)):
-        if seg_index > 0 and dt != schedule[seg_index - 1][0]:
-            state = replace(state, phi_prev=None, spectra=state.spectra[:1], fluxes=None)
         t_start = state.time
         for j in range(n_steps):
             try:

@@ -42,26 +42,8 @@ dts = st.floats(1e-3, 1.0)
 means = st.floats(-1.0, 1.0)
 
 
-@given(
-    grid=grids(),
-    params=stable_params(),
-    dt=dts,
-    ratio=st.floats(0.25, 10.0),
-    mean=means,
-    amplitude=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_mass_conserved_and_modified_energy_non_increasing(
-    grid, params, dt, ratio, mean, amplitude, seed
-):
-    # two segments, dt then ratio * dt: each starts with a BDF1 step, which
-    # dissipates E_mod at any step ratio
-    rng = np.random.default_rng(seed)
-    phi0 = Field(grid, mean + amplitude * (2.0 * rng.random(grid.shape) - 1.0))
-    records, half = [], STEPS // 2
-    run([(dt, half * dt), (ratio * dt, half * dt + half * ratio * dt)], initial_state(phi0),
-        params, energy_sink=records.append)
-    assert len(records) == STEPS + 1
+def assert_mass_conserved_and_modified_energy_non_increasing(records, phi0, params):
+    grid = phi0.grid
     # The first solve zeroes phi0's content on the kernel modes of -lap other
     # than the mass (they exist on even grids); E loses a/2 of its squared norm
     # and E_mod's step-difference term gains concave(0)/2 of it, so E_mod may
@@ -77,6 +59,47 @@ def test_mass_conserved_and_modified_energy_non_increasing(
         assert abs(curr.mass - prev.mass) <= MASS_TOL * (1.0 + abs(prev.mass))
         allowance = jump if k == 0 else 0.0
         assert curr.E_mod - prev.E_mod <= allowance + EMOD_TOL * abs(prev.E_mod)
+
+
+@given(
+    grid=grids(),
+    params=stable_params(),
+    dt=dts,
+    mean=means,
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mass_conserved_and_modified_energy_non_increasing(grid, params, dt, mean, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    phi0 = Field(grid, mean + amplitude * (2.0 * rng.random(grid.shape) - 1.0))
+    records = []
+    run([(dt, STEPS * dt)], initial_state(phi0), params,
+        energy_sink=records.append)
+    assert len(records) == STEPS + 1
+    assert_mass_conserved_and_modified_energy_non_increasing(records, phi0, params)
+
+
+@given(
+    grid=grids(),
+    params=stable_params(),
+    dt=dts,
+    ratio=st.floats(0.25, 10.0),
+    mean=means,
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modified_energy_non_increasing_across_a_change_of_dt(
+    grid, params, dt, ratio, mean, amplitude, seed
+):
+    # STEPS steps of dt, then STEPS of ratio * dt; the second segment starts
+    # with a BDF1 step, which dissipates E_mod at any step ratio
+    rng = np.random.default_rng(seed)
+    phi0 = Field(grid, mean + amplitude * (2.0 * rng.random(grid.shape) - 1.0))
+    records, t1 = [], STEPS * dt
+    run([(dt, t1), (ratio * dt, t1 + STEPS * ratio * dt)], initial_state(phi0), params,
+        energy_sink=records.append)
+    assert len(records) == 2 * STEPS + 1
+    assert_mass_conserved_and_modified_energy_non_increasing(records, phi0, params)
 
 
 def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():

@@ -102,6 +102,7 @@ class TestStep:
             time=0.0,
             step_index=0,
             mass0=0.0,
+            history_dt=dt,
         )
         src = mms.spatial_source(g, dt, dt, params)
         new_state, _ = step(state, dt, params, PsdConfig(tol=1e-13), source=src)
@@ -236,6 +237,32 @@ class TestStartRule:
         one = self.final_field([(0.02, 1.0)])
         split = self.final_field([(0.02, 0.5), (0.02, 1.0)])
         assert one.tobytes() == split.tobytes()
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_chained_runs_take_the_steps_of_one_run(self, grid16, rng, ratio):
+        # the state records its history's dt, so a second run at a new dt
+        # starts with BDF1 and one at the same dt carries the history on,
+        # as a segment boundary does
+        params = ModelParams(epsilon=0.5, reg_a=0.015625)
+        state0 = initial_state(smooth_field(grid16, rng))
+        joined = run([(0.05, 0.5), (0.05 * ratio, 1.0)], state0, params)
+        chained = run([(0.05 * ratio, 1.0)], run([(0.05, 0.5)], state0, params), params)
+        assert chained.history_dt == 0.05 * ratio
+        assert chained.phi_curr.values.tobytes() == joined.phi_curr.values.tobytes()
+
+    def test_step_at_a_new_dt_is_bdf1(self, grid16, rng):
+        params = ModelParams(epsilon=0.5, reg_a=0.015625)
+        state = initial_state(smooth_field(grid16, rng))
+        for _ in range(2):
+            state, _ = step(state, 0.05, params)
+        assert state.history_dt == 0.05 and state.fluxes is not None
+        for dt, phi_km1 in ((0.1, None), (0.05, state.phi_prev)):
+            spectra = state.spectra if phi_km1 is not None else state.spectra[:1]
+            fluxes = state.fluxes if phi_km1 is not None else None
+            op = StepOperator(state.phi_curr, phi_km1, dt, params, None, spectra, fluxes)
+            expected, _ = psd_solve(state.phi_curr, op)
+            new, _ = step(state, dt, params)
+            assert new.phi_curr.values.tobytes() == expected.values.tobytes()
 
 
 def band_field(grid, rng, mean=0.1, amplitude=0.05):
