@@ -5,7 +5,7 @@ command-line front end.
 """
 
 from .grid import Grid
-from .spectral import Field, inner, norm_l2
+from .spectral import Field, norm_l2
 from .model import Scheme, ModelParams, StepOperator, energy, ManufacturedSolution
 from .psd import PsdConfig, SolveStats, psd_solve, solve_cubic_monotone
 from .stepper import SimState, EnergyRecord, initial_state, step, run

@@ -10,9 +10,11 @@ diffusion,
 
 and the dynamics is the H^-1 gradient flow ``d phi/dt = lap mu``.  One
 implicit BDF2 (or BDF1) step with time step ``dt`` is equivalent to the
-nonlinear equation ``N[phi] = f`` on the mass hyperplane, which in turn is the
-Euler-Lagrange equation of the strictly convex objective
-:meth:`StepOperator.objective_value`.  :class:`StepOperator` is one step: its
+nonlinear equation ``N[phi] = f`` off the kernel of ``-lap``, whose modes
+(the mass, and the pure-Nyquist modes of even grids) keep their values in
+``phi^k``; that equation in turn is the Euler-Lagrange equation of the
+strictly convex objective :meth:`StepOperator.objective_value`.
+:class:`StepOperator` is one step: its
 data and the spectral-space form of all of this, used by the iterative
 solver in :mod:`spfc.psd` and by the checks of :mod:`spfc.harness`.  The two
 schemes differ only in

@@ -4,8 +4,9 @@ Each iteration solves the constant-coefficient search-direction problem
 ``L[d] = r - mean(r)`` exactly per Fourier mode (``L`` is the linearization
 of the step operator, with the quartic term linearized at unit gradient
 magnitude), then minimizes the strictly convex objective along ``d`` by
-finding the unique root of a monotone cubic.  Iterate means are invariant:
-search directions carry no mass.
+finding the unique root of a monotone cubic.  The kernel modes of ``-lap``
+(the mean, and on even grids the pure-Nyquist modes) are those of ``phi^k``
+in every iterate: search directions have no kernel content.
 
 With ``StepOperator.fluxes`` a solve from ``op.phi_k`` starts, at no
 transform, from the linearly implicit BDF2 step ``phi_pred`` (flux
@@ -99,9 +100,9 @@ class PsdConfig:
 
     ``tol`` sets the floor ``res <= tol (1 + ||f||)``, which ends every solve;
     a predictor-started solve may stop earlier, at its truncation error (see
-    the module docstring); ``res`` is the l2 norm of the mean-projected
-    nonlinear residual.  ``track_objective`` records the objective at every
-    iterate in :attr:`SolveStats.objective_history`, an independent
+    the module docstring); ``res`` is the l2 norm of the nonlinear residual
+    off the kernel of ``-lap``.  ``track_objective`` records the objective at
+    every iterate in :attr:`SolveStats.objective_history`, an independent
     evaluation that costs about a third of a solve at N=256.
     """
 
@@ -129,16 +130,14 @@ class SolveStats:
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
     converged: bool = False
     objective_history: list = field(default_factory=list)
     stopped_by: Optional[str] = None
 
-    def finalize(self) -> None:
+    @property
+    def contraction_ratios(self) -> list:
         res = self.residual_history
-        self.contraction_ratios = [
-            res[i] / res[i - 1] for i in range(2, len(res)) if res[i - 1] > 0.0
-        ]
+        return [res[i] / res[i - 1] for i in range(2, len(res)) if res[i - 1] > 0.0]
 
 
 def solve_cubic_monotone(c0: float, c1: float, c2: float, c3: float) -> float:
@@ -228,15 +227,15 @@ def _truncated(op: StepOperator, phi_hat, r_hat, d_hat, update, work) -> bool:
 def psd_solve(
     phi_guess: Field,
     op: StepOperator,
-    f: Optional[Field] = None,
     cfg: Optional[PsdConfig] = None,
     final_sink: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[Field, SolveStats]:
-    """Solve ``N[phi] = f`` of the step ``op`` on the mass hyperplane of ``op.phi_k``.
+    """Solve the step ``op``, ``N[phi] = f``, from a guess on the mass
+    hyperplane of ``op.phi_k``, with every kernel mode of ``-lap`` taken
+    from ``op.phi_k``.
 
-    ``f`` defaults to the step's own right-hand side.  Returns the solution
-    and the iteration diagnostics (the stopping tests are in the module
-    docstring); raises :class:`PsdDivergenceError` when
+    Returns the solution and the iteration diagnostics (the stopping tests
+    are in the module docstring); raises :class:`PsdDivergenceError` when
     the residual is not finite, grows by more than 10x over five
     consecutive iterations, or falls by less than 10x over ``STALL_WINDOW``.
     ``final_sink``, if given, receives the solution's rfft coefficients
@@ -251,16 +250,12 @@ def psd_solve(
         phi_hat = op.spectra[0].copy()
     else:
         phi_hat = grid.rfft(phi_guess.values)
-    # drop derivative-kernel content (Nyquist on even grids) except the mass
-    # mode: the minimization determines those modes as zero and the
-    # preconditioner cannot move them
-    zero_idx = (0,) * grid.dim
-    mass_coeff = phi_hat[zero_idx]
+    # the step's rows on the kernel of -lap (the mass, and the pure-Nyquist
+    # modes of even grids) keep those modes at phi^k; no direction moves them
     kernel = np.nonzero(grid.kernel_mask)
-    phi_hat[kernel] = 0.0
-    phi_hat[zero_idx] = mass_coeff
+    phi_hat[kernel] = op.spectra[0][kernel]
 
-    f_hat = op.rhs_hat if f is None else grid.rfft(f.values)
+    f_hat = op.rhs_hat
     f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat))
     target = cfg.tol * (1.0 + f_norm)
 
@@ -299,10 +294,8 @@ def psd_solve(
             stats.converged, stats.stopped_by = True, "floor"
             break
         if not math.isfinite(res):
-            stats.finalize()
             raise PsdDivergenceError(f"residual is {res} at iteration {it}")
         if failure := _diverged(stats.residual_history):
-            stats.finalize()
             raise PsdDivergenceError(
                 f"residual {failure} at iteration {it}: "
                 f"history tail {stats.residual_history[-6:]}"
@@ -325,7 +318,6 @@ def psd_solve(
             e_comp *= alpha
             comp += e_comp
         del e, e_comp  # free the direction's gradient before the next one
-    stats.finalize()
     phi = Field(grid, grid.irfft(phi_hat))
     if final_sink is not None:
         # the solution's flux from its last residual: N[phi] = f - r

@@ -24,7 +24,7 @@ Derivatives act on rfft arrays only, through the symbols of :class:`Grid`
 (``ik``, ``lam``, ``lam_inv``) and the kernels of :mod:`spfc.model`
 (``gradient``, ``grad_sq``, ``p_laplacian_hat``): the calculus the solver
 runs is the only one.  This module holds the grid function itself and its
-nodal L2 inner product and norm.
+nodal L2 norm.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .grid import Grid, sum_product
 
 __all__ = [
     "Field",
-    "inner",
     "norm_l2",
     "norm_h2_hat",
 ]
@@ -72,17 +71,11 @@ class Field:
 
 
 # ----------------------------------------------------------------------
-# inner products and norms
+# norms
 # ----------------------------------------------------------------------
-def inner(f: Field, g: Field) -> float:
-    """Discrete L2 inner product ``h^dim * sum f_i g_i``."""
-    if f.grid != g.grid:
-        raise ValueError("inner product of fields on different grids")
-    return f.grid.cell_volume * sum_product(f.values, g.values)
-
-
 def norm_l2(f: Field) -> float:
-    return math.sqrt(inner(f, f))
+    """Discrete L2 norm ``sqrt(h^dim * sum f_i^2)``."""
+    return math.sqrt(f.grid.cell_volume * sum_product(f.values, f.values))
 
 
 def norm_h2_hat(grid: Grid, spec: np.ndarray) -> float:

@@ -132,7 +132,7 @@ def step(
     final: list = []
     try:
         phi_new, stats = psd_solve(
-            state.phi_curr, op, None, psd_cfg, lambda *solution: final.extend(solution)
+            state.phi_curr, op, psd_cfg, lambda *solution: final.extend(solution)
         )
     except RuntimeError as exc:
         raise StepFailureError(f"step {state.step_index + 1} (t -> {state.time + dt:g}): {exc}") from exc

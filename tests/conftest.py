@@ -28,6 +28,14 @@ def random_field(grid: Grid, rng, mean_zero: bool = False, scale: float = 1.0) -
     return Field(grid, values)
 
 
+def assert_kernel_modes_kept(op, phi: Field) -> None:
+    """The kernel modes of ``-lap`` of a solution of the step ``op`` are
+    those of ``phi^k``."""
+    g = op.grid
+    kept, start = g.rfft(phi.values)[g.kernel_mask], op.spectra[0][g.kernel_mask]
+    assert np.max(np.abs(kept - start)) <= 1e-13 * (1.0 + np.max(np.abs(start)))
+
+
 @pytest.fixture
 def grid8():
     return Grid(dim=2, n=8, length=1.0)

@@ -67,7 +67,7 @@ def pattern_runs():
         def resolve_from_copy(st, dt=dt, params=cfg.params()):
             t = time.process_time()
             op = StepOperator(st.phi_curr, st.phi_prev, dt, params, None, st.spectra)
-            copy_stats.append(psd_solve(st.phi_curr, op, None, PsdConfig())[1])
+            copy_stats.append(psd_solve(st.phi_curr, op, PsdConfig())[1])
             resolve_seconds[0] += time.process_time() - t
 
         t0 = time.process_time()

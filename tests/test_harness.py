@@ -124,6 +124,22 @@ class TestStudiesDeskScale:
         rows = spatial_convergence_study([6, 8], dt_fixed=1e-4, params=params, t_final=0.005)
         assert rows[0].error_l2 > 1e4 * rows[1].error_l2
 
+    def test_wrapped_solver_binding_gets_the_config(self, monkeypatch):
+        # the benchmark wraps harness.psd_solve with this signature and
+        # forwarding; the study's PsdConfig must reach the solver through it
+        args = ([6], 1e-4, ModelParams(0.025, 0.25), 4e-4)
+        expected = spatial_convergence_study(*args)
+        solve, calls = harness.psd_solve, []
+
+        def checked_solve(phi_guess, ctx, f=None, cfg=None):
+            calls.append(ctx)
+            return solve(phi_guess, ctx, f, cfg)
+
+        monkeypatch.setattr(harness, "psd_solve", checked_solve)
+        rows = spatial_convergence_study(*args)
+        assert len(calls) == 4
+        assert [r.error_l2 for r in rows] == [r.error_l2 for r in expected]
+
     def test_temporal_second_order_small(self):
         params = ModelParams(epsilon=0.025, reg_a=0.25)
         rows, order = temporal_convergence_study(

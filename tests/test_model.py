@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_field
+from conftest import assert_kernel_modes_kept, random_field
 from spfc import Field, Grid, ModelParams, Scheme, energy, norm_l2
 from spfc.model import (
     ManufacturedSolution,
@@ -43,6 +43,15 @@ def n_hat(op, phi_hat):
     ``|grad phi|^2`` formed as ``psd_solve`` forms them."""
     grads = gradient(op.grid, phi_hat)
     return op.nonlinear_hat(phi_hat, grads, grad_sq(grads))
+
+
+def step_residual(op, phi):
+    """Nodal ``N[phi] - f`` off the kernel of ``-lap``, the rows the solver
+    solves (on the kernel the step keeps the modes of ``phi^k``)."""
+    g = op.grid
+    r_hat = n_hat(op, g.rfft(phi.values)) - op.rhs_hat
+    r_hat[g.kernel_mask] = 0.0
+    return g.irfft(r_hat)
 
 
 def objective_along(op, phi, d):
@@ -171,12 +180,12 @@ class TestThreeDimensional:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         phi_k = Field(g, 0.1 * rng.standard_normal(g.shape))
         op = StepOperator(phi_k, phi_k.copy(), 0.05, params)
-        sol, stats = psd_solve(phi_k, op, None, PsdConfig(tol=1e-11))
+        sol, stats = psd_solve(phi_k, op, PsdConfig(tol=1e-11))
         assert stats.converged
+        residual = step_residual(op, sol)
         f = g.irfft(op.rhs_hat)
-        residual = g.irfft(n_hat(op, g.rfft(sol.values))) - f
-        residual -= residual.mean()
         assert np.max(np.abs(residual)) < 1e-10 * (1.0 + np.max(np.abs(f)))
+        assert_kernel_modes_kept(op, sol)
         assert np.isfinite(energy(sol, params))
 
     def test_p_laplacian_3d_oracle(self, rng):
@@ -376,12 +385,12 @@ class TestNonlinearOperatorAndRhs:
     def test_solved_step_satisfies_operator_equation(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-12))
+        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-12))
         assert stats.converged
+        residual = step_residual(op, sol)
         f = grid8.irfft(op.rhs_hat)
-        residual = grid8.irfft(n_hat(op, grid8.rfft(sol.values))) - f
-        residual -= residual.mean()
         assert np.max(np.abs(residual)) < 1e-11 * (1.0 + np.max(np.abs(f)))
+        assert_kernel_modes_kept(op, sol)
 
 
 class TestObjective:
@@ -418,7 +427,7 @@ class TestObjective:
     def test_minimizer_satisfies_first_order_optimality(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-12))
+        sol, _ = psd_solve(op.phi_k, op, PsdConfig(tol=1e-12))
         for _ in range(5):
             d = rng.standard_normal(grid8.shape)
             d -= d.mean()
@@ -498,7 +507,7 @@ class TestManufacturedSolution:
         dt = 1e-3
         src = mms.spatial_source(g, dt, dt, params)
         op = StepOperator(mms.field(g, 0.0), mms.field(g, -dt), dt, params, src)
-        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13))
+        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13))
         assert stats.converged
         target = mms.field(g, dt)
         assert np.max(np.abs(sol.values - target.values)) < 1e-10

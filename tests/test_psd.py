@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_field
+from conftest import assert_kernel_modes_kept, random_field
 from spfc import Field, Grid, ModelParams, Scheme, norm_l2, psd_solve, solve_cubic_monotone
 from spfc import initial_state, psd, run, step
 from spfc.model import (
@@ -146,8 +146,12 @@ class TestLineSearchCoefficients:
     def test_solution_has_zero_c0(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13))
-        d = random_field(grid8, rng, mean_zero=True)
+        sol, _ = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13))
+        assert_kernel_modes_kept(op, sol)
+        # a direction the solver can take: no content on the kernel of -lap
+        d_hat = grid8.rfft(random_field(grid8, rng).values)
+        d_hat[grid8.kernel_mask] = 0.0
+        d = Field(grid8, grid8.irfft(d_hat))
         c0, c1, _, _ = line_search_coefficients(sol, d, op)
         assert abs(c0) < 1e-10 * max(c1, 1.0)
         assert abs(solve_cubic_monotone(*line_search_coefficients(sol, d, op))) < 1e-9
@@ -215,15 +219,15 @@ class TestPsdSolve:
     def test_exact_guess_converges_immediately(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, _ = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-12))
-        _, stats = psd_solve(sol, op, None, PsdConfig(tol=1e-9))
+        sol, _ = psd_solve(op.phi_k, op, PsdConfig(tol=1e-12))
+        _, stats = psd_solve(sol, op, PsdConfig(tol=1e-9))
         assert stats.iterations <= 1
 
     def test_constant_steady_state(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = Field(grid8, np.full(grid8.shape, 0.4))
         op = StepOperator(c, c.copy(), 0.1, params)
-        sol, stats = psd_solve(c, op, None, PsdConfig(tol=1e-9))
+        sol, stats = psd_solve(c, op, PsdConfig(tol=1e-9))
         assert stats.converged and stats.iterations == 0
         assert np.max(np.abs(sol.values - 0.4)) < 1e-13
 
@@ -231,18 +235,18 @@ class TestPsdSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params)
         cfg = PsdConfig(tol=1e-11)
-        sol_a, _ = psd_solve(op.phi_k, op, None, cfg)
+        sol_a, _ = psd_solve(op.phi_k, op, cfg)
         other = Field(
             grid16,
             op.phi_k.mean() + (lambda v: v - v.mean())(rng.standard_normal(grid16.shape)),
         )
-        sol_b, _ = psd_solve(other, op, None, cfg)
+        sol_b, _ = psd_solve(other, op, cfg)
         assert norm_l2(Field(grid16, sol_a.values - sol_b.values)) < 1e-8
 
     def test_objective_monotone_and_mean_preserved(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=0.5)
-        sol, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-11, track_objective=True))
+        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-11, track_objective=True))
         hist = stats.objective_history
         assert len(hist) == stats.iterations + 1 > 1  # tracking is opt-in
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(hist, hist[1:]))
@@ -252,12 +256,12 @@ class TestPsdSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
         with pytest.raises(MeanMismatchError):
-            psd_solve(Field(grid8, op.phi_k.values + 1.0), op, None)
+            psd_solve(Field(grid8, op.phi_k.values + 1.0), op)
 
     def test_max_iter_exhaustion_reports_not_converged(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=1.0)
-        _, stats = psd_solve(op.phi_k, op, None, PsdConfig(tol=1e-13, max_iter=1))
+        _, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13, max_iter=1))
         assert not stats.converged
         assert stats.iterations == 1
 
@@ -266,14 +270,14 @@ class TestPsdSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=1e150)
         with pytest.raises(PsdDivergenceError, match="iteration 0"):
-            psd_solve(op.phi_k, op, None, PsdConfig(track_objective=False))
+            psd_solve(op.phi_k, op, PsdConfig(track_objective=False))
 
     def test_contraction_ratios_on_standard_problem(self, rng):
         g = Grid(dim=2, n=32, length=100.0)
         params = ModelParams(epsilon=0.5, reg_a=0.015625)
         phi_k = Field(g, 0.05 * (2 * rng.random(g.shape) - 1.0))
         op = StepOperator(phi_k, phi_k.copy(), 0.05, params)
-        _, stats = psd_solve(phi_k, op, None, PsdConfig(tol=1e-12))
+        _, stats = psd_solve(phi_k, op, PsdConfig(tol=1e-12))
         assert stats.converged
         assert all(r <= 0.95 for r in stats.contraction_ratios[1:])
 
@@ -299,7 +303,7 @@ class TestPsdSolve:
         op = make_step(grid16, rng, params, scale=1e6)
         # well before max_iter = 200
         with pytest.raises(PsdDivergenceError, match=r"fell less than 10x .* iteration \d\d:"):
-            psd_solve(op.phi_k, op, None, PsdConfig(track_objective=False))
+            psd_solve(op.phi_k, op, PsdConfig(track_objective=False))
 
 
 class TestTruncationStop:

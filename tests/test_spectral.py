@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import random_field
-from spfc import Field, Grid, ModelParams, inner, norm_l2
+from spfc import Field, Grid, ModelParams, norm_l2
 from spfc.grid import sum_product
 from spfc.harness import CLAIMS, lemma_inequality_defects, sbp_identity_defects
 from spfc.model import _scheme_symbols, grad_sq, gradient, p_laplacian_hat
@@ -349,14 +349,6 @@ class TestNormsAndInner:
         x, y = g.coords()
         f = Field(g, np.sin(2 * np.pi * x))
         assert norm_l2(f) ** 2 == pytest.approx(0.5, rel=1e-13)
-
-    def test_inner_symmetric_bilinear(self, grid8, rng):
-        f, g1, g2 = (random_field(grid8, rng) for _ in range(3))
-        assert inner(f, g1) == pytest.approx(inner(g1, f), rel=1e-13)
-        combined = Field(grid8, 2.0 * g1.values + 3.0 * g2.values)
-        assert inner(f, combined) == pytest.approx(
-            2.0 * inner(f, g1) + 3.0 * inner(f, g2), rel=1e-12
-        )
 
     def test_hm1_single_mode(self):
         # the H^-1 norm of E_mod and of the truncation stop's energy test

@@ -42,23 +42,10 @@ dts = st.floats(1e-3, 1.0)
 means = st.floats(-1.0, 1.0)
 
 
-def assert_mass_conserved_and_modified_energy_non_increasing(records, phi0, params):
-    grid = phi0.grid
-    # The first solve zeroes phi0's content on the kernel modes of -lap other
-    # than the mass (they exist on even grids); E loses a/2 of its squared norm
-    # and E_mod's step-difference term gains concave(0)/2 of it, so E_mod may
-    # rise by their difference, (eps - a)/2 > 0 for scheme 2 with eps > 1/2.
-    # The modes the scheme evolves keep the guarantee exactly.
-    spec = grid.rfft(phi0.values)
-    kernel = grid.kernel_mask.copy()
-    kernel[(0,) * grid.dim] = False
-    kernel_sq = grid.spectral_norm_factor * float(
-        np.sum(grid.parseval_weight[kernel] * np.abs(spec[kernel]) ** 2))
-    jump = 0.5 * (params.concave_symbol(0.0) - params.a) * kernel_sq
-    for k, (prev, curr) in enumerate(zip(records, records[1:])):
+def assert_mass_conserved_and_modified_energy_non_increasing(records):
+    for prev, curr in zip(records, records[1:]):
         assert abs(curr.mass - prev.mass) <= MASS_TOL * (1.0 + abs(prev.mass))
-        allowance = jump if k == 0 else 0.0
-        assert curr.E_mod - prev.E_mod <= allowance + EMOD_TOL * abs(prev.E_mod)
+        assert curr.E_mod - prev.E_mod <= EMOD_TOL * abs(prev.E_mod)
 
 
 @given(
@@ -76,7 +63,7 @@ def test_mass_conserved_and_modified_energy_non_increasing(grid, params, dt, mea
     run([(dt, STEPS * dt)], initial_state(phi0), params,
         energy_sink=records.append)
     assert len(records) == STEPS + 1
-    assert_mass_conserved_and_modified_energy_non_increasing(records, phi0, params)
+    assert_mass_conserved_and_modified_energy_non_increasing(records)
 
 
 @given(
@@ -99,7 +86,7 @@ def test_modified_energy_non_increasing_across_a_change_of_dt(
     run([(dt, t1), (ratio * dt, t1 + STEPS * ratio * dt)], initial_state(phi0), params,
         energy_sink=records.append)
     assert len(records) == 2 * STEPS + 1
-    assert_mass_conserved_and_modified_energy_non_increasing(records, phi0, params)
+    assert_mass_conserved_and_modified_energy_non_increasing(records)
 
 
 def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():

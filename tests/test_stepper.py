@@ -13,7 +13,6 @@ from spfc import (
     Scheme,
     energy,
     initial_state,
-    inner,
     norm_l2,
     psd_solve,
     run,
@@ -276,6 +275,30 @@ def relative_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+class TestKernelModes:
+    """A step keeps every kernel mode of ``-lap`` at its value in ``phi^k``:
+    the mass and, on even grids, the pure-Nyquist modes that the folded
+    derivative symbols annihilate (the H^-1 step's rows there say they do
+    not move)."""
+
+    @pytest.mark.parametrize("grid", [Grid(2, 8, 10.0), Grid(3, 6, 10.0)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_checkerboard_start_keeps_its_kernel_modes(self, grid, scheme, rng):
+        # a checkerboard is pure Nyquist content; a first solve that zeroes
+        # it raises E_mod about tenfold here (scheme 2, eps > 1/2)
+        params = ModelParams(epsilon=0.9, reg_a=0.9**2 / 16.0, scheme=scheme)
+        checkerboard = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+        phi0 = Field(grid, 0.2 + 0.5 * checkerboard + 0.01 * rng.standard_normal(grid.shape))
+        kernel = grid.kernel_mask
+        start = grid.rfft(phi0.values)[kernel]
+        state, e_mod = initial_state(phi0), energy(phi0, params)  # no history: E_mod is E
+        for _ in range(10):
+            state, rec = step(state, 0.1, params)
+            assert rec.E_mod - e_mod <= 1e-9 * abs(e_mod)
+            assert relative_gap(state.spectra[0][kernel], start) <= 1e-13
+            e_mod = rec.E_mod
+
+
 class TestCarriedSpectra:
     """Steps reuse the solver's spectra: the states they carry, the rows they
     emit and the transforms they spend."""
@@ -406,7 +429,7 @@ class TestPredictorStart:
             state, _ = step(state, 0.5, params)
         op = StepOperator(state.phi_curr, state.phi_prev, 0.5, params, None, state.spectra,
                           state.fluxes)
-        exact, copy_stats = psd_solve(state.phi_curr.copy(), op, None, PsdConfig(tol=1e-10))
+        exact, copy_stats = psd_solve(state.phi_curr.copy(), op, PsdConfig(tol=1e-10))
         ffts = [0]
         for name in ("rfft", "irfft"):
             transform = getattr(Grid, name)
@@ -451,7 +474,8 @@ class TestSingleThreadedReductions:
         records = []
         run([(0.1, 0.3)], initial_state(phi0), params, energy_sink=records.append)
         assert len(records) == 4 and all(np.isfinite(r.E_mod) for r in records)
-        assert inner(phi0, phi0) == pytest.approx(norm_l2(phi0) ** 2, rel=1e-13)
+        assert norm_l2(phi0) ** 2 == pytest.approx(
+            grid.cell_volume * np.sum(phi0.values**2), rel=1e-13)
         assert np.isfinite(norm_h2_hat(grid, grid.rfft(phi0.values)))
         if dim == 2:
             defect = harness.gradient_consistency_defect(grid, params, rng, 1)
