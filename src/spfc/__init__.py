@@ -6,7 +6,7 @@ command-line front end.
 
 from .grid import Grid
 from .spectral import Field, norm_l2
-from .model import Scheme, ModelParams, StepOperator, energy, ManufacturedSolution
+from .model import Scheme, ModelParams, StepOperator, energy
 from .psd import PsdConfig, SolveStats, psd_solve, solve_cubic_monotone
 from .stepper import SimState, EnergyRecord, initial_state, step, run
 from .harness import (

@@ -110,13 +110,10 @@ class Grid:
         """Quadrature weight ``h^dim`` of one grid cell."""
         return self.spacing**self.dim
 
-    def axis_coords(self) -> np.ndarray:
-        """Node coordinates ``0, h, ..., (n-1) h`` along one axis."""
-        return np.arange(self.n) * self.spacing
-
     def coords(self) -> tuple[np.ndarray, ...]:
-        """Full ``ij``-indexed coordinate arrays, one per axis."""
-        x = self.axis_coords()
+        """Full ``ij``-indexed arrays of the node coordinates ``0, h, ...,
+        (n-1) h``, one per axis."""
+        x = np.arange(self.n) * self.spacing
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     # ------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Experiment harness: manufactured-solution convergence studies, pattern
-formation runs with nucleation sites, and the aggregated property-check
-battery behind the ``verify`` subcommand.
+"""Experiment harness: the manufactured solution and its convergence
+studies, pattern formation runs with nucleation sites, and the aggregated
+property-check battery behind the ``verify`` subcommand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .grid import Grid, sum_product
-from .model import ManufacturedSolution, ModelParams, Scheme, StepOperator, grad_sq, gradient
+from .model import ModelParams, Scheme, StepOperator, grad_sq, gradient
 from .psd import PsdConfig, psd_solve
 from .spectral import Field, norm_h2_hat, norm_l2
 from .stepper import EnergyRecord, SimState, initial_state, run, segment_steps
@@ -25,6 +26,9 @@ __all__ = [
     "VerifyReport",
     "random_init",
     "order_fit",
+    "exact_field",
+    "temporal_source",
+    "spatial_source",
     "spatial_convergence_study",
     "temporal_convergence_study",
     "pattern_experiment",
@@ -75,18 +79,14 @@ CLAIMS = {
 
 @dataclass
 class ConvergenceRow:
-    """One study point: resolution (grid size or step count), step size and
-    the final-time L2 error; the accumulated third-order seminorm error is
-    reported alongside but never asserted on."""
+    """One study point: resolution (grid size or step count), step size, the
+    final-time L2 error and the ``l2(0, T; H3)`` seminorm error accumulated
+    over the steps (temporal study; 0 in the spatial one)."""
 
     resolution: int
     dt: float
     error_l2: float
     error_h3_seminorm: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.error_l2 < 0 or self.error_h3_seminorm < 0:
-            raise ValueError("errors must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -183,77 +183,112 @@ def order_fit(errors: Sequence[float], dts: Sequence[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# manufactured-solution studies
+# manufactured solution ``profile(x, y) cos t`` on the unit square, with
+# ``profile = sin(2 pi x) cos(2 pi y) / (2 pi)``, and its studies
 # ----------------------------------------------------------------------
+_LAM1 = 8.0 * np.pi**2  # eigenvalue of -lap on the profile
+
+
+@lru_cache(maxsize=32)
+def _mms_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The profile and ``lap(-div(|grad profile|^2 grad profile))`` at the
+    nodes of a unit-square grid (the latter worked out with product formulas)."""
+    if grid.dim != 2 or abs(grid.length - 1.0) > 1e-14:
+        raise ValueError("manufactured solution is defined on the unit square")
+    x, y = grid.coords()
+    X, Y = 2.0 * np.pi * x, 2.0 * np.pi * y
+    s11 = np.sin(X) * np.cos(Y)
+    s33 = np.sin(3.0 * X) * np.cos(3.0 * Y)
+    s31 = np.sin(3.0 * X) * np.cos(Y)
+    s13 = np.sin(X) * np.cos(3.0 * Y)
+    lap_p_nl = -4.0 * np.pi**3 * (5.0 * s11 + 27.0 * s33 + 5.0 * s31 - 5.0 * s13)
+    return s11 / (2.0 * np.pi), lap_p_nl
+
+
+def exact_field(grid: Grid, t: float) -> Field:
+    """The manufactured solution sampled at the grid nodes."""
+    return Field(grid, float(np.cos(t)) * _mms_basis(grid)[0])
+
+
+def temporal_source(grid: Grid, t: float, params: ModelParams) -> Field:
+    """Continuum residual ``d/dt phi_e - lap mu(phi_e)``, analytically: with
+    it as source the sampled exact solution solves the continuum system, so
+    the temporal error remains."""
+    profile, lap_p_nl = _mms_basis(grid)
+    c = float(np.cos(t))
+    mu_lin = params.energy_symbol(_LAM1)
+    values = float(-np.sin(t)) * profile - c**3 * lap_p_nl + _LAM1 * mu_lin * c * profile
+    return Field(grid, values)
+
+
+def spatial_source(grid: Grid, t_new: float, dt: float, params: ModelParams) -> Field:
+    """Source that makes the sampled exact solution satisfy the BDF2 time
+    discretization exactly (spatial operators stay continuum), so the spatial
+    error remains."""
+    profile, lap_p_nl = _mms_basis(grid)
+    c1, c0, cm = (float(np.cos(t)) for t in (t_new, t_new - dt, t_new - 2.0 * dt))
+    stencil = (1.5 * c1 - 2.0 * c0 + 0.5 * cm) / dt
+    concave = params.concave_symbol(_LAM1)
+    lin = (params.energy_symbol(_LAM1) + concave) * c1 - concave * (2.0 * c0 - cm)
+    lin += params.reg_a * dt * _LAM1 * (c1 - c0)
+    values = stencil * profile - c1**3 * lap_p_nl + _LAM1 * lin * profile
+    return Field(grid, values)
+
+
 def _manufactured_run(
-    grid: Grid,
-    params: ModelParams,
-    dt: float,
-    n_steps: int,
-    mode: str,
-    psd_cfg: PsdConfig,
-    track_h3: bool = False,
+    grid: Grid, params: ModelParams, dt: float, n_steps: int, temporal: bool
 ) -> tuple[float, float]:
-    """March the forced problem and return final L2 error (and accumulated
-    third-order seminorm error) against the sampled exact solution."""
-    mms = ManufacturedSolution()
-    phi_curr = mms.field(grid, 0.0)
-    phi_prev = mms.field(grid, -dt)
+    """March the forced problem from the exact ``phi(0)`` and ``phi(-dt)``,
+    with :func:`temporal_source` (solver tol 1e-11) or :func:`spatial_source`
+    (tol 1e-12), and return the final L2 error and, for the temporal study,
+    the ``l2(0, T; H3)`` seminorm error against :func:`exact_field`."""
+    psd_cfg = PsdConfig(tol=1e-11 if temporal else 1e-12)
+    phi_curr, phi_prev = exact_field(grid, 0.0), exact_field(grid, -dt)
     h3_acc = 0.0
     for k in range(n_steps):
         t_new = (k + 1) * dt
-        if mode == "spatial":
-            src = mms.spatial_source(grid, t_new, dt, params)
+        if temporal:
+            src = temporal_source(grid, t_new, params)
         else:
-            src = mms.temporal_source(grid, t_new, params)
+            src = spatial_source(grid, t_new, dt, params)
         op = StepOperator(phi_curr, phi_prev, dt, params, src)
         # cfg goes third and positionally: benchmarks/run.py wraps this binding
         # as (phi_guess, op, f=None, cfg=None) and forwards all four in order
         phi_new, _ = psd_solve(phi_curr, op, psd_cfg)
         phi_prev, phi_curr = phi_curr, phi_new
-        if track_h3:
-            err_hat = grid.rfft(phi_curr.values - mms.field(grid, t_new).values)
+        if temporal:
+            err_hat = grid.rfft(phi_curr.values - exact_field(grid, t_new).values)
             h3_acc += dt * grid.spectral_norm2_sq(err_hat, grid.lam**3)
-    exact = mms.field(grid, n_steps * dt)
+    exact = exact_field(grid, n_steps * dt)
     err = norm_l2(Field(grid, phi_curr.values - exact.values))
     return err, math.sqrt(h3_acc)
 
 
 def spatial_convergence_study(
-    n_list: Sequence[int],
-    dt_fixed: float,
-    params: ModelParams,
-    t_final: float,
-    psd_cfg: Optional[PsdConfig] = None,
+    n_list: Sequence[int], dt_fixed: float, params: ModelParams, t_final: float
 ) -> list[ConvergenceRow]:
     """Fixed small dt, sweep the grid size; the source absorbs the temporal
     discretization error so the remaining error is spatial."""
-    psd_cfg = psd_cfg or PsdConfig(tol=1e-12)
     n_steps = int(round(t_final / dt_fixed))
     rows = []
     for n in n_list:
         grid = Grid(dim=2, n=n, length=1.0)
-        err, h3 = _manufactured_run(grid, params, dt_fixed, n_steps, "spatial", psd_cfg)
+        err, h3 = _manufactured_run(grid, params, dt_fixed, n_steps, temporal=False)
         rows.append(ConvergenceRow(resolution=n, dt=dt_fixed, error_l2=err, error_h3_seminorm=h3))
     return rows
 
 
 def temporal_convergence_study(
-    nk_list: Sequence[int],
-    n_fixed: int,
-    params: ModelParams,
-    t_final: float,
-    psd_cfg: Optional[PsdConfig] = None,
+    nk_list: Sequence[int], n_fixed: int, params: ModelParams, t_final: float
 ) -> tuple[list[ConvergenceRow], float]:
     """Fixed spatial resolution, sweep the step count; the analytically
     sampled source leaves the temporal error.  Returns rows and the fitted
-    log-log order."""
-    psd_cfg = psd_cfg or PsdConfig(tol=1e-11)
+    log-log order of the L2 error."""
     grid = Grid(dim=2, n=n_fixed, length=1.0)
     rows = []
     for nk in nk_list:
         dt = t_final / nk
-        err, h3 = _manufactured_run(grid, params, dt, nk, "temporal", psd_cfg, track_h3=True)
+        err, h3 = _manufactured_run(grid, params, dt, nk, temporal=True)
         rows.append(ConvergenceRow(resolution=nk, dt=dt, error_l2=err, error_h3_seminorm=h3))
     order = order_fit([r.error_l2 for r in rows], [r.dt for r in rows])
     return rows, order
@@ -274,7 +309,7 @@ def pattern_experiment(
     grid = cfg.grid()
     params = cfg.params()
     phi0 = random_init(cfg, grid)
-    state0 = initial_state(phi0)
+    mass0 = phi0.mean()
     t_end = cfg.dt_schedule[-1][1]
     times = [t for t in snapshot_times if t <= t_end + 1e-9]
 
@@ -284,7 +319,7 @@ def pattern_experiment(
 
     def track(rec: EnergyRecord) -> None:
         nonlocal mass_drift, max_h2
-        mass_drift = max(mass_drift, abs(rec.mass - state0.mass0))
+        mass_drift = max(mass_drift, abs(rec.mass - mass0))
         max_h2 = max(max_h2, rec.h2_norm)
         last["rec"] = rec
         if energy_sink is not None:
@@ -292,7 +327,7 @@ def pattern_experiment(
 
     final = run(
         list(cfg.dt_schedule),
-        state0,
+        initial_state(phi0),
         params,
         psd_cfg=psd_cfg,
         energy_sink=track,
@@ -401,12 +436,13 @@ def lemma_inequality_defects(
 
 
 def gradient_consistency_defect(
-    grid: Grid, params: ModelParams, rng: np.random.Generator, n_cases: int, fd_h: float = 1e-5
+    grid: Grid, params: ModelParams, rng: np.random.Generator, n_cases: int
 ) -> float:
     """Worst relative mismatch between the directional derivative
     ``<N(phi) - f, d>`` (:meth:`StepOperator.nonlinear_hat` and ``rhs_hat``)
-    and a centered difference of :meth:`StepOperator.objective_value`."""
-    worst = 0.0
+    and a centered difference of :meth:`StepOperator.objective_value`, step
+    ``h = 1e-5``."""
+    worst, h = 0.0, 1e-5
     for _ in range(n_cases):
         base = 0.3 * rng.standard_normal(grid.shape)
         phi_k = Field(grid, base + 0.05 * rng.standard_normal(grid.shape))
@@ -421,9 +457,9 @@ def gradient_consistency_defect(
         pairing = grid.spectral_dot(op.nonlinear_hat(phi_hat, grads, grad_sq(grads)) - f_hat, d_hat)
         fp, fm = (
             op.objective_value(p_hat, gradient(grid, p_hat), f_hat)
-            for p_hat in (phi_hat + fd_h * d_hat, phi_hat - fd_h * d_hat)
+            for p_hat in (phi_hat + h * d_hat, phi_hat - h * d_hat)
         )
-        fd = (fp - fm) / (2.0 * fd_h)
+        fd = (fp - fm) / (2.0 * h)
         worst = max(worst, abs(fd - pairing) / max(abs(pairing), 1e-300))
     return worst
 

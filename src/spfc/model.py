@@ -21,13 +21,14 @@ schemes differ only in
 :meth:`ModelParams.concave_symbol`, the part of the quadratic energy they
 extrapolate.  The gradient, ``|grad phi|^2`` and the 4-Laplacian flux come
 from :func:`gradient`, :func:`grad_sq` and :func:`p_laplacian_hat` alone; the
-energies from :func:`energy_hat` and :func:`modified_energy_hat` alone.
+energies from :func:`energy_hat` and :func:`modified_energy_hat` alone
+(:func:`energy` transforms a field first).  The module holds the scheme
+only; the manufactured solution lives in :mod:`spfc.harness`.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -48,7 +49,6 @@ __all__ = [
     "energy_hat",
     "modified_energy_hat",
     "energy",
-    "ManufacturedSolution",
 ]
 
 MEAN_COMPAT_TOL = 1e-11
@@ -335,10 +335,6 @@ class StepOperator:
         c1 += self.grid.spectral_dot(d_hat, np.multiply(self.implicit_sym, d_hat, out=spec))
         return c0, c1, c2, c3
 
-    def residual_norm(self, r_hat: np.ndarray) -> float:
-        """The solver's residual norm: l2 of the field with coefficients ``r_hat``."""
-        return math.sqrt(self.grid.spectral_dot(r_hat, r_hat))
-
 
 # ----------------------------------------------------------------------
 # energies
@@ -372,76 +368,3 @@ def energy(phi: Field, params: ModelParams) -> float:
     g = phi.grid
     spec = g.rfft(phi.values)
     return energy_hat(g, params, spec, grad_sq(gradient(g, spec)))
-
-
-# ----------------------------------------------------------------------
-# manufactured solution for the verification harness
-# ----------------------------------------------------------------------
-_LAM1 = 8.0 * np.pi**2  # eigenvalue of -lap on the base profile
-
-
-@lru_cache(maxsize=32)
-def _mms_basis(grid: Grid) -> tuple[np.ndarray, ...]:
-    x, y = grid.coords()
-    X, Y = 2.0 * np.pi * x, 2.0 * np.pi * y
-    s11 = np.sin(X) * np.cos(Y)
-    s33 = np.sin(3.0 * X) * np.cos(3.0 * Y)
-    s31 = np.sin(3.0 * X) * np.cos(Y)
-    s13 = np.sin(X) * np.cos(3.0 * Y)
-    profile = s11 / (2.0 * np.pi)
-    # -div(|grad profile|^2 grad profile), worked out with product formulas
-    p_nl = np.pi * (2.5 * s11 + 1.5 * s33 + 0.5 * s31 - 0.5 * s13)
-    lap_p_nl = -4.0 * np.pi**3 * (5.0 * s11 + 27.0 * s33 + 5.0 * s31 - 5.0 * s13)
-    return profile, p_nl, lap_p_nl
-
-
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """Separable exact solution ``profile(x, y) * c(t)`` on the unit box with
-    ``profile = sin(2 pi x) cos(2 pi y) / (2 pi)`` and ``c(t) = cos t``.  The
-    two source constructors compensate the dynamics so that the sampled
-    exact solution solves, respectively, the semi-discrete-in-time system
-    (pure spatial error remains) or the continuum system (pure temporal error
-    remains).
-    """
-
-    def _c(self, t: float) -> float:
-        return float(np.cos(t))
-
-    @staticmethod
-    def _check_grid(grid: Grid) -> None:
-        if grid.dim != 2 or abs(grid.length - 1.0) > 1e-14:
-            raise ValueError("manufactured solution is defined on the unit square")
-
-    def field(self, grid: Grid, t: float) -> Field:
-        """Exact solution sampled at the grid nodes."""
-        self._check_grid(grid)
-        profile, _, _ = _mms_basis(grid)
-        return Field(grid, self._c(t) * profile)
-
-    def temporal_source(self, grid: Grid, t: float, params: ModelParams) -> Field:
-        """Continuum residual ``d/dt phi_e - lap mu(phi_e)``, analytically."""
-        self._check_grid(grid)
-        profile, _, lap_p_nl = _mms_basis(grid)
-        c = self._c(t)
-        mu_lin = params.energy_symbol(_LAM1)
-        values = float(-np.sin(t)) * profile - c**3 * lap_p_nl + _LAM1 * mu_lin * c * profile
-        return Field(grid, values)
-
-    def spatial_source(
-        self, grid: Grid, t_new: float, dt: float, params: ModelParams
-    ) -> Field:
-        """Source that makes the sampled exact solution satisfy the BDF2
-        time discretization exactly (spatial operators stay continuum)."""
-        self._check_grid(grid)
-        profile, _, lap_p_nl = _mms_basis(grid)
-        c1 = self._c(t_new)
-        c0 = self._c(t_new - dt)
-        cm = self._c(t_new - 2.0 * dt)
-        stencil = (1.5 * c1 - 2.0 * c0 + 0.5 * cm) / dt
-        concave = params.concave_symbol(_LAM1)
-        lin = (params.energy_symbol(_LAM1) + concave) * c1 - concave * (2.0 * c0 - cm)
-        lin += params.reg_a * dt * _LAM1 * (c1 - c0)
-        values = stencil * profile - c1**3 * lap_p_nl + _LAM1 * lin * profile
-        return Field(grid, values)
-

@@ -4,7 +4,8 @@ Each iteration solves the constant-coefficient search-direction problem
 ``L[d] = r - mean(r)`` exactly per Fourier mode (``L`` is the linearization
 of the step operator, with the quartic term linearized at unit gradient
 magnitude), then minimizes the strictly convex objective along ``d`` by
-finding the unique root of a monotone cubic.  The kernel modes of ``-lap``
+finding the unique root of a monotone cubic, its directional derivative (the
+objective itself is never evaluated).  The kernel modes of ``-lap``
 (the mean, and on even grids the pure-Nyquist modes) are those of ``phi^k``
 in every iterate: search directions have no kernel content.
 
@@ -101,14 +102,11 @@ class PsdConfig:
     ``tol`` sets the floor ``res <= tol (1 + ||f||)``, which ends every solve;
     a predictor-started solve may stop earlier, at its truncation error (see
     the module docstring); ``res`` is the l2 norm of the nonlinear residual
-    off the kernel of ``-lap``.  ``track_objective`` records the objective at
-    every iterate in :attr:`SolveStats.objective_history`, an independent
-    evaluation that costs about a third of a solve at N=256.
+    off the kernel of ``-lap``.
     """
 
     tol: float = 1e-9
     max_iter: int = 200
-    track_objective: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:
@@ -123,15 +121,13 @@ class SolveStats:
 
     ``contraction_ratios`` holds ``r_{n+1} / r_n`` starting from the second
     residual pair (the first ratio reflects the initial guess, not the
-    iteration).  ``objective_history`` is populated when tracking is on.
-    ``stopped_by`` names the test that ended a converged solve: ``"floor"``
+    iteration).  ``stopped_by`` names the test that ended a converged solve: ``"floor"``
     or ``"truncation"``.
     """
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     converged: bool = False
-    objective_history: list = field(default_factory=list)
     stopped_by: Optional[str] = None
 
     @property
@@ -256,7 +252,7 @@ def psd_solve(
     phi_hat[kernel] = op.spectra[0][kernel]
 
     f_hat = op.rhs_hat
-    f_norm = op.residual_norm(np.where(grid.kernel_mask, 0.0, f_hat))
+    f_norm = math.sqrt(grid.spectral_norm2_sq(np.where(grid.kernel_mask, 0.0, f_hat)))
     target = cfg.tol * (1.0 + f_norm)
 
     # work arrays of the whole solve, updated in place
@@ -270,7 +266,7 @@ def psd_solve(
         r_hat += np.multiply(op.dt, p_k, out=d_hat)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
-        if op.residual_norm(r_hat) > target:
+        if math.sqrt(grid.spectral_norm2_sq(r_hat)) > target:
             # not a fixed point: the linearly implicit BDF2 step is the copy
             # plus (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes
             r_hat += np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
@@ -285,10 +281,8 @@ def psd_solve(
         op.nonlinear_hat(phi_hat, g, gsq, r_hat, tmp)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
-        res = op.residual_norm(r_hat)
+        res = math.sqrt(grid.spectral_norm2_sq(r_hat))
         stats.residual_history.append(res)
-        if cfg.track_objective:
-            stats.objective_history.append(op.objective_value(phi_hat, g, f_hat))
         stats.iterations = it
         if res <= target:
             stats.converged, stats.stopped_by = True, "floor"

@@ -27,7 +27,6 @@ __all__ = [
     "read_snapshot",
     "energy_row",
     "write_energy_log",
-    "read_energy_log",
 ]
 
 MAGIC = "spfcfield"
@@ -81,16 +80,11 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
     """The field and metadata of a snapshot file; any malformed file raises
     :class:`SnapshotError`."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            byte = fh.read(1)
-            if not byte:
-                raise SnapshotError("unterminated header")
-            if byte == b"\n":
-                break
-            header.extend(byte)
-            if len(header) > 4096:
-                raise SnapshotError("header too long; not a snapshot file")
+        header = fh.readline(4097)  # at most 4096 bytes and the newline
+        if len(header) == 4097 and not header.endswith(b"\n"):
+            raise SnapshotError("header too long; not a snapshot file")
+        if not header.endswith(b"\n"):
+            raise SnapshotError("unterminated header")
         payload = fh.read()
 
     try:
@@ -151,31 +145,6 @@ def write_energy_log(records: Sequence[EnergyRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ENERGY_HEADER)
         fh.writelines(map(energy_row, records))
-
-
-def read_energy_log(path) -> list[EnergyRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ENERGY_HEADER.strip():
-            raise ValueError(f"unexpected energy-log header: {header!r}")
-        records = []
-        for line in fh:
-            if not line.strip():
-                continue
-            bits = line.strip().split(",")
-            records.append(
-                EnergyRecord(
-                    step=int(bits[0]),
-                    time=float(bits[1]),
-                    E=float(bits[2]),
-                    E_mod=float(bits[3]),
-                    mass=float(bits[4]),
-                    h2_norm=float(bits[5]),
-                    psd_iters=int(bits[6]),
-                    final_residual=float(bits[7]),
-                )
-            )
-    return records
 
 
 def snapshot_path(directory, step: int) -> str:

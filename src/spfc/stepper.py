@@ -1,5 +1,6 @@
-"""Time integration driver: BDF2 stepping through the PSD solver,
-modified-energy accounting, mass tracking and time-step schedules.
+"""Time integration driver: BDF2 stepping through the PSD solver, the
+per-step diagnostics row (energies, mass, H2 norm) and time-step schedules.
+A step may carry a source at its new time level, for forced problems.
 
 One start rule, applied by :func:`step`: a step is BDF1
 (:class:`spfc.model.StepOperator` with no ``phi_km1``) when the state carries
@@ -47,7 +48,7 @@ class StepFailureError(RuntimeError):
 
 @dataclass
 class SimState:
-    """State of the march plus conserved-mass bookkeeping.
+    """State of the march.
 
     ``phi_prev`` is the history level, one step of ``history_dt`` before
     ``phi_curr``, or ``None``; the next step is BDF2 only when its ``dt``
@@ -62,7 +63,6 @@ class SimState:
     phi_prev: Optional[Field]
     time: float
     step_index: int
-    mass0: float
     history_dt: Optional[float] = None
     spectra: Optional[tuple[np.ndarray, ...]] = None
     fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -88,7 +88,7 @@ def initial_state(phi0: Field, history: str = "copy") -> SimState:
     the name of the old default rule, and is kept for callers that pass it."""
     if history != "copy":
         raise ValueError(f"unknown history rule {history!r}")
-    return SimState(phi0, None, time=0.0, step_index=0, mass0=phi0.mean())
+    return SimState(phi0, None, time=0.0, step_index=0)
 
 
 def _history_level(state: SimState, dt: float) -> Optional[Field]:
@@ -150,7 +150,6 @@ def step(
         phi_prev=state.phi_curr,
         time=state.time + dt,
         step_index=state.step_index + 1,
-        mass0=state.mass0,
         history_dt=dt,
         spectra=(phi_hat, op.spectra[0]),
         fluxes=(flux, flux if op.fluxes is None else op.fluxes[0]),

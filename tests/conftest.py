@@ -13,7 +13,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spfc import Field, Grid
+from spfc import Field, Grid, StepOperator
 
 
 @pytest.fixture
@@ -34,6 +34,19 @@ def assert_kernel_modes_kept(op, phi: Field) -> None:
     g = op.grid
     kept, start = g.rfft(phi.values)[g.kernel_mask], op.spectra[0][g.kernel_mask]
     assert np.max(np.abs(kept - start)) <= 1e-13 * (1.0 + np.max(np.abs(start)))
+
+
+def recording_objective(objectives: list):
+    """A ``StepOperator.nonlinear_hat`` to patch in that also appends the
+    objective of every iterate it is called on (``psd_solve`` calls it once
+    per residual) to ``objectives``."""
+    nonlinear_hat = StepOperator.nonlinear_hat
+
+    def wrapped(op, phi_hat, grad_comps, *args):
+        objectives.append(op.objective_value(phi_hat, grad_comps, op.rhs_hat))
+        return nonlinear_hat(op, phi_hat, grad_comps, *args)
+
+    return wrapped
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, the bit-exact file formats and the
 command-line entry point."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from spfc.harness import DEFAULT_SNAPSHOT_TIMES
 from spfc.snapshots import (
     SnapshotError,
     SnapshotMeta,
-    read_energy_log,
     read_snapshot,
     write_energy_log,
     write_snapshot,
@@ -27,6 +27,14 @@ from spfc.stepper import EnergyRecord
 
 
 MINIMAL = "mode = simulate\nschedule = 0.05:1.0\n"
+
+
+def parse_energy_log(path) -> list[EnergyRecord]:
+    """The rows of an energy log, parsed with ``csv`` and ``float``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["step", "time", "E", "E_mod", "mass", "h2_norm", "psd_iters", "residual"]
+    return [EnergyRecord(int(r[0]), *map(float, r[1:6]), int(r[6]), float(r[7])) for r in rows]
 
 
 class TestParseConfig:
@@ -231,6 +239,25 @@ class TestSnapshotFormat:
         path.write_bytes(self._file())  # the same file, well formed
         assert read_snapshot(path)[1].n == 8
 
+    def test_unterminated_header_raises(self, tmp_path):
+        path = tmp_path / "u.spfc"
+        path.write_bytes(self._file().split(b"\n")[0])
+        with pytest.raises(SnapshotError, match="unterminated header"):
+            read_snapshot(path)
+
+    def _padded_header(self, tmp_path, size):
+        """A well-formed file whose header line is ``size`` bytes before its newline."""
+        path = tmp_path / "h.spfc"
+        path.write_bytes(self._file(tail=b" " * (size - len(self._file().split(b"\n")[0]))))
+        return path
+
+    def test_4096_byte_header_reads(self, tmp_path):
+        assert read_snapshot(self._padded_header(tmp_path, 4096))[1].n == 8
+
+    def test_4097_byte_header_is_too_long(self, tmp_path):
+        with pytest.raises(SnapshotError, match="header too long"):
+            read_snapshot(self._padded_header(tmp_path, 4097))
+
     def test_metadata_field_mismatch_rejected_on_write(self, tmp_path, rng):
         grid = Grid(dim=2, n=8, length=1.0)
         meta = SnapshotMeta(
@@ -256,7 +283,7 @@ class TestEnergyLog:
         rec = EnergyRecord(0, 0.0, e_value, e_value, c, 0.0, 0, 0.0)
         path = tmp_path / "e.csv"
         write_energy_log([rec], path)
-        back = read_energy_log(path)
+        back = parse_energy_log(path)
         assert back[0].E == e_value
 
     def test_round_trip_is_exact(self, tmp_path, rng):
@@ -275,7 +302,7 @@ class TestEnergyLog:
         ]
         path = tmp_path / "e.csv"
         write_energy_log(records, path)
-        assert read_energy_log(path) == records
+        assert parse_energy_log(path) == records
 
 
 class TestCli:

@@ -1,20 +1,25 @@
 """Tests for the experiment harness: seeded initial data, order fitting,
-desk-scale convergence studies, pattern runs and the verification battery."""
+the manufactured solution, desk-scale convergence studies, pattern runs and
+the verification battery."""
 
 import numpy as np
 import pytest
 
-from spfc import Grid, ModelParams, harness
+from spfc import Grid, ModelParams, Scheme, StepOperator, harness, psd_solve
 from spfc.harness import (
-    ConvergenceRow,
     PatternConfig,
+    exact_field,
     order_fit,
     pattern_experiment,
     random_init,
     spatial_convergence_study,
+    spatial_source,
     temporal_convergence_study,
+    temporal_source,
     verify_suite,
 )
+from spfc.model import grad_sq, gradient, p_laplacian_hat
+from spfc.psd import PsdConfig
 
 
 class TestRandomInit:
@@ -110,10 +115,63 @@ class TestOrderFit:
             order_fit([1.0, 0.5, 0.2], [1.0, 0.5])
 
 
-class TestConvergenceRow:
-    def test_rejects_negative_errors(self):
-        with pytest.raises(ValueError):
-            ConvergenceRow(resolution=8, dt=0.1, error_l2=-1.0)
+class TestManufacturedSolution:
+    def test_field_amplitude_and_mean(self):
+        f = exact_field(Grid(dim=2, n=32, length=1.0), 0.0)
+        assert np.max(np.abs(f.values)) <= 1.0 / (2 * np.pi) + 1e-15
+        assert abs(f.mean()) < 1e-16
+
+    def test_temporal_source_matches_discrete_residual(self):
+        # all fields involved are band-limited, so the spectral evaluation
+        # of d(phi_e)/dt - lap(mu(phi_e)) is exact and independent
+        g = Grid(dim=2, n=16, length=1.0)
+        params = ModelParams(epsilon=0.025, reg_a=0.25)
+        t = 0.37
+        phi_hat = g.rfft(exact_field(g, t).values)
+        lam = g.lam
+        mu_hat = p_laplacian_hat(g, gradient(g, phi_hat))
+        mu_hat += (1.0 - params.epsilon - 2 * lam + lam**2) * phi_hat
+        d_dt = -np.sin(t) * exact_field(g, 0.0).values
+        expected = d_dt - g.irfft(-lam * mu_hat)
+        result = temporal_source(g, t, params)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(result.values - expected)) < 1e-11 * scale
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_spatial_source_matches_discrete_stencil(self, scheme):
+        # the step's chemical potential at phi_e(t1), read off the step
+        # equation N[phi] - f = (-lap)^(-1) (BDF2 difference) + dt mu
+        g = Grid(dim=2, n=16, length=1.0)
+        params = ModelParams(epsilon=0.025, reg_a=0.25, scheme=scheme)
+        dt, t1 = 1e-3, 0.4
+        levels = [exact_field(g, t) for t in (t1, t1 - dt, t1 - 2 * dt)]
+        op = StepOperator(levels[1], levels[2], dt, params)
+        phi_hat = g.rfft(levels[0].values)
+        grads = gradient(g, phi_hat)
+        bdf_hat = op.bdf_tail_hat + 1.5 * phi_hat
+        resid_hat = op.nonlinear_hat(phi_hat, grads, grad_sq(grads)) - op.rhs_hat
+        mu_hat = (resid_hat - g.lam_inv * bdf_hat) / dt
+        stencil = (1.5 * levels[0].values - 2 * levels[1].values + 0.5 * levels[2].values) / dt
+        expected = stencil - g.irfft(-g.lam * mu_hat)
+        result = spatial_source(g, t1, dt, params)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(result.values - expected)) < 1e-9 * scale
+
+    def test_spatial_mode_step_is_exact_by_construction(self):
+        g = Grid(dim=2, n=16, length=1.0)
+        params = ModelParams(epsilon=0.025, reg_a=0.25)
+        dt = 1e-3
+        src = spatial_source(g, dt, dt, params)
+        op = StepOperator(exact_field(g, 0.0), exact_field(g, -dt), dt, params, src)
+        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13))
+        assert stats.converged
+        assert np.max(np.abs(sol.values - exact_field(g, dt).values)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(dim=2, n=16, length=2.0), Grid(dim=3, n=8, length=1.0)], ids=["L2", "3d"])
+    def test_rejects_wrong_domain(self, grid):
+        with pytest.raises(ValueError, match="unit square"):
+            exact_field(grid, 0.0)
 
 
 class TestStudiesDeskScale:

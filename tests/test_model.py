@@ -1,6 +1,5 @@
 """Tests for the model layer: energy values, operator terms against dense
-DFT oracles, scheme algebra, objective/gradient consistency and the
-manufactured solution."""
+DFT oracles, scheme algebra and objective/gradient consistency."""
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import oracles
 from conftest import assert_kernel_modes_kept, random_field
 from spfc import Field, Grid, ModelParams, Scheme, energy, norm_l2
 from spfc.model import (
-    ManufacturedSolution,
     MeanMismatchError,
     StepOperator,
     grad_sq,
@@ -459,60 +457,3 @@ class TestSplittingConsistency:
             values.append(chemical_potential(c, op).flat[0])
         assert values[0] == pytest.approx(values[1], rel=1e-14)
         assert values[0] == pytest.approx(0.6 * 0.9, rel=1e-13)
-
-
-class TestManufacturedSolution:
-    def test_field_amplitude_and_mean(self):
-        g = Grid(dim=2, n=32, length=1.0)
-        mms = ManufacturedSolution()
-        f = mms.field(g, 0.0)
-        assert np.max(np.abs(f.values)) <= 1.0 / (2 * np.pi) + 1e-15
-        assert abs(f.mean()) < 1e-16
-
-    def test_temporal_source_matches_discrete_residual(self):
-        # all fields involved are band-limited, so the spectral evaluation
-        # of d(phi_e)/dt - lap(mu(phi_e)) is exact and independent
-        g = Grid(dim=2, n=16, length=1.0)
-        params = ModelParams(epsilon=0.025, reg_a=0.25)
-        mms = ManufacturedSolution()
-        t = 0.37
-        phi_hat = g.rfft(mms.field(g, t).values)
-        lam = g.lam
-        mu_hat = p_laplacian_hat(g, gradient(g, phi_hat))
-        mu_hat += (1.0 - params.epsilon - 2 * lam + lam**2) * phi_hat
-        d_dt = -np.sin(t) * mms.field(g, 0.0).values / np.cos(0.0)
-        expected = d_dt - g.irfft(-lam * mu_hat)
-        result = mms.temporal_source(g, t, params)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(result.values - expected)) < 1e-11 * scale
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_spatial_source_matches_discrete_stencil(self, scheme):
-        g = Grid(dim=2, n=16, length=1.0)
-        params = ModelParams(epsilon=0.025, reg_a=0.25, scheme=scheme)
-        mms = ManufacturedSolution()
-        dt, t1 = 1e-3, 0.4
-        levels = [mms.field(g, t) for t in (t1, t1 - dt, t1 - 2 * dt)]
-        op = StepOperator(levels[1], levels[2], dt, params)
-        stencil = (1.5 * levels[0].values - 2 * levels[1].values + 0.5 * levels[2].values) / dt
-        expected = stencil - g.irfft(-g.lam * g.rfft(chemical_potential(levels[0], op)))
-        result = mms.spatial_source(g, t1, dt, params)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(result.values - expected)) < 1e-9 * scale
-
-    def test_spatial_mode_step_is_exact_by_construction(self):
-        g = Grid(dim=2, n=16, length=1.0)
-        params = ModelParams(epsilon=0.025, reg_a=0.25)
-        mms = ManufacturedSolution()
-        dt = 1e-3
-        src = mms.spatial_source(g, dt, dt, params)
-        op = StepOperator(mms.field(g, 0.0), mms.field(g, -dt), dt, params, src)
-        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13))
-        assert stats.converged
-        target = mms.field(g, dt)
-        assert np.max(np.abs(sol.values - target.values)) < 1e-10
-
-    def test_rejects_wrong_domain(self):
-        g = Grid(dim=2, n=16, length=2.0)
-        with pytest.raises(ValueError, match="unit square"):
-            ManufacturedSolution().field(g, 0.0)

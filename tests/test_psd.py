@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_kernel_modes_kept, random_field
+from conftest import assert_kernel_modes_kept, random_field, recording_objective
 from spfc import Field, Grid, ModelParams, Scheme, norm_l2, psd_solve, solve_cubic_monotone
 from spfc import initial_state, psd, run, step
 from spfc.model import (
@@ -246,9 +246,11 @@ class TestPsdSolve:
     def test_objective_monotone_and_mean_preserved(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=0.5)
-        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-11, track_objective=True))
-        hist = stats.objective_history
-        assert len(hist) == stats.iterations + 1 > 1  # tracking is opt-in
+        hist = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(StepOperator, "nonlinear_hat", recording_objective(hist))
+            sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-11))
+        assert len(hist) == stats.iterations + 1 > 1  # one residual per iterate
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(hist, hist[1:]))
         assert abs(sol.mean() - op.phi_k.mean()) <= 1e-12
 
@@ -270,7 +272,7 @@ class TestPsdSolve:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=1e150)
         with pytest.raises(PsdDivergenceError, match="iteration 0"):
-            psd_solve(op.phi_k, op, PsdConfig(track_objective=False))
+            psd_solve(op.phi_k, op)
 
     def test_contraction_ratios_on_standard_problem(self, rng):
         g = Grid(dim=2, n=32, length=100.0)
@@ -303,7 +305,7 @@ class TestPsdSolve:
         op = make_step(grid16, rng, params, scale=1e6)
         # well before max_iter = 200
         with pytest.raises(PsdDivergenceError, match=r"fell less than 10x .* iteration \d\d:"):
-            psd_solve(op.phi_k, op, PsdConfig(track_objective=False))
+            psd_solve(op.phi_k, op)
 
 
 class TestTruncationStop:
