@@ -209,9 +209,11 @@ class StepOperator:
     ``(phi_k,)``, when they are already known (real-field projected, see
     :meth:`Grid.project_real`); otherwise they are transformed on first use.
     ``fluxes`` holds the 4-Laplacian coefficients
-    ``p = -div(|grad phi|^2 grad phi)`` of the two levels of a BDF2 step when
-    a march carries them; :func:`spfc.psd.psd_solve` then starts from the
-    linearly implicit BDF2 predictor instead of a copy of ``phi_k``.
+    ``p = -div(|grad phi|^2 grad phi)`` of the levels, ``(p^k, p^{k-1})`` or
+    ``(p^k,)``, when a march carries them; :func:`spfc.psd.psd_solve` then
+    takes the residual of a copy of ``phi_k`` with no transform.  Every
+    BDF1 step, and a BDF2 step with fluxes, starts its solve from the
+    linearly implicit predictor when that beats the copy.
 
     ``N[phi] = implicit_sym phi + explicit_hat + dt p_laplacian(phi)``.
     """
@@ -219,16 +221,17 @@ class StepOperator:
     def __init__(
         self, phi_k: Field, phi_km1: Optional[Field], dt: float, params: ModelParams,
         source: Optional[Field] = None, spectra: Optional[tuple[np.ndarray, ...]] = None,
-        fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        fluxes: Optional[tuple[np.ndarray, ...]] = None,
     ):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if source is not None and source.grid != phi_k.grid:
             raise ValueError("source lives on a different grid")
         self.grid, self.params, self.dt = phi_k.grid, params, dt
+        levels = 1 if phi_km1 is None else 2
+        if fluxes is not None and len(fluxes) != levels:
+            raise ValueError(f"a BDF{levels} step carries {levels} flux(es), got {len(fluxes)}")
         if phi_km1 is None:
-            if fluxes is not None:
-                raise ValueError("a BDF1 step carries no fluxes")
             self.lead = 1.0
             self.implicit_sym, self.pre_inv = _step_symbols(self.grid, params, dt, self.lead)
         else:

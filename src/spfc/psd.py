@@ -9,15 +9,28 @@ objective itself is never evaluated).  The kernel modes of ``-lap``
 (the mean, and on even grids the pure-Nyquist modes) are those of ``phi^k``
 in every iterate: search directions have no kernel content.
 
-With ``StepOperator.fluxes`` a solve from ``op.phi_k`` starts, at no
-transform, from the linearly implicit BDF2 step ``phi_pred`` (flux
-extrapolated as ``2 p^k - p^{k-1}``, linear part solved per mode), unless
-the copy already passes the floor ``res <= tol (1 + ||f||)``: a state at
-equilibrium stays frozen.  A BDF1 step carries no fluxes: it starts from
-the copy and stops at the floor only.
+The start.  A solve from ``op.phi_k`` of a BDF1 step, or of a BDF2 step
+with ``StepOperator.fluxes``, first takes the residual ``r`` of the copy
+``phi^k``: from the carried flux ``p^k`` with no transform, or, on a BDF1
+step with no fluxes (the first step of a march), from the copy's gradient
+and flux.  A copy that passes the floor ``res <= tol (1 + ||f||)`` is
+returned: a state at equilibrium stays frozen.  Otherwise the solve moves to
+the linearly implicit step ``phi_pred``, the copy plus
+``(r - dt (p^k - p^{k-1})) / implicit_sym`` for BDF2 (flux extrapolated as
+``2 p^k - p^{k-1}``) or ``r / implicit_sym`` for BDF1 (flux frozen at
+``p^k``), the linear part solved per mode.  One rule decides the start of
+both: the solve keeps the predictor only when its residual, which iteration
+0 computes anyway, is below the copy's.  Otherwise it goes back to the copy
+(the copy's residual is kept, its gradient formed again) and stops at the
+floor only, as a copy-started solve does.  The fall-back is needed where a
+frozen flux is far off, on a stiff start: on the acceptance problem's
+one-node site of magnitude 10 (N = 256, dt = 0.05) the BDF1 predictor's
+residual is 4.3e7 against the copy's 4.5e3, and a march that kept such a
+predictor moved its t = 2.5 field from a march solved to the floor by 9.2%
+of its dt-vs-dt/2 gap, against 0.25% with the fall-back.
 
-Stopping.  Every solve stops at the floor.  A predictor-started solve also
-stops, from iteration 1 on, at the step's own truncation error, when both
+Stopping.  Every solve stops at the floor.  A solve that keeps its predictor
+also stops, from iteration 1 on, at the step's own truncation error, when both
 
 * ``||pre_inv r|| <= KAPPA ||phi - phi_pred||`` (truncation test): the
   preconditioned residual estimates the iterate's distance to the exact step
@@ -27,11 +40,10 @@ stops, from iteration 1 on, at the step's own truncation error, when both
   (energy test), which keeps the modified energy non-increasing for the
   returned iterate.
 
-The energy test's constant.  It is derived for BDF2 steps, the only ones
-that carry fluxes.  Pair ``N[phi] - f = -r`` with ``delta`` and
-``delta^k = phi^k - phi^{k-1}``.  The BDF2 term, the convex-concave split
-and the regularization give, with ``E~`` the modified energy of
-:func:`spfc.model.modified_energy_hat`, exactly
+The energy test's constant, for BDF2 steps.  Pair ``N[phi] - f = -r`` with
+``delta`` and ``delta^k = phi^k - phi^{k-1}``.  The BDF2 term, the
+convex-concave split and the regularization give, with ``E~`` the modified
+energy of :func:`spfc.model.modified_energy_hat`, exactly
 
     E~(phi, phi^k) - E~(phi^k, phi^{k-1}) + sum_m D(lam) |delta_m|^2 + R
         = -<r, delta> / dt,
@@ -51,7 +63,21 @@ minimum over ``lam > 0`` and ``s <= 1`` is ``131/256``, at ``s = 1`` and
 solve that passes the energy test has ``-<r, delta> / dt`` no larger than
 the dissipation: ``E~`` does not rise.  As ``eps dt -> 4`` the minimum falls
 to 0 (at ``lam = 1``), so beyond ``eps dt = 1``, or below the stability
-threshold, a solve stops at the floor only.
+threshold, a BDF2 solve stops at the floor only.
+
+For BDF1 steps.  The same pairing, with ``delta = phi - phi^k`` and the
+concave part at ``phi^k``, gives exactly
+
+    E~(phi, phi^k) - E(phi^k) + sum_m D1(lam) |delta_m|^2 + R
+        = -<r, delta> / dt,
+    dt lam D1(lam) = 3/4 + A dt^2 lam^2 + (dt/2) lam C(lam),
+
+with ``R >= 0`` the quartic term's convexity remainder and ``C`` the convex
+symbol, ``a + lam^2`` (scheme 1) or ``(1 - lam)^2`` (scheme 2), which is
+non-negative.  The previous row's ``E~`` is at least ``E(phi^k)`` (equal at
+``t = 0``), so ``dt D1(lam) >= (3/4) / lam > THETA / lam`` for any
+``A >= 0`` and any ``eps dt``: every BDF1 solve that keeps its predictor may
+stop at its truncation error.
 
 ``KAPPA = 0.05``: on the N=256 acceptance pattern problem (200 steps of
 0.05) the fields stay within 0.2% of the 0.05-vs-0.025 time error of a
@@ -228,7 +254,8 @@ def psd_solve(
 ) -> tuple[Field, SolveStats]:
     """Solve the step ``op``, ``N[phi] = f``, from a guess on the mass
     hyperplane of ``op.phi_k``, with every kernel mode of ``-lap`` taken
-    from ``op.phi_k``.
+    from ``op.phi_k``; the guess ``op.phi_k`` itself starts a BDF1 step, or a
+    BDF2 step with fluxes, as the module docstring says.
 
     Returns the solution and the iteration diagnostics (the stopping tests
     are in the module docstring); raises :class:`PsdDivergenceError` when
@@ -257,31 +284,62 @@ def psd_solve(
 
     # work arrays of the whole solve, updated in place
     r_hat, d_hat = np.empty_like(phi_hat), np.empty_like(phi_hat)
-    update = None  # set when the solve may stop at its truncation error
-    if phi_guess is op.phi_k and op.fluxes is not None:
-        # the copy's residual from the carried flux, with no transform
-        p_k, p_km1 = op.fluxes
-        np.multiply(op.implicit_sym, phi_hat, out=r_hat)
-        r_hat += op.explicit_hat
-        r_hat += np.multiply(op.dt, p_k, out=d_hat)
-        np.subtract(f_hat, r_hat, out=r_hat)
-        r_hat[kernel] = 0.0
-        if math.sqrt(grid.spectral_norm2_sq(r_hat)) > target:
-            # not a fixed point: the linearly implicit BDF2 step is the copy
-            # plus (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes
-            r_hat += np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
-            phi_hat += np.divide(r_hat, op.implicit_sym, out=r_hat)
-            if op.params.stable_guarantee and op.params.epsilon * op.dt <= 1.0:  # THETA holds
-                update = np.zeros_like(phi_hat)  # phi - phi_pred
     gsq, ge, ee, tmp = (np.empty(grid.shape) for _ in range(4))
-    g = gradient(grid, phi_hat, d_hat)
-    stats = SolveStats()
-    for it in range(cfg.max_iter + 1):
+
+    def residual(g: list[np.ndarray]) -> float:
+        """``r = f - N[phi]`` of ``phi_hat`` (gradient ``g``) into ``r_hat``,
+        with ``|grad phi|^2`` into ``gsq``; returns ``||r||``."""
         grad_sq(g, gsq, tmp)
         op.nonlinear_hat(phi_hat, g, gsq, r_hat, tmp)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
-        res = math.sqrt(grid.spectral_norm2_sq(r_hat))
+        return math.sqrt(grid.spectral_norm2_sq(r_hat))
+
+    g = None  # the gradient of phi_hat, once its residual is in r_hat
+    res_copy = None  # set when the solve starts from the predictor
+    update = None  # set when the solve may stop at its truncation error
+    if phi_guess is op.phi_k and (op.phi_km1 is None or op.fluxes is not None):
+        if op.fluxes is None:
+            g = gradient(grid, phi_hat, d_hat)
+            res = residual(g)
+        else:  # the copy's residual from the carried flux, with no transform
+            np.multiply(op.implicit_sym, phi_hat, out=r_hat)
+            r_hat += op.explicit_hat
+            r_hat += np.multiply(op.dt, op.fluxes[0], out=d_hat)
+            np.subtract(f_hat, r_hat, out=r_hat)
+            r_hat[kernel] = 0.0
+            res = math.sqrt(grid.spectral_norm2_sq(r_hat))
+        if res > target:
+            # not a fixed point: the linearly implicit step is the copy plus
+            # (r - dt (p^k - p^{k-1})) / implicit_sym (BDF2) or r / implicit_sym
+            # (BDF1), 0 on kernel modes; d_hat holds the copy's residual until
+            # iteration 0 decides the start
+            r_hat, d_hat = d_hat, r_hat
+            if op.phi_km1 is None:
+                np.divide(d_hat, op.implicit_sym, out=r_hat)
+            else:
+                p_k, p_km1 = op.fluxes
+                np.multiply(op.dt, np.subtract(p_km1, p_k, out=r_hat), out=r_hat)
+                r_hat += d_hat
+                r_hat /= op.implicit_sym
+            phi_hat += r_hat
+            res_copy, g = res, None
+            if op.phi_km1 is None or (
+                op.params.stable_guarantee and op.params.epsilon * op.dt <= 1.0
+            ):  # THETA holds
+                update = np.zeros_like(phi_hat)  # phi - phi_pred
+    if g is None:
+        g = gradient(grid, phi_hat, r_hat)
+        res = residual(g)
+        if res_copy is not None and not res < res_copy:
+            # the predictor's flux is far off (a stiff start): back to the
+            # copy, whose residual d_hat holds, solved to the floor
+            r_hat, d_hat, res, update = d_hat, r_hat, res_copy, None
+            np.copyto(phi_hat, op.spectra[0])
+            g = gradient(grid, phi_hat, d_hat)
+            grad_sq(g, gsq, tmp)
+    stats = SolveStats()
+    for it in range(cfg.max_iter + 1):
         stats.residual_history.append(res)
         stats.iterations = it
         if res <= target:
@@ -312,6 +370,7 @@ def psd_solve(
             e_comp *= alpha
             comp += e_comp
         del e, e_comp  # free the direction's gradient before the next one
+        res = residual(g)
     phi = Field(grid, grid.irfft(phi_hat))
     if final_sink is not None:
         # the solution's flux from its last residual: N[phi] = f - r

@@ -56,8 +56,9 @@ class SimState:
     coefficients of ``(phi_curr, phi_prev)``, carried from the solver and
     never modified in place; ``None`` on a state built by hand, whose next
     step transforms the fields.
-    ``fluxes``: their 4-Laplacian coefficients, for the next BDF2 solve's
-    start (see :mod:`spfc.psd`); ``None`` where there is no history."""
+    ``fluxes``: their 4-Laplacian coefficients, from which the next solve,
+    BDF2 or BDF1, takes the residual of its copy start with no transform
+    (see :mod:`spfc.psd`); ``None`` where there is no history."""
 
     phi_curr: Field
     phi_prev: Optional[Field]
@@ -123,12 +124,10 @@ def step(
     new state and its diagnostics row, which comes from the solver's final
     spectrum with no transform of its own."""
     phi_km1 = _history_level(state, dt)
-    if phi_km1 is not None:
-        op = StepOperator(state.phi_curr, phi_km1, dt, params, source, state.spectra,
-                          state.fluxes)
-    else:
-        spectra = None if state.spectra is None else state.spectra[:1]
-        op = StepOperator(state.phi_curr, None, dt, params, source, spectra)
+    levels = 1 if phi_km1 is None else 2
+    spectra = None if state.spectra is None else state.spectra[:levels]
+    fluxes = None if state.fluxes is None else state.fluxes[:levels]
+    op = StepOperator(state.phi_curr, phi_km1, dt, params, source, spectra, fluxes)
     final: list = []
     try:
         phi_new, stats = psd_solve(

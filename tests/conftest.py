@@ -1,6 +1,8 @@
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 # one BLAS thread, set before numpy loads: idle BLAS workers spin, and their
 # time would count toward the acceptance suite's process_time() budgets
@@ -36,15 +38,21 @@ def assert_kernel_modes_kept(op, phi: Field) -> None:
     assert np.max(np.abs(kept - start)) <= 1e-13 * (1.0 + np.max(np.abs(start)))
 
 
-def recording_objective(objectives: list):
+def recording_objective(objectives: list, residuals: Optional[list] = None):
     """A ``StepOperator.nonlinear_hat`` to patch in that also appends the
     objective of every iterate it is called on (``psd_solve`` calls it once
-    per residual) to ``objectives``."""
+    per residual) to ``objectives`` and, if given, the residual norm
+    ``psd_solve`` forms from it to ``residuals``."""
     nonlinear_hat = StepOperator.nonlinear_hat
 
     def wrapped(op, phi_hat, grad_comps, *args):
         objectives.append(op.objective_value(phi_hat, grad_comps, op.rhs_hat))
-        return nonlinear_hat(op, phi_hat, grad_comps, *args)
+        out = nonlinear_hat(op, phi_hat, grad_comps, *args)
+        if residuals is not None:
+            r_hat = op.rhs_hat - out
+            r_hat[op.grid.kernel_mask] = 0.0
+            residuals.append(math.sqrt(op.grid.spectral_norm2_sq(r_hat)))
+        return out
 
     return wrapped
 

@@ -374,11 +374,15 @@ class TestNonlinearOperatorAndRhs:
         assert np.max(np.abs(result - expected)) < 1e-10 * np.max(np.abs(expected))
         assert np.max(np.abs(grid8.irfft(op.rhs_hat) - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
-    def test_bdf1_step_takes_no_fluxes(self, grid8):
+    def test_step_takes_one_flux_per_level(self, grid8):
         c = Field(grid8, np.full(grid8.shape, 0.6))
         zero = np.zeros(grid8.rshape, dtype=complex)
-        with pytest.raises(ValueError, match="no fluxes"):
-            StepOperator(c, None, 0.1, ModelParams(epsilon=0.3, reg_a=0.2), fluxes=(zero, zero))
+        params = ModelParams(epsilon=0.3, reg_a=0.2)
+        with pytest.raises(ValueError, match="BDF1 step carries 1 flux"):
+            StepOperator(c, None, 0.1, params, fluxes=(zero, zero))
+        with pytest.raises(ValueError, match="BDF2 step carries 2 flux"):
+            StepOperator(c, c.copy(), 0.1, params, fluxes=(zero,))
+        assert StepOperator(c, None, 0.1, params, fluxes=(zero,)).fluxes == (zero,)
 
     def test_solved_step_satisfies_operator_equation(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)

@@ -348,6 +348,40 @@ class TestTruncationStop:
         rhs_value = -g.spectral_dot(r_hat, delta_hat) / dt
         assert lhs == pytest.approx(rhs_value, rel=1e-10, abs=1e-12 * dissipation)
 
+    @pytest.mark.parametrize("dim, n", [(2, 9), (3, 5)])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bdf1_energy_identity_of_any_iterate(self, rng, dim, n, scheme):
+        # E~(phi, phi^k) - E(phi^k) + sum D1 |delta|^2 + R = -<r, delta>/dt with
+        # dt lam D1 = 3/4 + A dt^2 lam^2 + (dt/2) lam C(lam) and C, the convex
+        # symbol, non-negative: THETA < 3/4 holds at A = 0 and eps dt = 6
+        g = Grid(dim=dim, n=n, length=6.0)
+        eps, dt = 0.6, 10.0
+        params = ModelParams(epsilon=eps, reg_a=0.0, scheme=scheme)
+        op = StepOperator(random_field(g, rng, scale=0.3), None, dt, params)
+        phi = Field(g, op.phi_k.values + 0.2 * random_field(g, rng, mean_zero=True).values)
+        phi_hat, phi_k_hat = g.rfft(phi.values), op.spectra[0]
+        grad_phi = gradient(g, phi_hat)
+        r_hat = op.rhs_hat - op.nonlinear_hat(phi_hat, grad_phi, grad_sq(grad_phi))
+        delta_hat, lam = phi_hat - phi_k_hat, g.lam
+        convex = params.energy_symbol(lam) + params.concave_symbol(lam)
+        assert convex.min() >= 0.0
+        dissipation = g.spectral_norm2_sq(
+            delta_hat, 0.75 * g.lam_inv / dt + params.reg_a * dt * lam + 0.5 * convex)
+        assert dissipation >= 0.75 / dt * g.spectral_norm2_sq(delta_hat, g.lam_inv) > 0.0
+
+        def quartic(spec):
+            gsq = grad_sq(gradient(g, spec))
+            return 0.25 * g.cell_volume * float(np.sum(gsq * gsq))
+
+        convexity = quartic(phi_k_hat) - quartic(phi_hat) + g.spectral_dot(
+            p_laplacian_hat(g, grad_phi), delta_hat)
+        assert convexity >= 0.0
+        e_k = energy_hat(g, params, phi_k_hat, grad_sq(gradient(g, phi_k_hat)))
+        e = energy_hat(g, params, phi_hat, grad_sq(grad_phi))
+        lhs = modified_energy_hat(g, params, dt, e, delta_hat) - e_k + dissipation + convexity
+        rhs_value = -g.spectral_dot(r_hat, delta_hat) / dt
+        assert lhs == pytest.approx(rhs_value, rel=1e-10, abs=1e-12 * dissipation)
+
     def test_theta_bounds_the_dissipation_where_the_stop_applies(self):
         # dt lam D(lam) >= THETA for A = eps^2/16 and eps dt <= 1 (the worst
         # A); the infimum, 131/256, is approached at eps dt = 1, eps -> 1 and
@@ -390,11 +424,12 @@ class TestTruncationStop:
         assert stats.iterations < stats_a.iterations
 
     def test_no_truncation_stop_beyond_the_theta_range(self, rng):
-        # eps dt = 1.5 > 1: THETA is not proven there, so only the floor stops
+        # eps dt = 1.5 > 1: THETA is not proven there for BDF2, so only the
+        # floor stops steps 2 on; it holds for the BDF1 step 1 at any eps dt
         g = Grid(dim=2, n=16, length=8.0 * np.pi)
         params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
         stats = []
         run([(3.0, 15.0)], initial_state(Field(g, 0.1 + 0.05 * rng.standard_normal(g.shape))),
             params, stats_sink=stats.append)
-        assert {s.stopped_by for s in stats} == {"floor"}
+        assert {s.stopped_by for s in stats[1:]} == {"floor"}
         assert any(s.iterations > 1 for s in stats[1:])

@@ -90,7 +90,7 @@ def test_modified_energy_non_increasing_across_a_change_of_dt(
 
 
 def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():
-    # from step 2 on, a solve starts from the predictor and may stop at its
+    # a solve that keeps its predictor, BDF1 (step 1) or BDF2, may stop at its
     # truncation error; the module docstring of spfc.psd derives the energy
     # test that keeps E_mod from rising for the iterate it returns
     tol, stops = CLAIMS["modified_energy_dissipation"].tol, []
@@ -103,8 +103,7 @@ def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():
         records, stats = [], []
         run([(dt, 5 * dt)], initial_state(phi0), params,
             energy_sink=records.append, stats_sink=stats.append)
-        assert stats[0].stopped_by == "floor"  # step 1 is BDF1, started from the copy
-        for s in stats[1:]:
+        for s in stats:
             assert s.stopped_by == "floor" or (s.stopped_by == "truncation" and s.iterations > 0)
             stops.append(s.stopped_by)
         emods = [r.E_mod for r in records[1:]]
@@ -112,7 +111,7 @@ def test_truncation_stop_fires_and_keeps_modified_energy_non_increasing():
             assert curr - prev <= tol * abs(prev)
 
     march()
-    # the stop is no dead branch: it ends most predictor-started solves
+    # the stop is no dead branch: it ends a quarter of the solves or more
     assert stops.count("truncation") >= len(stops) / 4
 
 

@@ -205,15 +205,19 @@ class TestStartRule:
 
     L = 4.0 * np.sqrt(2.0) * np.pi
 
-    def final_field(self, schedule):
+    def smooth_start(self):
         g = Grid(dim=2, n=32, length=self.L)
         tau = 2.0 * np.pi / self.L
         x, y = g.coords()
         modes = (np.cos(tau * x) * np.cos(tau * y) + 0.5 * np.sin(2 * tau * y)
                  + 0.2 * np.cos(3 * tau * x))
+        return Field(g, 0.3 * modes)
+
+    def final_field(self, schedule, phi0=None, stats_sink=None):
+        phi0 = self.smooth_start() if phi0 is None else phi0
         params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
-        state = run(schedule, initial_state(Field(g, 0.3 * modes)), params,
-                    psd_cfg=PsdConfig(tol=1e-12))
+        state = run(schedule, initial_state(phi0), params,
+                    psd_cfg=PsdConfig(tol=1e-12), stats_sink=stats_sink)
         return state.phi_curr.values
 
     @pytest.mark.parametrize(
@@ -247,6 +251,29 @@ class TestStartRule:
         gaps = [np.sqrt(np.mean((a - b) ** 2)) for a, b in zip(finals, finals[1:])]
         assert harness.order_fit(gaps, dts[:-1]) >= 1.9
 
+    @pytest.mark.parametrize("start, dt, t_end", [("smooth", 1.0 / 32, 1.0), ("noise", 0.05, 0.5)])
+    def test_truncation_stops_keep_the_field_within_its_time_error(
+        self, monkeypatch, start, dt, t_end
+    ):
+        # the production march, whose BDF1 and BDF2 solves may stop at their
+        # truncation error, against solves to the floor alone (KAPPA = 0):
+        # 0.14% (smooth) and 0.23% (noise) of the dt-vs-dt/2 gap, and 9.2% on
+        # the noise with a BDF1 stop 10x looser; 0.25% on the N=256
+        # acceptance problem and 0.23% on the 64^3 benchmark start
+        phi0 = self.smooth_start() if start == "smooth" else noise_start_3d()
+
+        def final(step_dt, kappa, stats_sink=None):
+            with monkeypatch.context() as m:
+                m.setattr(psd, "KAPPA", kappa)
+                return self.final_field([(step_dt, t_end)], phi0, stats_sink)
+
+        stats = []
+        production = final(dt, psd.KAPPA, stats.append)
+        assert stats[0].stopped_by == "truncation"  # the BDF1 step 1
+        floor, half = final(dt, 0.0), final(dt / 2, 0.0)
+        gap = np.sqrt(np.mean((floor - half) ** 2))
+        assert np.sqrt(np.mean((production - floor) ** 2)) <= 0.01 * gap
+
     def test_boundary_at_unchanged_dt_carries_the_history(self):
         one = self.final_field([(0.02, 1.0)])
         split = self.final_field([(0.02, 0.5), (0.02, 1.0)])
@@ -270,13 +297,19 @@ class TestStartRule:
         for _ in range(2):
             state, _ = step(state, 0.05, params)
         assert state.history_dt == 0.05 and state.fluxes is not None
-        for dt, phi_km1 in ((0.1, None), (0.05, state.phi_prev)):
-            spectra = state.spectra if phi_km1 is not None else state.spectra[:1]
-            fluxes = state.fluxes if phi_km1 is not None else None
-            op = StepOperator(state.phi_curr, phi_km1, dt, params, None, spectra, fluxes)
+        for dt, phi_km1, levels in ((0.1, None, 1), (0.05, state.phi_prev, 2)):
+            op = StepOperator(state.phi_curr, phi_km1, dt, params, None,
+                              state.spectra[:levels], state.fluxes[:levels])
             expected, _ = psd_solve(state.phi_curr, op)
             new, _ = step(state, dt, params)
             assert new.phi_curr.values.tobytes() == expected.values.tobytes()
+
+
+def noise_start_3d():
+    """The 3D benchmark start, uniform noise of amplitude 0.05 at h ~ 0.39,
+    on 16^3."""
+    g = Grid(dim=3, n=16, length=6.25)
+    return Field(g, 0.05 * (2.0 * np.random.default_rng(7).random(g.shape) - 1.0))
 
 
 def band_field(grid, rng, mean=0.1, amplitude=0.05):
@@ -356,8 +389,11 @@ class TestCarriedSpectra:
             assert rec.h2_norm == pytest.approx(
                 norm_h2_hat(g, g.rfft(st.phi_curr.values)), rel=1e-12)
 
+    @pytest.mark.parametrize("dt", [0.05, 0.1], ids=["bdf2", "bdf1"])
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 10)])
-    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n):
+    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n, dt):
+        # a step at the history's dt is BDF2, one at a new dt BDF1; both take
+        # the copy's residual from the carried flux and keep their predictor
         g = Grid(dim=dim, n=n, length=self.L)
         state, _ = step(initial_state(band_field(g, rng)), 0.05, self.PARAMS)
         ffts = [0]
@@ -378,7 +414,7 @@ class TestCarriedSpectra:
             return out
 
         monkeypatch.setattr(stepper, "psd_solve", solve)
-        _, rec = step(state, 0.05, self.PARAMS)
+        _, rec = step(state, dt, self.PARAMS)
         assert rec.psd_iters > 0
         assert ffts[0] == 2 * dim * rec.psd_iters + 2 * dim + 1
         assert in_solve == ffts  # the diagnostics row transforms nothing
@@ -469,6 +505,36 @@ class TestPredictorStart:
         lte = norm_l2(Field(g, predicted.values - phi_pred.values))
         gap = norm_l2(Field(g, predicted.values - exact.values))
         assert 0.0 < gap <= 2.0 * psd.KAPPA * lte
+
+
+class TestBdf1Start:
+    """A BDF1 step starts from its linearly implicit predictor, the flux
+    frozen at ``p^k``, when that beats the copy, and from the copy, solved
+    to the floor as before, when it does not."""
+
+    PARAMS = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+
+    def test_noise_start_stops_at_its_truncation_error(self):
+        phi0 = noise_start_3d()
+        stats = []
+        step(initial_state(phi0), 0.05, self.PARAMS, stats_sink=stats.append)
+        _, copy_stats = psd_solve(phi0.copy(), StepOperator(phi0, None, 0.05, self.PARAMS))
+        assert stats[0].stopped_by == "truncation"
+        assert 0 < stats[0].iterations < copy_stats.iterations
+
+    def test_stiff_start_is_the_copy_started_floor_solve(self):
+        # a one-node site of magnitude 10: the frozen-flux predictor's
+        # residual is 56x the copy's, so step 1 is solved from the copy
+        cfg = harness.PatternConfig(n=64, seed=7, sites=((50.0, 50.0, 10.0),),
+                                    dt_schedule=((0.05, 0.05),))
+        phi0, params = harness.random_init(cfg, cfg.grid()), cfg.params()
+        stats = []
+        new, _ = step(initial_state(phi0), 0.05, params, stats_sink=stats.append)
+        copy, copy_stats = psd_solve(phi0.copy(), StepOperator(phi0, None, 0.05, params))
+        assert stats[0].stopped_by == copy_stats.stopped_by == "floor"
+        assert stats[0].iterations == copy_stats.iterations
+        assert stats[0].residual_history == copy_stats.residual_history
+        assert new.phi_curr.values.tobytes() == copy.values.tobytes()
 
 
 class TestSingleThreadedReductions:
