@@ -210,10 +210,11 @@ class StepOperator:
     :meth:`Grid.project_real`); otherwise they are transformed on first use.
     ``fluxes`` holds the 4-Laplacian coefficients
     ``p = -div(|grad phi|^2 grad phi)`` of the levels, ``(p^k, p^{k-1})`` or
-    ``(p^k,)``, when a march carries them; :func:`spfc.psd.psd_solve` then
-    takes the residual of a copy of ``phi_k`` with no transform.  Every
-    BDF1 step, and a BDF2 step with fluxes, starts its solve from the
-    linearly implicit predictor when that beats the copy.
+    ``(p^k,)``, when a march carries them; a BDF1 step built without them
+    forms ``p^k`` on first use, as it does its spectrum.  With fluxes,
+    :func:`spfc.psd.psd_solve` takes the residual of a copy of ``phi_k``
+    from ``p^k`` and starts from the linearly implicit predictor when that
+    beats the copy.
 
     ``N[phi] = implicit_sym phi + explicit_hat + dt p_laplacian(phi)``.
     """
@@ -242,7 +243,8 @@ class StepOperator:
             self.implicit_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
         self.phi_k, self.phi_km1, self.source = phi_k, phi_km1, source
         self._flux_symbols = [-dt * ik for ik in self.grid.ik]
-        self.fluxes = fluxes
+        if fluxes is not None or phi_km1 is not None:
+            self.fluxes = fluxes
         if spectra is not None:
             self.spectra = spectra
 
@@ -250,6 +252,11 @@ class StepOperator:
     def spectra(self) -> tuple[np.ndarray, ...]:
         levels = (self.phi_k,) if self.phi_km1 is None else (self.phi_k, self.phi_km1)
         return tuple(self.grid.rfft(phi.values) for phi in levels)
+
+    @cached_property
+    def fluxes(self) -> tuple[np.ndarray, ...]:
+        """``(p^k,)`` of a BDF1 step built without it, formed on first use."""
+        return (p_laplacian_hat(self.grid, gradient(self.grid, self.spectra[0])),)
 
     @property
     def bdf_tail_hat(self) -> np.ndarray:

@@ -9,25 +9,24 @@ objective itself is never evaluated).  The kernel modes of ``-lap``
 (the mean, and on even grids the pure-Nyquist modes) are those of ``phi^k``
 in every iterate: search directions have no kernel content.
 
-The start.  A solve from ``op.phi_k`` of a BDF1 step, or of a BDF2 step
-with ``StepOperator.fluxes``, first takes the residual ``r`` of the copy
-``phi^k``: from the carried flux ``p^k`` with no transform, or, on a BDF1
-step with no fluxes (the first step of a march), from the copy's gradient
-and flux.  A copy that passes the floor ``res <= tol (1 + ||f||)`` is
+The start.  A solve from ``op.phi_k`` with ``StepOperator.fluxes`` (every
+BDF1 step, whose ``p^k`` costs ``2 dim`` transforms when not carried, and a
+BDF2 step of a march) first takes the residual ``r`` of the copy ``phi^k``
+from ``p^k``.  A copy that passes the floor ``res <= tol (1 + ||f||)`` is
 returned: a state at equilibrium stays frozen.  Otherwise the solve moves to
 the linearly implicit step ``phi_pred``, the copy plus
-``(r - dt (p^k - p^{k-1})) / implicit_sym`` for BDF2 (flux extrapolated as
-``2 p^k - p^{k-1}``) or ``r / implicit_sym`` for BDF1 (flux frozen at
-``p^k``), the linear part solved per mode.  One rule decides the start of
-both: the solve keeps the predictor only when its residual, which iteration
-0 computes anyway, is below the copy's.  Otherwise it goes back to the copy
-(the copy's residual is kept, its gradient formed again) and stops at the
-floor only, as a copy-started solve does.  The fall-back is needed where a
-frozen flux is far off, on a stiff start: on the acceptance problem's
-one-node site of magnitude 10 (N = 256, dt = 0.05) the BDF1 predictor's
-residual is 4.3e7 against the copy's 4.5e3, and a march that kept such a
-predictor moved its t = 2.5 field from a march solved to the floor by 9.2%
-of its dt-vs-dt/2 gap, against 0.25% with the fall-back.
+``(r - dt (p^k - p^{k-1})) / implicit_sym``, the linear part solved per
+mode and the flux extrapolated as ``2 p^k - p^{k-1}``; on a BDF1 step
+``p^{k-1}`` is ``p^k``, the flux frozen.  The solve keeps the predictor
+only when its residual, which iteration 0 computes anyway, is below the
+copy's.  Otherwise it goes back to the copy, forms its gradient and
+residual again and stops at the floor only, bitwise as a copy-started
+solve does.  The fall-back is needed where a frozen flux is far off, on a
+stiff start: on the acceptance problem's one-node site of magnitude 10
+(N = 256, dt = 0.05) the BDF1 predictor's residual is 4.3e7 against the
+copy's 4.5e3, and a march that kept such a predictor moved its t = 2.5
+field from a march solved to the floor by 9.2% of its dt-vs-dt/2 gap,
+against 0.25% with the fall-back.
 
 Stopping.  Every solve stops at the floor.  A solve that keeps its predictor
 also stops, from iteration 1 on, at the step's own truncation error, when both
@@ -254,8 +253,8 @@ def psd_solve(
 ) -> tuple[Field, SolveStats]:
     """Solve the step ``op``, ``N[phi] = f``, from a guess on the mass
     hyperplane of ``op.phi_k``, with every kernel mode of ``-lap`` taken
-    from ``op.phi_k``; the guess ``op.phi_k`` itself starts a BDF1 step, or a
-    BDF2 step with fluxes, as the module docstring says.
+    from ``op.phi_k``; the guess ``op.phi_k`` itself, with ``op.fluxes``,
+    starts as the module docstring says.
 
     Returns the solution and the iteration diagnostics (the stopping tests
     are in the module docstring); raises :class:`PsdDivergenceError` when
@@ -295,49 +294,38 @@ def psd_solve(
         r_hat[kernel] = 0.0
         return math.sqrt(grid.spectral_norm2_sq(r_hat))
 
-    g = None  # the gradient of phi_hat, once its residual is in r_hat
     res_copy = None  # set when the solve starts from the predictor
     update = None  # set when the solve may stop at its truncation error
-    if phi_guess is op.phi_k and (op.phi_km1 is None or op.fluxes is not None):
-        if op.fluxes is None:
-            g = gradient(grid, phi_hat, d_hat)
-            res = residual(g)
-        else:  # the copy's residual from the carried flux, with no transform
-            np.multiply(op.implicit_sym, phi_hat, out=r_hat)
-            r_hat += op.explicit_hat
-            r_hat += np.multiply(op.dt, op.fluxes[0], out=d_hat)
-            np.subtract(f_hat, r_hat, out=r_hat)
-            r_hat[kernel] = 0.0
-            res = math.sqrt(grid.spectral_norm2_sq(r_hat))
+    if phi_guess is op.phi_k and op.fluxes is not None:
+        # the copy's residual from p^k (carried, or formed by op.fluxes)
+        np.multiply(op.implicit_sym, phi_hat, out=r_hat)
+        r_hat += op.explicit_hat
+        r_hat += np.multiply(op.dt, op.fluxes[0], out=d_hat)
+        np.subtract(f_hat, r_hat, out=r_hat)
+        r_hat[kernel] = 0.0
+        res = math.sqrt(grid.spectral_norm2_sq(r_hat))
         if res > target:
             # not a fixed point: the linearly implicit step is the copy plus
-            # (r - dt (p^k - p^{k-1})) / implicit_sym (BDF2) or r / implicit_sym
-            # (BDF1), 0 on kernel modes; d_hat holds the copy's residual until
-            # iteration 0 decides the start
-            r_hat, d_hat = d_hat, r_hat
-            if op.phi_km1 is None:
-                np.divide(d_hat, op.implicit_sym, out=r_hat)
-            else:
-                p_k, p_km1 = op.fluxes
-                np.multiply(op.dt, np.subtract(p_km1, p_k, out=r_hat), out=r_hat)
-                r_hat += d_hat
-                r_hat /= op.implicit_sym
-            phi_hat += r_hat
-            res_copy, g = res, None
+            # (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes;
+            # p^{k-1} is p^k on a BDF1 step (the flux frozen)
+            p_k, p_km1 = op.fluxes[0], op.fluxes[-1]
+            np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
+            d_hat += r_hat
+            d_hat /= op.implicit_sym
+            phi_hat += d_hat
+            res_copy = res
             if op.phi_km1 is None or (
                 op.params.stable_guarantee and op.params.epsilon * op.dt <= 1.0
             ):  # THETA holds
                 update = np.zeros_like(phi_hat)  # phi - phi_pred
-    if g is None:
+    g = gradient(grid, phi_hat, r_hat)
+    res = residual(g)
+    if res_copy is not None and not res < res_copy:
+        # the predictor's flux is far off (a stiff start): back to the copy,
+        # its gradient and residual formed again, solved to the floor
+        np.copyto(phi_hat, op.spectra[0])
         g = gradient(grid, phi_hat, r_hat)
-        res = residual(g)
-        if res_copy is not None and not res < res_copy:
-            # the predictor's flux is far off (a stiff start): back to the
-            # copy, whose residual d_hat holds, solved to the floor
-            r_hat, d_hat, res, update = d_hat, r_hat, res_copy, None
-            np.copyto(phi_hat, op.spectra[0])
-            g = gradient(grid, phi_hat, d_hat)
-            grad_sq(g, gsq, tmp)
+        res, update = residual(g), None
     stats = SolveStats()
     for it in range(cfg.max_iter + 1):
         stats.residual_history.append(res)

@@ -56,9 +56,11 @@ class SimState:
     coefficients of ``(phi_curr, phi_prev)``, carried from the solver and
     never modified in place; ``None`` on a state built by hand, whose next
     step transforms the fields.
-    ``fluxes``: their 4-Laplacian coefficients, from which the next solve,
-    BDF2 or BDF1, takes the residual of its copy start with no transform
-    (see :mod:`spfc.psd`); ``None`` where there is no history."""
+    ``fluxes``: the 4-Laplacian coefficients ``(p^k, p^{k-1})``, from which
+    the next solve takes the residual of its copy start with no transform
+    (see :mod:`spfc.psd`); ``None`` where there is no history.  ``p^{k-1}``
+    is that of ``phi_prev`` only after a BDF2 step that carried both fluxes,
+    else ``p^k`` itself (the next predictor freezes the flux)."""
 
     phi_curr: Field
     phi_prev: Optional[Field]
@@ -151,7 +153,7 @@ def step(
         step_index=state.step_index + 1,
         history_dt=dt,
         spectra=(phi_hat, op.spectra[0]),
-        fluxes=(flux, flux if op.fluxes is None else op.fluxes[0]),
+        fluxes=(flux, flux if op.phi_km1 is None or op.fluxes is None else op.fluxes[0]),
     )
     record = _record(new_state, dt, params, phi_hat, gsq, phi_hat - op.spectra[0],
                      stats.iterations, stats.residual_history[-1])

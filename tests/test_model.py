@@ -384,6 +384,16 @@ class TestNonlinearOperatorAndRhs:
             StepOperator(c, c.copy(), 0.1, params, fluxes=(zero,))
         assert StepOperator(c, None, 0.1, params, fluxes=(zero,)).fluxes == (zero,)
 
+    def test_bdf1_step_forms_its_flux_and_bdf2_does_not(self, grid8, rng):
+        # a BDF1 step forms p^k from its spectrum on first use; a BDF2 step
+        # built without fluxes has none
+        params = ModelParams(epsilon=0.3, reg_a=0.2)
+        op = make_step(grid8, rng, params, bdf1=True)
+        (p_k,) = op.fluxes
+        expected = p_laplacian_hat(grid8, gradient(grid8, op.spectra[0]))
+        assert p_k.tobytes() == expected.tobytes()
+        assert make_step(grid8, rng, params).fluxes is None
+
     def test_solved_step_satisfies_operator_equation(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)

@@ -423,6 +423,27 @@ class TestTruncationStop:
         assert a.values.tobytes() == b.values.tobytes()
         assert stats.iterations < stats_a.iterations
 
+    def test_energy_test_decides_a_stop(self, monkeypatch):
+        # KAPPA = 1e6 passes every truncation test, so from iteration 1 on
+        # the energy test alone decides; at eps dt = 1 and A = eps^2/16 (the
+        # edge of its range) it rejects step 1's stop at iterations 1 to 4,
+        # and E_mod still falls at every step
+        g = Grid(dim=2, n=32, length=8.0 * np.pi)
+        params = ModelParams(epsilon=0.1, reg_a=0.1**2 / 16.0)
+        state0 = initial_state(Field(g, 0.5 * np.random.default_rng(3).standard_normal(g.shape)))
+        monkeypatch.setattr(psd, "KAPPA", 1e6)
+        runs = []
+        for theta in (psd.THETA, np.inf):
+            monkeypatch.setattr(psd, "THETA", theta)
+            stats, records = [], []
+            run([(10.0, 30.0)], state0, params, PsdConfig(tol=1e-13),
+                energy_sink=records.append, stats_sink=stats.append)
+            assert stats[0].stopped_by == "truncation"
+            runs.append((stats, records))
+        (stats, records), (unchecked, _) = runs
+        assert stats[0].iterations > unchecked[0].iterations == 1
+        assert all(b.E_mod < a.E_mod for a, b in zip(records, records[1:]))
+
     def test_no_truncation_stop_beyond_the_theta_range(self, rng):
         # eps dt = 1.5 > 1: THETA is not proven there for BDF2, so only the
         # floor stops steps 2 on; it holds for the BDF1 step 1 at any eps dt

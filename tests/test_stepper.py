@@ -323,6 +323,21 @@ def relative_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def count_ffts(monkeypatch) -> list:
+    """Count every ``Grid.rfft``/``Grid.irfft`` from here on in the returned
+    one-element list."""
+    ffts = [0]
+    for name in ("rfft", "irfft"):
+        transform = getattr(Grid, name)
+
+        def counted(grid, arr, transform=transform):
+            ffts[0] += 1
+            return transform(grid, arr)
+
+        monkeypatch.setattr(Grid, name, counted)
+    return ffts
+
+
 class TestKernelModes:
     """A step keeps every kernel mode of ``-lap`` at its value in ``phi^k``:
     the mass and, on even grids, the pure-Nyquist modes that the folded
@@ -389,22 +404,18 @@ class TestCarriedSpectra:
             assert rec.h2_norm == pytest.approx(
                 norm_h2_hat(g, g.rfft(st.phi_curr.values)), rel=1e-12)
 
-    @pytest.mark.parametrize("dt", [0.05, 0.1], ids=["bdf2", "bdf1"])
+    @pytest.mark.parametrize("taken, dt", [(1, 0.05), (1, 0.1), (0, 0.05)],
+                             ids=["bdf2", "bdf1", "first"])
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 10)])
-    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n, dt):
+    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n, taken, dt):
         # a step at the history's dt is BDF2, one at a new dt BDF1; both take
-        # the copy's residual from the carried flux and keep their predictor
+        # the copy's residual from the carried flux and keep their predictor.
+        # A march's first step (BDF1) also transforms phi^k and forms its flux
         g = Grid(dim=dim, n=n, length=self.L)
-        state, _ = step(initial_state(band_field(g, rng)), 0.05, self.PARAMS)
-        ffts = [0]
-        for name in ("rfft", "irfft"):
-            transform = getattr(Grid, name)
-
-            def counted(grid, arr, transform=transform):
-                ffts[0] += 1
-                return transform(grid, arr)
-
-            monkeypatch.setattr(Grid, name, counted)
+        state = initial_state(band_field(g, rng))
+        for _ in range(taken):
+            state, _ = step(state, 0.05, self.PARAMS)
+        ffts = count_ffts(monkeypatch)
         in_solve = []
 
         def solve(*args, **kwargs):
@@ -416,7 +427,8 @@ class TestCarriedSpectra:
         monkeypatch.setattr(stepper, "psd_solve", solve)
         _, rec = step(state, dt, self.PARAMS)
         assert rec.psd_iters > 0
-        assert ffts[0] == 2 * dim * rec.psd_iters + 2 * dim + 1
+        first = 0 if taken else 2 * dim + 1
+        assert ffts[0] == 2 * dim * rec.psd_iters + 2 * dim + 1 + first
         assert in_solve == ffts  # the diagnostics row transforms nothing
 
     def test_stepping_a_state_twice_is_bitwise(self, rng):
@@ -453,6 +465,18 @@ class TestPredictorStart:
             # terms are ~1e4 times dt p here: round-off reaches ~3e-12
             assert relative_gap(st.fluxes[0], expected) <= 1e-11
 
+    def test_flux_history_is_frozen_after_every_bdf1_step(self, rng):
+        # p^{k-1} is the step's p^k only after a BDF2 step that carried both
+        # fluxes; after a BDF1 step the next predictor freezes the flux
+        g = Grid(dim=2, n=16, length=self.L)
+        params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
+        first, _ = step(initial_state(band_field(g, rng)), 0.05, params)
+        carried, _ = step(first, 0.05, params)
+        restarted, _ = step(carried, 0.1, params)
+        for new in (first, restarted):
+            assert new.fluxes[1] is new.fluxes[0]
+        assert carried.fluxes[1] is first.fluxes[0]
+
     def test_near_equilibrium_step_keeps_the_copy(self, grid16, rng):
         # TestRun's two-segment run, which decays to E ~ 1e-21: where the
         # copy passes the stopping test, the step returns it
@@ -481,15 +505,7 @@ class TestPredictorStart:
         op = StepOperator(state.phi_curr, state.phi_prev, 0.5, params, None, state.spectra,
                           state.fluxes)
         exact, copy_stats = psd_solve(state.phi_curr.copy(), op, PsdConfig(tol=1e-10))
-        ffts = [0]
-        for name in ("rfft", "irfft"):
-            transform = getattr(Grid, name)
-
-            def counted(grid, arr, transform=transform):
-                ffts[0] += 1
-                return transform(grid, arr)
-
-            monkeypatch.setattr(Grid, name, counted)
+        ffts = count_ffts(monkeypatch)
         predicted, stats = psd_solve(state.phi_curr, op)
         assert stats.converged and stats.stopped_by == "truncation"
         assert 0 < stats.iterations < copy_stats.iterations
@@ -522,14 +538,20 @@ class TestBdf1Start:
         assert stats[0].stopped_by == "truncation"
         assert 0 < stats[0].iterations < copy_stats.iterations
 
-    def test_stiff_start_is_the_copy_started_floor_solve(self):
+    def test_stiff_start_is_the_copy_started_floor_solve(self, monkeypatch):
         # a one-node site of magnitude 10: the frozen-flux predictor's
         # residual is 56x the copy's, so step 1 is solved from the copy
         cfg = harness.PatternConfig(n=64, seed=7, sites=((50.0, 50.0, 10.0),),
                                     dt_schedule=((0.05, 0.05),))
         phi0, params = harness.random_init(cfg, cfg.grid()), cfg.params()
         stats = []
-        new, _ = step(initial_state(phi0), 0.05, params, stats_sink=stats.append)
+        with monkeypatch.context() as m:
+            ffts = count_ffts(m)
+            new, _ = step(initial_state(phi0), 0.05, params, stats_sink=stats.append)
+        # phi^k's spectrum and flux, the predictor's residual, the copy's
+        # residual formed again, the iterations and the solution
+        dim = phi0.grid.dim
+        assert ffts[0] == 2 * dim * stats[0].iterations + 6 * dim + 2
         copy, copy_stats = psd_solve(phi0.copy(), StepOperator(phi0, None, 0.05, params))
         assert stats[0].stopped_by == copy_stats.stopped_by == "floor"
         assert stats[0].iterations == copy_stats.iterations
