@@ -141,7 +141,7 @@ def _write_rows(rows, path) -> None:
 
 def _run_conv_space(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
-    n_list = getattr(CLAIMS["spatial_accuracy"], cfg.profile)
+    n_list = CLAIMS["spatial_accuracy"].size
     rows = spatial_convergence_study(n_list, CONV_DT, cfg.pattern.params(), CONV_T)
     _write_rows(rows, os.path.join(out, "convergence_space.csv"))
     lines = [f"N={r.resolution:3d}  error_l2={r.error_l2:.6e}" for r in rows]
@@ -153,7 +153,7 @@ def _run_conv_space(cfg: RunConfig) -> int:
 
 def _run_conv_time(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
-    n_fixed = getattr(CLAIMS["temporal_order"], cfg.profile)
+    n_fixed = CLAIMS["temporal_order"].size
     rows, order = temporal_convergence_study(CONV_STEPS, n_fixed, cfg.pattern.params(), CONV_T)
     _write_rows(rows, os.path.join(out, "convergence_time.csv"))
     lines = [f"N_k={r.resolution:4d}  dt={r.dt:.3e}  error_l2={r.error_l2:.6e}" for r in rows]
@@ -164,7 +164,7 @@ def _run_conv_time(cfg: RunConfig) -> int:
 
 def _run_verify(cfg: RunConfig) -> int:
     out = _prepare_output(cfg)
-    report = verify_suite(profile=cfg.profile)
+    report = verify_suite()
     _report([report.format()], os.path.join(out, "verify_report.txt"))
     return EXIT_OK if report.all_passed else EXIT_SOLVER
 

@@ -17,7 +17,6 @@ key                   default                  meaning / constraints            
 ====================  =======================  ===============================  ============
 mode                  (from CLI subcommand)    simulate | conv_space | ...      all
 output_dir            out                      created if missing               all
-grid.dim              2                        only 2 (simulate runs 2D)        sim
 grid.n                256                      points per axis, >= 3            sim
 grid.length           100.0                    box edge length, > 0             sim
 model.epsilon         0.5                      in (0, 1)                        sim, conv
@@ -28,7 +27,6 @@ schedule              (required for simulate)  comma list of dt:t_end; whole    
 seed                  0                        RNG seed, >= 0                   sim
 snapshot_times        1,10,20,40,100,200       comma list of reals up to the    sim
                       (those in the schedule)  schedule's end, or empty
-profile               full                     full | ci (harness.CLAIMS size)  conv, verify
 init.amplitude        0.05                     uniform noise amplitude, >= 0    sim
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
 init.site_profile     node                     node | gaussian                  sim
@@ -73,7 +71,6 @@ class RunConfig:
     solver: PsdConfig = field(default_factory=PsdConfig)
     output_dir: str = "out"
     snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
-    profile: str = "full"
 
 
 def _number(raw: str) -> float:
@@ -121,18 +118,12 @@ def _joined(sep: str) -> Callable[[tuple], str]:
     )
 
 
-def _dim(raw: str) -> int:
-    if raw != "2":
-        raise ValueError(f"simulate runs 2D grids only, got {raw!r}")
-    return 2
-
-
 class Key(NamedTuple):
     """A config key: the field it sets (``"pattern.n"``), its parser, the modes
     that read it, and how :func:`render_config` writes it (``value``, ``text``)."""
 
     name: str
-    path: Optional[str]
+    path: str
     parse: Callable[[str], object]
     modes: tuple
     text: Callable[[object], str] = str
@@ -141,14 +132,12 @@ class Key(NamedTuple):
 
 _SIM = ("simulate",)
 _MODEL = ("simulate", "conv_space", "conv_time")
-_PROFILE = ("conv_space", "conv_time", "verify")
 
 # in the order render_config writes them
 KEYS = {
     key.name: key
     for key in (
         Key("mode", "mode", _choice(*MODES), MODES),
-        Key("grid.dim", None, _dim, _SIM, value=lambda cfg: 2),
         Key("grid.n", "pattern.n", _integer, _SIM),
         Key("grid.length", "pattern.length", _number, _SIM),
         Key("model.epsilon", "pattern.epsilon", _number, _MODEL),
@@ -160,7 +149,6 @@ KEYS = {
         Key("seed", "pattern.seed", _integer, _SIM),
         Key("snapshot_times", "snapshot_times", _list(",", "a time"), _SIM,
             text=lambda times: "" if times == DEFAULT_SNAPSHOT_TIMES else _joined(",")(times)),
-        Key("profile", "profile", _choice("full", "ci"), _PROFILE),
         Key("init.amplitude", "pattern.amplitude", _number, _SIM),
         Key("init.sites", "pattern.sites", _list(";", "x:y:magnitude"), _SIM,
             text=_joined("; ")),
@@ -207,9 +195,8 @@ def parse_config(
             raise ConfigError(key, line, str(exc)) from None
         if key == "mode" and mode is not None and parsed != mode:
             raise ConfigError(key, line, f"mode {parsed!r} conflicts with subcommand {mode!r}")
-        if spec.path:
-            owner, _, name = spec.path.rpartition(".")
-            fields[owner][name] = parsed
+        owner, _, name = spec.path.rpartition(".")
+        fields[owner][name] = parsed
         origin[key] = line
     run_mode = fields[""].setdefault("mode", mode)
     if not run_mode:

@@ -46,30 +46,29 @@ CONV_DT, CONV_STEPS, CONV_T = 1e-4, tuple(range(100, 900, 100)), 0.16
 
 
 class Claim(NamedTuple):
-    """A shipped claim's bound and its problem size under the ``full`` and
-    ``ci`` profiles (``None`` where the problem has one size)."""
+    """A shipped claim's bound and its problem size (``None`` where the
+    problem has one size)."""
 
     tol: float
-    full: object = None
-    ci: object = None
+    size: object = None
 
 
 # Every claim of ``spfc verify``, the conv subcommands and the acceptance
 # suite, stated once.  A size ``(count, ns)`` draws ``count`` samples on each
 # grid size in ``ns``.
 CLAIMS = {
-    "sbp_identities": Claim(1e-10, (100, (16, 32)), (20, (16,))),
-    "interpolation_inequalities": Claim(1e-12, (500, (16, 32)), (200, (16,))),
+    "sbp_identities": Claim(1e-10, (100, (16, 32))),
+    "interpolation_inequalities": Claim(1e-12, (500, (16, 32))),
     "parseval_identity": Claim(1e-12),
-    "gradient_consistency": Claim(1e-5, 50, 3),  # instances per scheme
-    "psd_multistart_uniqueness": Claim(1e-8, 256, 64),  # grid size
+    "gradient_consistency": Claim(1e-5, 50),  # instances per scheme
+    "psd_multistart_uniqueness": Claim(1e-8, 256),  # grid size
     "constant_fixed_point": Claim(1e-12),
-    "psd_mesh_independence": Claim(3, (64, 128, 256), (32, 64)),  # iteration spread
-    "mass_conservation": Claim(1e-11, 30, 10),  # absolute drift; smoke-run steps
+    "psd_mesh_independence": Claim(3, (64, 128, 256)),  # iteration spread
+    "mass_conservation": Claim(1e-11, 30),  # absolute drift; smoke-run steps
     "modified_energy_dissipation": Claim(1e-9),  # relative uptick per step
-    "spatial_accuracy": Claim(1e-6, tuple(range(6, 22, 2)), tuple(range(6, 14, 2))),  # error ratio
+    "spatial_accuracy": Claim(1e-6, tuple(range(6, 22, 2))),  # error ratio
     "spectral_saturation": Claim(1e-9),  # error floor of the spatial study
-    "temporal_order": Claim(0.2, 128, 64),  # |order - 2|; grid size
+    "temporal_order": Claim(0.2, 128),  # |order - 2|; grid size
     "dt_agreement": Claim(0.01),  # relative spread of the energy curves
     "psd_objective_monotone": Claim(1e-12),  # relative uptick per iteration
     "psd_contraction": Claim(0.95),  # residual ratio after iteration 3
@@ -521,14 +520,12 @@ def multistart_gap(n: int) -> float:
     return norm_l2(Field(grid, sol_a.values - sol_b.values))
 
 
-def verify_suite(profile: str = "full") -> VerifyReport:
-    """Run the property battery at the ``profile`` sizes of :data:`CLAIMS`
-    and return a pass/fail report.  Under ``"full"``, the checks shared with
-    acceptance criteria 1, 7c, 7d, 8 and 10 run the criterion's problem,
-    size and seed through the function the criterion calls."""
-    if profile not in ("full", "ci"):
-        raise ValueError(f"unknown profile {profile!r}")
-    size = {name: getattr(claim, profile) for name, claim in CLAIMS.items()}
+def verify_suite() -> VerifyReport:
+    """Run the property battery at the sizes of :data:`CLAIMS` and return a
+    pass/fail report.  The checks shared with acceptance criteria 1, 7c, 7d,
+    8 and 10 run the criterion's problem, size and seed through the function
+    the criterion calls."""
+    size = {name: claim.size for name, claim in CLAIMS.items()}
     report = VerifyReport()
 
     def check(claim: str, measured: float, detail: str, name: Optional[str] = None) -> None:

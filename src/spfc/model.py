@@ -147,18 +147,14 @@ def _add_flux_divergence(grid: Grid, grad_comps, gsq, symbols, out, work=None) -
     return out
 
 
-def p_laplacian_hat(
-    grid: Grid, grad_comps: list[np.ndarray], gsq: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient
-    (and ``|grad phi|^2``, formed here when not given).
+def p_laplacian_hat(grid: Grid, grad_comps: list[np.ndarray]) -> np.ndarray:
+    """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient.
 
     Gradient and divergence are spectral; the cubic flux is formed pointwise
     on the grid (plain collocation: its aliased modes are kept).
     """
-    gsq = grad_sq(grad_comps) if gsq is None else gsq
     out = np.zeros(grid.rshape, dtype=np.complex128)
-    return _add_flux_divergence(grid, grad_comps, gsq, [-ik for ik in grid.ik], out)
+    return _add_flux_divergence(grid, grad_comps, grad_sq(grad_comps), [-ik for ik in grid.ik], out)
 
 
 def _lin_sym(grid: Grid, params: ModelParams, dt: float) -> np.ndarray:

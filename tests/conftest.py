@@ -16,6 +16,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from spfc import Field, Grid, StepOperator
+from spfc.harness import CLAIMS
 
 
 @pytest.fixture
@@ -55,6 +56,28 @@ def recording_objective(objectives: list, residuals: Optional[list] = None):
         return out
 
     return wrapped
+
+
+# the claims' problems at a fraction of their sizes, for tests that check
+# only how a battery or study is wired to its output
+SMALL_SIZES = {
+    "sbp_identities": (20, (16,)),
+    "interpolation_inequalities": (200, (16,)),
+    "gradient_consistency": 3,
+    "psd_multistart_uniqueness": 64,
+    "psd_mesh_independence": (32, 64),
+    "mass_conservation": 10,
+    "spatial_accuracy": (6, 8, 10, 12),
+    "temporal_order": 16,
+}
+
+
+@pytest.fixture
+def small_claims(monkeypatch):
+    """``spfc.harness.CLAIMS`` with the sizes of :data:`SMALL_SIZES`."""
+    for name, size in SMALL_SIZES.items():
+        monkeypatch.setitem(CLAIMS, name, CLAIMS[name]._replace(size=size))
+    return CLAIMS
 
 
 @pytest.fixture

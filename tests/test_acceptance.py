@@ -3,19 +3,15 @@ printed pass/fail line per criterion.
 
 Tolerances and sizes come from ``spfc.harness.CLAIMS``, the table that
 ``spfc verify`` and the conv subcommands read too.  Criteria 1, 7c, 7d, 8
-and 10 call the harness functions that ``spfc verify`` calls, so its
-``full`` profile prints the same measured values.
+and 10 call the harness functions that ``spfc verify`` calls, so it prints
+the same measured values.
 
-Profiles: the temporal study runs at the table's ``full`` size (N=128) by
-default; SPFC_PROFILE=ci selects its ``ci`` size (N=64); no other criterion
-reads the ``ci`` column (order is asserted either way).  The
-pattern-formation fixtures (N=256, t <= 100, three step sizes) are computed
-once and shared by the energy, dt-agreement, solver-behavior and H2-bound
-criteria.  Those, and criteria 3 and 4, carry the ``slow`` marker:
+The pattern-formation fixtures (N=256, t <= 100, three step sizes) are
+computed once and shared by the energy, dt-agreement, solver-behavior and
+H2-bound criteria.  Those, and criteria 3 and 4, carry the ``slow`` marker:
 ``-m "not slow"`` skips them.
 """
 
-import os
 import time
 
 import numpy as np
@@ -41,8 +37,6 @@ from spfc.harness import (
 )
 from spfc.model import StepOperator
 from spfc.psd import PsdConfig, psd_solve
-
-PROFILE = os.environ.get("SPFC_PROFILE", "full")
 
 
 def report(ok: bool, label: str, detail: str) -> None:
@@ -110,7 +104,7 @@ class TestCriterion1OperatorIdentities:
     def test_sbp_identities(self):
         claim = CLAIMS["sbp_identities"]
         t0 = time.process_time()
-        defects = {grid: max(d) for grid, d in sbp_defects(*claim.full).items()}
+        defects = {grid: max(d) for grid, d in sbp_defects(*claim.size).items()}
         elapsed = time.process_time() - t0
         worst = max(defects.values())
         details = "; ".join(f"{dim}d/n{n}: {d:.2e}" for (dim, n), d in defects.items())
@@ -118,7 +112,7 @@ class TestCriterion1OperatorIdentities:
         report(
             ok,
             "criterion 1 (summation-by-parts identities)",
-            f"worst relative defect {worst:.2e} (tol {sci(claim.tol)}) over {claim.full[0]} "
+            f"worst relative defect {worst:.2e} (tol {sci(claim.tol)}) over {claim.size[0]} "
             f"pairs each of {details}; {elapsed:.1f} s (< 10 s)",
         )
 
@@ -128,7 +122,7 @@ class TestCriterion2SpatialAccuracy:
         params = ModelParams(epsilon=0.025, reg_a=0.25)  # a = 0.975, A = 0.25
         tol, floor = CLAIMS["spatial_accuracy"].tol, CLAIMS["spectral_saturation"].tol
         t0 = time.process_time()
-        rows = spatial_convergence_study(CLAIMS["spatial_accuracy"].full, CONV_DT, params, CONV_T)
+        rows = spatial_convergence_study(CLAIMS["spatial_accuracy"].size, CONV_DT, params, CONV_T)
         elapsed = time.process_time() - t0
         errors = [r.error_l2 for r in rows]
         table = ", ".join(f"N={r.resolution}:{r.error_l2:.2e}" for r in rows)
@@ -151,8 +145,7 @@ class TestCriterion3TemporalOrder:
     @pytest.mark.slow
     def test_second_order_both_schemes(self):
         claim = CLAIMS["temporal_order"]
-        n_fixed = claim.ci if PROFILE == "ci" else claim.full
-        budget = 120.0 if PROFILE == "ci" else 600.0
+        n_fixed = claim.size
         t0 = time.process_time()
         results = {}
         for scheme in Scheme:
@@ -175,7 +168,7 @@ class TestCriterion3TemporalOrder:
         errs1 = [r.error_l2 for r in results[Scheme.BDF2_ES_1][0]]
         errs2 = [r.error_l2 for r in results[Scheme.BDF2_ES_2][0]]
         ok_smaller = all(e2 < e1 for e1, e2 in zip(errs1, errs2))
-        ok = ok_orders and ok_smaller and elapsed < budget
+        ok = ok_orders and ok_smaller and elapsed < 600.0
         report(
             ok,
             "criterion 3 (temporal second order)",
@@ -184,7 +177,7 @@ class TestCriterion3TemporalOrder:
             f"{h3_orders[Scheme.BDF2_ES_1]:.3f} (need [{2.0 - claim.tol:g}, {2.0 + claim.tol:g}]; "
             f"scheme2, not asserted: {h3_orders[Scheme.BDF2_ES_2]:.3f}); "
             f"scheme2 < scheme1 at all {len(CONV_STEPS)} step counts: {ok_smaller}; "
-            f"{elapsed:.0f} s (< {budget:.0f} s)",
+            f"{elapsed:.0f} s (< 600 s)",
         )
 
 
@@ -291,7 +284,7 @@ class TestCriterion7PsdBehavior:
 
     def test_mesh_independent_iterations(self):
         claim = CLAIMS["psd_mesh_independence"]
-        counts = mesh_iteration_counts(claim.full)
+        counts = mesh_iteration_counts(claim.size)
         spread = max(counts.values()) - min(counts.values())
         ok = spread <= claim.tol
         report(
@@ -302,12 +295,12 @@ class TestCriterion7PsdBehavior:
 
     def test_multistart_uniqueness(self):
         claim = CLAIMS["psd_multistart_uniqueness"]
-        gap = multistart_gap(claim.full)
+        gap = multistart_gap(claim.size)
         ok = gap <= claim.tol
         report(
             ok,
             "criterion 7d (multi-start uniqueness)",
-            f"solution gap {gap:.2e} between two starts at N={claim.full} "
+            f"solution gap {gap:.2e} between two starts at N={claim.size} "
             f"(tol {sci(claim.tol)})",
         )
 
@@ -315,7 +308,7 @@ class TestCriterion7PsdBehavior:
 class TestCriterion8InequalityBattery:
     def test_thousand_random_fields(self):
         claim = CLAIMS["interpolation_inequalities"]
-        fields, ns = claim.full
+        fields, ns = claim.size
         worst = max(inequality_excess(fields, ns))
         ok = worst <= claim.tol
         report(
@@ -344,11 +337,11 @@ class TestCriterion9H2Boundedness:
 class TestCriterion10GradientConsistency:
     def test_fifty_instances_both_schemes(self):
         claim = CLAIMS["gradient_consistency"]
-        worst = max(gradient_mismatch(claim.full).values())
+        worst = max(gradient_mismatch(claim.size).values())
         ok = worst <= claim.tol
         report(
             ok,
             "criterion 10 (gradient consistency)",
-            f"worst relative mismatch {worst:.2e} over {claim.full} instances per scheme "
+            f"worst relative mismatch {worst:.2e} over {claim.size} instances per scheme "
             f"(tol {sci(claim.tol)} at h=1e-5)",
         )

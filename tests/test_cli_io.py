@@ -14,7 +14,7 @@ import spfc
 from conftest import random_field
 from spfc import Field, Grid, Scheme, energy, ModelParams, PsdConfig
 from spfc.cli import main
-from spfc.config import ConfigError, parse_config, render_config
+from spfc.config import MODES, ConfigError, parse_config, render_config
 from spfc.harness import DEFAULT_SNAPSHOT_TIMES
 from spfc.snapshots import (
     SnapshotError,
@@ -343,26 +343,25 @@ class TestCli:
         log_b = (tmp_path / "b" / "energy.csv").read_bytes()
         assert log_a == log_b
 
-    def test_verify_exit_zero_and_report(self, tmp_path):
+    def test_verify_exit_zero_and_report(self, tmp_path, small_claims):
         out = tmp_path / "v"
-        assert main(["verify", "--set", "profile=ci", "--set", f"output_dir={out}"]) == 0
+        assert main(["verify", "--set", f"output_dir={out}"]) == 0
         assert "ALL CHECKS PASSED" in (out / "verify_report.txt").read_text()
 
-    def test_verify_reads_the_claims_table(self, tmp_path, monkeypatch):
-        claims = spfc.harness.CLAIMS
-        exact = claims["parseval_identity"]._replace(tol=0.0)
-        monkeypatch.setitem(claims, "parseval_identity", exact)
+    def test_verify_reads_the_claims_table(self, tmp_path, monkeypatch, small_claims):
+        exact = small_claims["parseval_identity"]._replace(tol=0.0)
+        monkeypatch.setitem(small_claims, "parseval_identity", exact)
         out = tmp_path / "v"
-        assert main(["verify", "--set", "profile=ci", "--set", f"output_dir={out}"]) == 3
+        assert main(["verify", "--set", f"output_dir={out}"]) == 3
         text = (out / "verify_report.txt").read_text()
         assert "FAIL  parseval_identity" in text and "CHECKS FAILED" in text
 
-    def test_conv_space_ci_writes_table(self, tmp_path):
+    def test_conv_space_writes_table(self, tmp_path, monkeypatch, small_claims):
+        monkeypatch.setattr(spfc.cli, "CONV_DT", 1e-3)
         out = tmp_path / "cs"
         code = main(
             [
                 "conv-space",
-                "--set", "profile=ci",
                 "--set", "model.epsilon=0.025",
                 "--set", "model.A=0.25",
                 "--set", f"output_dir={out}",
@@ -371,8 +370,17 @@ class TestCli:
         assert code == 0
         table = (out / "convergence_space.csv").read_text().strip().splitlines()
         assert table[0] == "resolution,dt,error_l2,error_h3_seminorm"
-        assert len(table) == 5
-        assert (out / "report.txt").exists()
+        assert [row.split(",")[0] for row in table[1:]] == ["6", "8", "10", "12"]
+        assert "error(12) / error(6) = " in (out / "report.txt").read_text()
+
+    def test_conv_time_writes_table(self, tmp_path, monkeypatch, small_claims):
+        monkeypatch.setattr(spfc.cli, "CONV_STEPS", (20, 40, 80))
+        out = tmp_path / "ct"
+        assert main(["conv-time", "--set", f"output_dir={out}"]) == 0
+        table = (out / "convergence_time.csv").read_text().strip().splitlines()
+        assert table[0] == "resolution,dt,error_l2,error_h3_seminorm"
+        assert [row.split(",")[0] for row in table[1:]] == ["20", "40", "80"]
+        assert "fitted order = " in (out / "report.txt").read_text()
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -425,8 +433,6 @@ class TestCli:
             ("verify", "model.epsilon", "0.3"),
             ("conv_space", "grid.n", "64"),
             ("conv_time", "solver.tol", "1e-6"),
-            ("simulate", "grid.dim", "3"),
-            ("simulate", "profile", "ci"),
         ],
     )
     def test_key_outside_mode_exits_two(self, tmp_path, capsys, mode, key, value):
@@ -440,11 +446,24 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("profile", "full"), ("grid.dim", "2")])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, mode, key, value):
+        # every earlier simulate config.resolved carries grid.dim = 2
+        text = "schedule = 0.05:0.5\n" if mode == "simulate" else ""
+        with pytest.raises(ConfigError, match=rf"'{key}' \(line 2\): unknown key"):
+            parse_config(f"mode = {mode}\n{key} = {value}\n" + text)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{text}{key} = {value}\noutput_dir = {tmp_path / 'out'}\n")
+        assert main([mode.replace("_", "-"), "--config", str(path)]) == 2
+        line = 2 if text else 1
+        assert f"config key {key!r} (line {line}): unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key, form",
         [
-            ("grid.dim", "{}"),
             ("grid.n", "{}"),
             ("grid.length", "{}"),
             ("model.epsilon", "{}"),
@@ -468,8 +487,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode, keys",
         [
-            ("conv_space", ["mode", "model.epsilon", "model.A", "model.scheme", "output_dir", "profile"]),
-            ("verify", ["mode", "output_dir", "profile"]),
+            ("conv_space", ["mode", "model.epsilon", "model.A", "model.scheme", "output_dir"]),
+            ("verify", ["mode", "output_dir"]),
         ],
     )
     def test_resolved_config_holds_the_mode_keys_only(self, mode, keys):

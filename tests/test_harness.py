@@ -240,15 +240,15 @@ class TestPatternExperiment:
 
 
 class TestVerifySuite:
-    def test_ci_profile_passes(self):
-        report = verify_suite(profile="ci")
+    def test_battery_passes_at_the_claimed_sizes(self):
+        report = verify_suite()
         assert report.all_passed
         text = report.format()
         assert "ALL CHECKS PASSED" in text
-        assert "sbp_identities_2d_n16" in text
+        assert "sbp_identities_2d_n16" in text and "sbp_identities_3d_n32" in text
 
     @pytest.mark.parametrize("symbol", ["lam", "ik"])
-    def test_mutated_symbol_turns_sbp_red(self, monkeypatch, symbol):
+    def test_mutated_symbol_turns_sbp_red(self, monkeypatch, small_claims, symbol):
         # a symbol scaled by 1 + 1e-6 breaks identities 1 and 3 (2 scales both
         # sides with lam and has no gradient); only the SBP check sees it, so
         # no symbol cache of a later check is built from the scaled one
@@ -264,11 +264,7 @@ class TestVerifySuite:
                 return sbp_defects(*args)
 
         monkeypatch.setattr(harness, "sbp_defects", perturbed)
-        report = verify_suite(profile="ci")
+        report = verify_suite()
         sbp = [e for e in report.entries if e.name.startswith("sbp")]
         assert sbp and all(not e.passed for e in sbp)
         assert not report.all_passed
-
-    def test_rejects_unknown_profile(self):
-        with pytest.raises(ValueError):
-            verify_suite(profile="huge")

@@ -403,7 +403,7 @@ class TestSummationByParts:
         grad_phi, grad_psi = gradient(grid, phi_hat), gradient(grid, psi_hat)
         gsq = grad_sq(grad_phi)
         flux = [gsq * c for c in grad_phi]
-        lhs = grid.spectral_dot(p_laplacian_hat(grid, grad_phi, gsq), psi_hat)
+        lhs = grid.spectral_dot(p_laplacian_hat(grid, grad_phi), psi_hat)
         rhs = grid.cell_volume * sum(sum_product(a, b) for a, b in zip(flux, grad_psi))
         bound = grid.cell_volume * np.sqrt(
             sum_product(grad_sq(flux)) * sum_product(grad_sq(grad_psi)))
