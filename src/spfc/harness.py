@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, sum_product
-from .model import ModelParams, Scheme, StepOperator, grad_sq, gradient
+from .model import ModelParams, Scheme, StepOperator, grad_sq, gradient, p_laplacian_hat
 from .psd import PsdConfig, psd_solve
 from .spectral import Field, norm_h2_hat, norm_l2
 from .stepper import EnergyRecord, SimState, initial_state, run, segment_steps
@@ -452,8 +452,8 @@ def gradient_consistency_defect(
         phi_hat = grid.rfft(phi_k.values + _mean_zero(0.1 * rng.standard_normal(grid.shape)))
         d_hat = grid.rfft(_mean_zero(rng.standard_normal(grid.shape)))
         d_hat /= math.sqrt(grid.spectral_norm2_sq(d_hat))
-        grads = gradient(grid, phi_hat)
-        pairing = grid.spectral_dot(op.nonlinear_hat(phi_hat, grads, grad_sq(grads)) - f_hat, d_hat)
+        n_hat = op.nonlinear_hat(phi_hat, p_laplacian_hat(grid, gradient(grid, phi_hat)))
+        pairing = grid.spectral_dot(n_hat - f_hat, d_hat)
         fp, fm = (
             op.objective_value(p_hat, gradient(grid, p_hat), f_hat)
             for p_hat in (phi_hat + h * d_hat, phi_hat - h * d_hat)

@@ -138,23 +138,23 @@ def grad_sq(grad_comps: list[np.ndarray], out=None, work=None) -> np.ndarray:
     return _pointwise_dot(grad_comps, grad_comps, out, work)
 
 
-def _add_flux_divergence(grid: Grid, grad_comps, gsq, symbols, out, work=None) -> np.ndarray:
-    """``out += sum_i symbols[i] * rfft(gsq * grad_comps[i])``."""
-    for comp, sym in zip(grad_comps, symbols):
-        spec = grid.rfft(np.multiply(gsq, comp, out=work))
-        spec *= sym
-        out += spec
-    return out
-
-
-def p_laplacian_hat(grid: Grid, grad_comps: list[np.ndarray]) -> np.ndarray:
-    """Coefficients of ``-div(|grad phi|^2 grad phi)`` from the gradient.
+def p_laplacian_hat(grid: Grid, grad_comps, gsq=None, out=None, work=None) -> np.ndarray:
+    """Coefficients of ``p = -div(|grad phi|^2 grad phi)`` from the gradient
+    (and ``|grad phi|^2``, formed when not given); zero on the kernel of ``-lap``.
 
     Gradient and divergence are spectral; the cubic flux is formed pointwise
     on the grid (plain collocation: its aliased modes are kept).
     """
-    out = np.zeros(grid.rshape, dtype=np.complex128)
-    return _add_flux_divergence(grid, grad_comps, grad_sq(grad_comps), [-ik for ik in grid.ik], out)
+    if gsq is None:
+        gsq = grad_sq(grad_comps)
+    for i, (comp, ik) in enumerate(zip(grad_comps, grid.ik)):
+        spec = grid.rfft(np.multiply(gsq, comp, out=work))
+        if i == 0:
+            out = np.multiply(-ik, spec, out=out)
+        else:
+            spec *= ik
+            out -= spec
+    return out
 
 
 def _lin_sym(grid: Grid, params: ModelParams, dt: float) -> np.ndarray:
@@ -199,8 +199,9 @@ class StepOperator:
     dissipate the modified energy when ``A >= eps^2/16``.
 
     Works on raw arrays: fields as rfft coefficient arrays (``*_hat``) plus,
-    where the quartic term is involved, the physical gradient components from
-    :func:`gradient`; the scheme algebra exists here exactly once.  ``spectra``
+    where the quartic term is involved, the gradient components from
+    :func:`gradient` or the flux from :func:`p_laplacian_hat`; the scheme
+    algebra exists here exactly once.  ``spectra``
     holds the rfft coefficients of the levels, ``(phi_k, phi_km1)`` or
     ``(phi_k,)``, when they are already known (real-field projected, see
     :meth:`Grid.project_real`); otherwise they are transformed on first use.
@@ -212,7 +213,8 @@ class StepOperator:
     from ``p^k`` and starts from the linearly implicit predictor when that
     beats the copy.
 
-    ``N[phi] = implicit_sym phi + explicit_hat + dt p_laplacian(phi)``.
+    ``N[phi] = implicit_sym phi + explicit_hat + dt p``, ``p`` the 4-Laplacian
+    of ``phi``, is formed in :meth:`nonlinear_hat` alone.
     """
 
     def __init__(
@@ -238,7 +240,6 @@ class StepOperator:
             self.lead = 1.5
             self.implicit_sym, self.pre_inv = _scheme_symbols(self.grid, params, dt)
         self.phi_k, self.phi_km1, self.source = phi_k, phi_km1, source
-        self._flux_symbols = [-dt * ik for ik in self.grid.ik]
         if fluxes is not None or phi_km1 is not None:
             self.fluxes = fluxes
         if spectra is not None:
@@ -289,14 +290,15 @@ class StepOperator:
         return out
 
     def nonlinear_hat(
-        self, phi_hat: np.ndarray, grad_comps: list[np.ndarray], gsq: np.ndarray,
+        self, phi_hat: np.ndarray, p_hat: np.ndarray,
         out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Coefficients of ``N[phi]`` given the iterate's transform, gradient
-        and ``|grad phi|^2``."""
+        """Coefficients of ``N[phi]`` from the iterate's transform and its
+        4-Laplacian coefficients (:func:`p_laplacian_hat`)."""
         out = np.multiply(self.implicit_sym, phi_hat, out=out)
         out += self.explicit_hat
-        return _add_flux_divergence(self.grid, grad_comps, gsq, self._flux_symbols, out, work)
+        out += np.multiply(self.dt, p_hat, out=work)
+        return out
 
     # -- scalar functionals --------------------------------------------
     def objective_value(

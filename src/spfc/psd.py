@@ -7,19 +7,21 @@ magnitude), then minimizes the strictly convex objective along ``d`` by
 finding the unique root of a monotone cubic, its directional derivative (the
 objective itself is never evaluated).  The kernel modes of ``-lap``
 (the mean, and on even grids the pure-Nyquist modes) are those of ``phi^k``
-in every iterate: search directions have no kernel content.
+in every iterate: search directions have no kernel content.  Every residual
+``f - N[phi]`` is formed by :meth:`StepOperator.nonlinear_hat` from the
+iterate's flux, and the flux of the last one is the solution's.
 
 The start.  A solve from ``op.phi_k`` with ``StepOperator.fluxes`` (every
 BDF1 step, whose ``p^k`` costs ``2 dim`` transforms when not carried, and a
 BDF2 step of a march) first takes the residual ``r`` of the copy ``phi^k``
 from ``p^k``.  A copy that passes the floor ``res <= tol (1 + ||f||)`` is
-returned: a state at equilibrium stays frozen.  Otherwise the solve moves to
-the linearly implicit step ``phi_pred``, the copy plus
-``(r - dt (p^k - p^{k-1})) / implicit_sym``, the linear part solved per
-mode and the flux extrapolated as ``2 p^k - p^{k-1}``; on a BDF1 step
-``p^{k-1}`` is ``p^k``, the flux frozen.  The solve keeps the predictor
-only when its residual, which iteration 0 computes anyway, is below the
-copy's.  Otherwise it goes back to the copy, forms its gradient and
+returned, at the cost of its gradient alone: a state at equilibrium stays
+frozen.  Otherwise the solve moves to the linearly implicit step
+``phi_pred``, the copy plus ``(r - dt (p^k - p^{k-1})) / implicit_sym``, the
+linear part solved per mode and the flux extrapolated as ``2 p^k - p^{k-1}``;
+on a BDF1 step ``p^{k-1}`` is ``p^k``, the flux frozen.  The solve keeps the
+predictor only when its residual, which iteration 0 computes anyway, is below
+the copy's.  Otherwise it goes back to the copy, forms its gradient and
 residual again and stops at the floor only, bitwise as a copy-started
 solve does.  The fall-back is needed where a frozen flux is far off, on a
 stiff start: on the acceptance problem's one-node site of magnitude 10
@@ -91,8 +93,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import sum_product
-from .model import StepOperator, _require_same_mass, grad_sq, gradient
+from .model import StepOperator, _require_same_mass, grad_sq, gradient, p_laplacian_hat
 from .spectral import Field
 
 __all__ = [
@@ -226,23 +227,16 @@ def _diverged(history: list) -> Optional[str]:
     return None
 
 
-def _truncated(op: StepOperator, phi_hat, r_hat, d_hat, update, work) -> bool:
+def _truncated(op: StepOperator, phi_hat, r_hat, d_hat, update) -> bool:
     """Whether the iterate ``phi_hat``, ``update`` away from the predictor,
     with residual ``r_hat`` and ``d_hat = pre_inv r_hat``, passes the
-    truncation and energy tests.  The energy test forms ``phi - phi^k`` in
-    ``d_hat``, which holds ``pre_inv r_hat`` again on a ``False``, and
-    ``|phi - phi^k|^2`` in the front of the grid buffer ``work``."""
+    truncation and energy tests."""
     grid = op.grid
     if grid.spectral_dot(d_hat, d_hat) > KAPPA**2 * grid.spectral_dot(update, update):
         return False
-    delta = np.subtract(phi_hat, op.spectra[0], out=d_hat)
-    sq = np.abs(delta, out=work.reshape(-1)[: delta.size].reshape(delta.shape))
-    sq *= sq
-    delta_hm1_sq = grid.spectral_norm_factor * sum_product(grid.parseval_weight, grid.lam_inv, sq)
-    if abs(grid.spectral_dot(r_hat, delta)) <= THETA * delta_hm1_sq:
-        return True
-    np.multiply(op.pre_inv, r_hat, out=d_hat)
-    return False
+    delta = phi_hat - op.spectra[0]
+    delta_hm1_sq = grid.spectral_norm2_sq(delta, grid.lam_inv)
+    return abs(grid.spectral_dot(r_hat, delta)) <= THETA * delta_hm1_sq
 
 
 def psd_solve(
@@ -268,6 +262,7 @@ def psd_solve(
     cfg = cfg or PsdConfig()
     _require_same_mass(phi_guess, op.phi_k, "initial guess is off the mass hyperplane")
     grid = op.grid
+    copy_start = phi_guess is op.phi_k and op.fluxes is not None  # p^k before the work arrays
     if phi_guess is op.phi_k:
         phi_hat = op.spectra[0].copy()
     else:
@@ -282,28 +277,26 @@ def psd_solve(
     target = cfg.tol * (1.0 + f_norm)
 
     # work arrays of the whole solve, updated in place
-    r_hat, d_hat = np.empty_like(phi_hat), np.empty_like(phi_hat)
+    r_hat, d_hat, p_hat = (np.empty_like(phi_hat) for _ in range(3))
     gsq, ge, ee, tmp = (np.empty(grid.shape) for _ in range(4))
 
-    def residual(g: list[np.ndarray]) -> float:
-        """``r = f - N[phi]`` of ``phi_hat`` (gradient ``g``) into ``r_hat``,
-        with ``|grad phi|^2`` into ``gsq``; returns ``||r||``."""
-        grad_sq(g, gsq, tmp)
-        op.nonlinear_hat(phi_hat, g, gsq, r_hat, tmp)
+    def residual(g: Optional[list[np.ndarray]] = None) -> float:
+        """``r = f - N[phi]`` of ``phi_hat`` into ``r_hat`` from the flux in
+        ``p_hat``, formed first (with ``gsq``) from the gradient ``g`` if given."""
+        if g is not None:
+            grad_sq(g, gsq, tmp)
+            p_laplacian_hat(grid, g, gsq, p_hat, tmp)
+        op.nonlinear_hat(phi_hat, p_hat, r_hat, d_hat)
         np.subtract(f_hat, r_hat, out=r_hat)
         r_hat[kernel] = 0.0
         return math.sqrt(grid.spectral_norm2_sq(r_hat))
 
     res_copy = None  # set when the solve starts from the predictor
     update = None  # set when the solve may stop at its truncation error
-    if phi_guess is op.phi_k and op.fluxes is not None:
+    if copy_start:
         # the copy's residual from p^k (carried, or formed by op.fluxes)
-        np.multiply(op.implicit_sym, phi_hat, out=r_hat)
-        r_hat += op.explicit_hat
-        r_hat += np.multiply(op.dt, op.fluxes[0], out=d_hat)
-        np.subtract(f_hat, r_hat, out=r_hat)
-        r_hat[kernel] = 0.0
-        res = math.sqrt(grid.spectral_norm2_sq(r_hat))
+        np.copyto(p_hat, op.fluxes[0])
+        res = residual()
         if res > target:
             # not a fixed point: the linearly implicit step is the copy plus
             # (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes;
@@ -318,14 +311,17 @@ def psd_solve(
                 op.params.stable_guarantee and op.params.epsilon * op.dt <= 1.0
             ):  # THETA holds
                 update = np.zeros_like(phi_hat)  # phi - phi_pred
-    g = gradient(grid, phi_hat, r_hat)
-    res = residual(g)
-    if res_copy is not None and not res < res_copy:
-        # the predictor's flux is far off (a stiff start): back to the copy,
-        # its gradient and residual formed again, solved to the floor
-        np.copyto(phi_hat, op.spectra[0])
-        g = gradient(grid, phi_hat, r_hat)
-        res, update = residual(g), None
+    g = gradient(grid, phi_hat, d_hat)
+    if copy_start and res_copy is None:
+        grad_sq(g, gsq, tmp)  # a fixed point: only its |grad phi|^2 is missing
+    else:
+        res = residual(g)
+        if res_copy is not None and not res < res_copy:
+            # the predictor's flux is far off (a stiff start): back to the copy,
+            # its gradient and residual formed again, solved to the floor
+            np.copyto(phi_hat, op.spectra[0])
+            g = gradient(grid, phi_hat, d_hat)
+            res, update = residual(g), None
     stats = SolveStats()
     for it in range(cfg.max_iter + 1):
         stats.residual_history.append(res)
@@ -341,7 +337,7 @@ def psd_solve(
                 f"history tail {stats.residual_history[-6:]}"
             )
         np.multiply(op.pre_inv, r_hat, out=d_hat)
-        if update is not None and it > 0 and _truncated(op, phi_hat, r_hat, d_hat, update, tmp):
+        if update is not None and it > 0 and _truncated(op, phi_hat, r_hat, d_hat, update):
             stats.converged, stats.stopped_by = True, "truncation"
             break
         if it == cfg.max_iter:
@@ -361,11 +357,5 @@ def psd_solve(
         res = residual(g)
     phi = Field(grid, grid.irfft(phi_hat))
     if final_sink is not None:
-        # the solution's flux from its last residual: N[phi] = f - r
-        np.subtract(f_hat, r_hat, out=r_hat)
-        r_hat -= np.multiply(op.implicit_sym, phi_hat, out=d_hat)
-        r_hat -= op.explicit_hat
-        r_hat /= op.dt
-        r_hat[kernel] = 0.0
-        final_sink(grid.project_real(phi_hat), gsq, grid.project_real(r_hat))
+        final_sink(grid.project_real(phi_hat), gsq, grid.project_real(p_hat))
     return phi, stats

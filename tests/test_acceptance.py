@@ -60,7 +60,7 @@ def pattern_runs():
     for dt in (0.1, 0.05, 0.025):
         cfg = acceptance_pattern(256, dt, 100.0)
         records, stats, copy_stats, resolve_seconds = [], [], [], [0.0]
-        objectives, current, residuals = [], [], []
+        objectives, current = [], []
 
         def resolve_from_copy(st, dt=dt, params=cfg.params()):
             t = time.process_time()
@@ -70,19 +70,17 @@ def pattern_runs():
                 copy_stats.append(psd_solve(st.phi_curr, op, PsdConfig())[1])
             resolve_seconds[0] += time.process_time() - t
 
-        def on_stats(solve_stats, objectives=objectives, current=current, residuals=residuals):
-            # a BDF1 solve also evaluates the start it does not keep, copy or
-            # predictor; the iterates are those whose residual it records
+        def on_stats(solve_stats, objectives=objectives, current=current):
+            # a solve from the copy with its flux first evaluates the starts it
+            # may not keep, copy and predictor; its iterates come last
             stats.append(solve_stats)
-            iterates = set(solve_stats.residual_history)
-            objectives.append([obj for obj, res in zip(current, residuals) if res in iterates])
+            objectives.append(current[len(current) - len(solve_stats.residual_history):])
             current.clear()
-            residuals.clear()
 
         t0 = time.process_time()
         with pytest.MonkeyPatch.context() as m:
             if dt == 0.05:
-                m.setattr(StepOperator, "nonlinear_hat", recording_objective(current, residuals))
+                m.setattr(StepOperator, "nonlinear_hat", recording_objective(current))
             pattern_experiment(
                 cfg,
                 energy_sink=records.append,

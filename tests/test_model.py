@@ -37,10 +37,9 @@ def p_laplacian(phi):
 
 
 def n_hat(op, phi_hat):
-    """``StepOperator.nonlinear_hat`` at ``phi_hat``, with the gradient and
-    ``|grad phi|^2`` formed as ``psd_solve`` forms them."""
-    grads = gradient(op.grid, phi_hat)
-    return op.nonlinear_hat(phi_hat, grads, grad_sq(grads))
+    """``StepOperator.nonlinear_hat`` at ``phi_hat``, with the 4-Laplacian
+    flux formed from its gradient as ``psd_solve`` forms it."""
+    return op.nonlinear_hat(phi_hat, p_laplacian_hat(op.grid, gradient(op.grid, phi_hat)))
 
 
 def step_residual(op, phi):
@@ -214,9 +213,12 @@ class TestWorkBuffers:
                    for x, y in zip(grads, gradient(g, phi_hat, dirty(g.rshape, complex))))
         gsq = grad_sq(grads)
         assert np.array_equal(gsq, grad_sq(grads, dirty(g.shape), dirty(g.shape)))
+        p_hat = p_laplacian_hat(g, grads)
         assert np.array_equal(
-            op.nonlinear_hat(phi_hat, grads, gsq),
-            op.nonlinear_hat(phi_hat, grads, gsq, dirty(g.rshape, complex), dirty(g.shape)),
+            p_hat, p_laplacian_hat(g, grads, gsq, dirty(g.rshape, complex), dirty(g.shape)))
+        assert np.array_equal(
+            op.nonlinear_hat(phi_hat, p_hat),
+            op.nonlinear_hat(phi_hat, p_hat, dirty(g.rshape, complex), dirty(g.rshape, complex)),
         )
         e = gradient(g, d_hat)
         work = (dirty(g.shape), dirty(g.shape), dirty(g.shape), dirty(g.rshape, complex))

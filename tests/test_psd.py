@@ -50,7 +50,7 @@ def line_search_coefficients(phi, d, op):
     phi_hat, d_hat = g.rfft(phi.values), g.rfft(d.values)
     grad_phi = gradient(g, phi_hat)
     gsq = grad_sq(grad_phi)
-    c0 = g.spectral_dot(op.nonlinear_hat(phi_hat, grad_phi, gsq) - op.rhs_hat, d_hat)
+    c0 = g.spectral_dot(op.nonlinear_hat(phi_hat, p_laplacian_hat(g, grad_phi)) - op.rhs_hat, d_hat)
     return op.line_coefficients(grad_phi, gsq, gradient(g, d_hat), d_hat, c0)
 
 
@@ -324,7 +324,7 @@ class TestTruncationStop:
         phi = Field(g, op.phi_k.values + 0.2 * random_field(g, rng, mean_zero=True).values)
         phi_hat, (phi_k_hat, phi_km1_hat) = g.rfft(phi.values), op.spectra
         grad_phi = gradient(g, phi_hat)
-        r_hat = op.rhs_hat - op.nonlinear_hat(phi_hat, grad_phi, grad_sq(grad_phi))
+        r_hat = op.rhs_hat - op.nonlinear_hat(phi_hat, p_laplacian_hat(g, grad_phi))
         delta_hat, step_k = phi_hat - phi_k_hat, phi_k_hat - phi_km1_hat
         lam = g.lam
         dissipation = g.spectral_norm2_sq(
@@ -361,7 +361,7 @@ class TestTruncationStop:
         phi = Field(g, op.phi_k.values + 0.2 * random_field(g, rng, mean_zero=True).values)
         phi_hat, phi_k_hat = g.rfft(phi.values), op.spectra[0]
         grad_phi = gradient(g, phi_hat)
-        r_hat = op.rhs_hat - op.nonlinear_hat(phi_hat, grad_phi, grad_sq(grad_phi))
+        r_hat = op.rhs_hat - op.nonlinear_hat(phi_hat, p_laplacian_hat(g, grad_phi))
         delta_hat, lam = phi_hat - phi_k_hat, g.lam
         convex = params.energy_symbol(lam) + params.concave_symbol(lam)
         assert convex.min() >= 0.0

@@ -1,6 +1,7 @@
 """README's ``Library use`` code runs as written, and its CLI examples and
 the key table of ``spfc.config`` agree with ``config.KEYS``, so an API or
-config change cannot leave them stale."""
+config change cannot leave them stale.  Its ``Cost of a step`` table is the
+FFT-count oracle of the stepper tests (:func:`step_cost`)."""
 
 import re
 import shlex
@@ -19,6 +20,20 @@ def section_blocks(title: str, lang: str) -> list[str]:
     text = README.read_text(encoding="utf-8")
     section = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
     return re.findall(rf"```{lang}\n(.*?)```", section, flags=re.S)
+
+
+def step_cost(row: str, dim: int, iters: int = 0) -> int:
+    """FFTs of the row of the README table ``### Cost of a step`` whose first
+    cell starts with ``row``: the cell's leading count, in backticks or bare,
+    with ``dim`` and ``iters`` substituted (``2 dim iters`` reads
+    ``2 * dim * iters``)."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n### Cost of a step\n", 1)[1].split("\n#", 1)[0]
+    rows = [re.match(r"\| (.*?) \| (.*) \|$", line) for line in table.splitlines()]
+    (cell,) = [m[2] for m in rows if m and m[1].startswith(row)]
+    count = re.match(r"`([^`]+)`|\d+", cell)
+    expr = re.sub(r"(?<=\w) (?=\w)", " * ", count[1] or count[0])
+    return eval(expr, {"__builtins__": {}}, {"dim": dim, "iters": iters})
 
 
 def command_lines() -> list[str]:

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_field
+from test_readme import step_cost
 from spfc import (
     Field,
     Grid,
@@ -404,15 +405,18 @@ class TestCarriedSpectra:
             assert rec.h2_norm == pytest.approx(
                 norm_h2_hat(g, g.rfft(st.phi_curr.values)), rel=1e-12)
 
+    @pytest.mark.parametrize("start", ["band", "constant"])
     @pytest.mark.parametrize("taken, dt", [(1, 0.05), (1, 0.1), (0, 0.05)],
                              ids=["bdf2", "bdf1", "first"])
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 10)])
-    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n, taken, dt):
+    def test_step_costs_only_its_solve(self, rng, monkeypatch, dim, n, taken, dt, start):
         # a step at the history's dt is BDF2, one at a new dt BDF1; both take
-        # the copy's residual from the carried flux and keep their predictor.
-        # A march's first step (BDF1) also transforms phi^k and forms its flux
+        # the copy's residual from the carried flux and keep their predictor,
+        # or the copy, at a fixed point.  A march's first step (BDF1) also
+        # transforms phi^k and forms its flux.  The counts are README's
         g = Grid(dim=dim, n=n, length=self.L)
-        state = initial_state(band_field(g, rng))
+        phi0 = band_field(g, rng) if start == "band" else Field(g, np.full(g.shape, 0.3))
+        state = initial_state(phi0)
         for _ in range(taken):
             state, _ = step(state, 0.05, self.PARAMS)
         ffts = count_ffts(monkeypatch)
@@ -426,9 +430,10 @@ class TestCarriedSpectra:
 
         monkeypatch.setattr(stepper, "psd_solve", solve)
         _, rec = step(state, dt, self.PARAMS)
-        assert rec.psd_iters > 0
-        first = 0 if taken else 2 * dim + 1
-        assert ffts[0] == 2 * dim * rec.psd_iters + 2 * dim + 1 + first
+        assert (rec.psd_iters > 0) == (start == "band")
+        row = "a step of a march (" if rec.psd_iters else "a step of a march whose copy"
+        expected = step_cost(row, dim, rec.psd_iters)
+        assert ffts[0] == expected + (0 if taken else step_cost("the first step", dim))
         assert in_solve == ffts  # the diagnostics row transforms nothing
 
     def test_stepping_a_state_twice_is_bitwise(self, rng):
@@ -461,9 +466,19 @@ class TestPredictorStart:
         for st in states:
             spec = g.rfft(st.phi_curr.values)
             expected = p_laplacian_hat(g, gradient(g, spec))
-            # formed as (N - implicit_sym phi - explicit_hat) / dt, whose
-            # terms are ~1e4 times dt p here: round-off reaches ~3e-12
-            assert relative_gap(st.fluxes[0], expected) <= 1e-11
+            assert relative_gap(st.fluxes[0], expected) <= 1e-13  # 2.3e-15 measured
+
+    @pytest.mark.parametrize("dt", [0.05, 1e-3, 1e-4])
+    def test_carried_flux_is_the_flux_of_the_carried_spectrum(self, dt):
+        # the solve hands on the flux its last residual formed from the
+        # iterate's gradient: the solution's own flux, to round-off
+        cfg = harness.PatternConfig(n=64, seed=7, sites=((50.0, 50.0, 10.0),))
+        g = cfg.grid()
+        state, params = initial_state(harness.random_init(cfg, g)), cfg.params()
+        for _ in range(10):
+            state, _ = step(state, dt, params)
+            formed = p_laplacian_hat(g, gradient(g, state.spectra[0]))
+            assert relative_gap(state.fluxes[0], formed) <= 1e-14
 
     def test_flux_history_is_frozen_after_every_bdf1_step(self, rng):
         # p^{k-1} is the step's p^k only after a BDF2 step that carried both
@@ -510,7 +525,7 @@ class TestPredictorStart:
         assert stats.converged and stats.stopped_by == "truncation"
         assert 0 < stats.iterations < copy_stats.iterations
         assert stats.residual_history[0] < 1e-2 * copy_stats.residual_history[0]
-        assert ffts[0] == 2 * dim * stats.iterations + 2 * dim + 1  # the start costs none
+        assert ffts[0] == step_cost("a step of a march (", dim, stats.iterations)  # start: free
         # the linearly implicit BDF2 step, formed here from the operator's data
         (p_k, p_km1), phi_k_hat = op.fluxes, op.spectra[0]
         r = op.rhs_hat - op.implicit_sym * phi_k_hat - op.explicit_hat - op.dt * (2 * p_k - p_km1)
@@ -550,8 +565,10 @@ class TestBdf1Start:
             new, _ = step(initial_state(phi0), 0.05, params, stats_sink=stats.append)
         # phi^k's spectrum and flux, the predictor's residual, the copy's
         # residual formed again, the iterations and the solution
-        dim = phi0.grid.dim
-        assert ffts[0] == 2 * dim * stats[0].iterations + 6 * dim + 2
+        dim, iters = phi0.grid.dim, stats[0].iterations
+        assert ffts[0] == (step_cost("a step of a march (", dim, iters)
+                           + step_cost("a step whose predictor", dim)
+                           + step_cost("the first step", dim))
         copy, copy_stats = psd_solve(phi0.copy(), StepOperator(phi0, None, 0.05, params))
         assert stats[0].stopped_by == copy_stats.stopped_by == "floor"
         assert stats[0].iterations == copy_stats.iterations
