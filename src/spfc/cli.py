@@ -105,21 +105,31 @@ def _run_simulate(cfg: RunConfig) -> int:
         )
         write_snapshot(state.phi_curr, meta, snapshot_path(out, state.step_index))
 
+    # running values of the streamed rows, for the summary line
+    seen = {"drift": 0.0, "max_h2": 0.0}
+
+    def log_row(record) -> None:
+        log.write(energy_row(record))
+        drift = abs(record.mass - seen.setdefault("mass0", record.mass))
+        seen.update(E=record.E, drift=max(seen["drift"], drift),
+                    max_h2=max(seen["max_h2"], record.h2_norm))
+
     # line-buffered: every row is flushed, so a failed or killed run leaves its log
     path = os.path.join(out, "energy.csv")
     with open(path, "w", buffering=1, encoding="utf-8", newline="\n") as log:
         log.write(ENERGY_HEADER)
-        summary = pattern_experiment(
+        final = pattern_experiment(
             pattern,
-            energy_sink=lambda record: log.write(energy_row(record)),
+            energy_sink=log_row,
             snapshot_sink=snapshot_sink,
             snapshot_times=cfg.snapshot_times,
             psd_cfg=cfg.solver,
         )
+    phi = final.phi_curr.values
     print(
-        f"simulate: t = {summary.final_time:g} in {summary.total_steps} steps, "
-        f"E = {summary.final_energy:.6g}, phi in [{summary.phi_min:.4g}, {summary.phi_max:.4g}], "
-        f"mass drift {summary.mass_drift:.3e}, max H2 {summary.max_h2:.6g}"
+        f"simulate: t = {final.time:g} in {final.step_index} steps, "
+        f"E = {seen['E']:.6g}, phi in [{phi.min():.4g}, {phi.max():.4g}], "
+        f"mass drift {seen['drift']:.3e}, max H2 {seen['max_h2']:.6g}"
     )
     print(f"outputs in {out}")
     return EXIT_OK

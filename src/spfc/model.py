@@ -211,7 +211,8 @@ class StepOperator:
     forms ``p^k`` on first use, as it does its spectrum.  With fluxes,
     :func:`spfc.psd.psd_solve` takes the residual of a copy of ``phi_k``
     from ``p^k`` and starts from the linearly implicit predictor when that
-    beats the copy.
+    beats the copy, else from the copy with the same ``p^k``: a step forms
+    each level's flux at most once.
 
     ``N[phi] = implicit_sym phi + explicit_hat + dt p``, ``p`` the 4-Laplacian
     of ``phi``, is formed in :meth:`nonlinear_hat` alone.

@@ -21,9 +21,10 @@ frozen.  Otherwise the solve moves to the linearly implicit step
 linear part solved per mode and the flux extrapolated as ``2 p^k - p^{k-1}``;
 on a BDF1 step ``p^{k-1}`` is ``p^k``, the flux frozen.  The solve keeps the
 predictor only when its residual, which iteration 0 computes anyway, is below
-the copy's.  Otherwise it goes back to the copy, forms its gradient and
-residual again and stops at the floor only, bitwise as a copy-started
-solve does.  The fall-back is needed where a frozen flux is far off, on a
+the copy's.  Otherwise it goes back to the copy and its ``p^k``, forms the
+copy's gradient alone, as a fixed point does, and stops at the floor only,
+bitwise as a copy-started solve of the same ``p^k`` does.  The fall-back is
+needed where a frozen flux is far off, on a
 stiff start: on the acceptance problem's one-node site of magnitude 10
 (N = 256, dt = 0.05) the BDF1 predictor's residual is 4.3e7 against the
 copy's 4.5e3, and a march that kept such a predictor moved its t = 2.5
@@ -168,13 +169,13 @@ def solve_cubic_monotone(c0: float, c1: float, c2: float, c3: float) -> float:
 
     Safeguarded Newton on a bracket grown geometrically from ``[-1, 1]``,
     with bisection fallback; avoids the closed-form cubic's cancellation in
-    the near-linear regime.  All-zero coefficients return 0.
-    """
+    the near-linear regime.  All-zero coefficients return 0; any cubic but
+    one with ``c1 > 0``, ``c3 >= 0`` and ``c2^2 <= 3 c1 c3`` raises."""
     if c0 == 0.0 and c1 == 0.0 and c2 == 0.0 and c3 == 0.0:
         return 0.0
-    if c3 < 0.0 or c1 <= 0.0:
+    if c3 < 0.0 or c1 <= 0.0 or c2 * c2 > 3.0 * c1 * c3:
         raise NonMonotoneCubicError(
-            f"cubic is not strictly increasing: c1 = {c1:.6e}, c3 = {c3:.6e}"
+            f"cubic is not strictly increasing: c1 = {c1:.6e}, c2 = {c2:.6e}, c3 = {c3:.6e}"
         )
 
     def p(x: float) -> float:
@@ -262,7 +263,7 @@ def psd_solve(
     cfg = cfg or PsdConfig()
     _require_same_mass(phi_guess, op.phi_k, "initial guess is off the mass hyperplane")
     grid = op.grid
-    copy_start = phi_guess is op.phi_k and op.fluxes is not None  # p^k before the work arrays
+    fluxes = op.fluxes if phi_guess is op.phi_k else None  # p^k before the work arrays
     if phi_guess is op.phi_k:
         phi_hat = op.spectra[0].copy()
     else:
@@ -291,37 +292,39 @@ def psd_solve(
         r_hat[kernel] = 0.0
         return math.sqrt(grid.spectral_norm2_sq(r_hat))
 
-    res_copy = None  # set when the solve starts from the predictor
-    update = None  # set when the solve may stop at its truncation error
-    if copy_start:
+    update = g = None  # update: set when the solve may stop at its truncation error
+    if fluxes is not None:
         # the copy's residual from p^k (carried, or formed by op.fluxes)
-        np.copyto(p_hat, op.fluxes[0])
+        np.copyto(p_hat, fluxes[0])
         res = residual()
         if res > target:
             # not a fixed point: the linearly implicit step is the copy plus
             # (r - dt (p^k - p^{k-1})) / implicit_sym, 0 on kernel modes;
             # p^{k-1} is p^k on a BDF1 step (the flux frozen)
-            p_k, p_km1 = op.fluxes[0], op.fluxes[-1]
-            np.multiply(op.dt, np.subtract(p_km1, p_k, out=d_hat), out=d_hat)
+            np.multiply(op.dt, np.subtract(fluxes[-1], fluxes[0], out=d_hat), out=d_hat)
             d_hat += r_hat
             d_hat /= op.implicit_sym
             phi_hat += d_hat
-            res_copy = res
             if op.phi_km1 is None or (
                 op.params.stable_guarantee and op.params.epsilon * op.dt <= 1.0
             ):  # THETA holds
                 update = np.zeros_like(phi_hat)  # phi - phi_pred
-    g = gradient(grid, phi_hat, d_hat)
-    if copy_start and res_copy is None:
-        grad_sq(g, gsq, tmp)  # a fixed point: only its |grad phi|^2 is missing
-    else:
-        res = residual(g)
-        if res_copy is not None and not res < res_copy:
-            # the predictor's flux is far off (a stiff start): back to the copy,
-            # its gradient and residual formed again, solved to the floor
-            np.copyto(phi_hat, op.spectra[0])
             g = gradient(grid, phi_hat, d_hat)
-            res, update = residual(g), None
+            res_pred = residual(g)
+            if res_pred < res:
+                res = res_pred
+            else:
+                # the predictor's flux is far off (a stiff start): back to the
+                # copy and its p^k (r_hat formed again, no FFT), solved to the floor
+                np.copyto(phi_hat, op.spectra[0])
+                np.copyto(p_hat, fluxes[0])
+                res, update, g = residual(), None, None
+    if g is None:  # the guess itself
+        g = gradient(grid, phi_hat, d_hat)
+        if fluxes is None:
+            res = residual(g)
+        else:
+            grad_sq(g, gsq, tmp)  # the copy's residual is known: only its |grad phi|^2 is missing
     stats = SolveStats()
     for it in range(cfg.max_iter + 1):
         stats.residual_history.append(res)

@@ -53,9 +53,10 @@ class SimState:
     ``phi_prev`` is the history level, one step of ``history_dt`` before
     ``phi_curr``, or ``None``; the next step is BDF2 only when its ``dt``
     equals ``history_dt`` (see :func:`step`).  ``spectra``: the rfft
-    coefficients of ``(phi_curr, phi_prev)``, carried from the solver and
-    never modified in place; ``None`` on a state built by hand, whose next
-    step transforms the fields.
+    coefficients of ``(phi_curr, phi_prev)``, or ``(phi_curr,)`` without a
+    history level, never modified in place: :func:`initial_state` transforms
+    ``phi_curr``, each step carries the solver's, and a state built by hand
+    passes its own.
     ``fluxes``: the 4-Laplacian coefficients ``(p^k, p^{k-1})``, from which
     the next solve takes the residual of its copy start with no transform
     (see :mod:`spfc.psd`); ``None`` where there is no history.  ``p^{k-1}``
@@ -66,8 +67,8 @@ class SimState:
     phi_prev: Optional[Field]
     time: float
     step_index: int
+    spectra: tuple[np.ndarray, ...]
     history_dt: Optional[float] = None
-    spectra: Optional[tuple[np.ndarray, ...]] = None
     fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
@@ -86,12 +87,13 @@ class EnergyRecord:
 
 
 def initial_state(phi0: Field, history: str = "copy") -> SimState:
-    """The start state of a march: ``phi0`` at ``t = 0`` with no history
-    level, so the first step is BDF1.  ``history`` accepts only ``"copy"``,
-    the name of the old default rule, and is kept for callers that pass it."""
+    """The start state of a march: ``phi0`` at ``t = 0`` with its spectrum
+    and no history level, so the first step is BDF1.  ``history`` accepts
+    only ``"copy"``, the name of the old default rule, and is kept for
+    callers that pass it."""
     if history != "copy":
         raise ValueError(f"unknown history rule {history!r}")
-    return SimState(phi0, None, time=0.0, step_index=0)
+    return SimState(phi0, None, time=0.0, step_index=0, spectra=(phi0.grid.rfft(phi0.values),))
 
 
 def _history_level(state: SimState, dt: float) -> Optional[Field]:
@@ -127,9 +129,8 @@ def step(
     spectrum with no transform of its own."""
     phi_km1 = _history_level(state, dt)
     levels = 1 if phi_km1 is None else 2
-    spectra = None if state.spectra is None else state.spectra[:levels]
     fluxes = None if state.fluxes is None else state.fluxes[:levels]
-    op = StepOperator(state.phi_curr, phi_km1, dt, params, source, spectra, fluxes)
+    op = StepOperator(state.phi_curr, phi_km1, dt, params, source, state.spectra[:levels], fluxes)
     final: list = []
     try:
         phi_new, stats = psd_solve(
@@ -200,9 +201,9 @@ def run(
 
     Each step applies the start rule of :func:`step`, so a segment whose
     ``dt`` differs from the step before it starts with a BDF1 step.  Energy
-    records are emitted every step (the ``t = 0`` row's E_mod is E where
-    ``state0`` has no history at the first ``dt``), snapshots at the first
-    state reaching each requested time.
+    records are emitted every step (the ``t = 0`` row, from ``state0``'s
+    spectra, has E_mod = E where ``state0`` has no history at the first
+    ``dt``), snapshots at the first state reaching each requested time.
     """
     steps = segment_steps(schedule, state0.time)
     if not params.stable_guarantee:
@@ -226,14 +227,10 @@ def run(
 
     first_dt = schedule[0][0]
     if energy_sink is not None:
-        g, phi = state.phi_curr.grid, state.phi_curr.values
-        spec = g.rfft(phi)
-        gsq = grad_sq(gradient(g, spec))
-        phi_km1 = _history_level(state, first_dt)
-        if phi_km1 is None:
-            delta_hat = np.zeros_like(spec)
-        else:
-            delta_hat = g.rfft(phi - phi_km1.values)
+        spec = state.spectra[0]
+        gsq = grad_sq(gradient(state.phi_curr.grid, spec))
+        history = _history_level(state, first_dt) is not None
+        delta_hat = spec - state.spectra[1] if history else np.zeros_like(spec)
         energy_sink(_record(state, first_dt, params, spec, gsq, delta_hat, 0, 0.0))
     emit_snapshots(state, first_dt)
 

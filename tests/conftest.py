@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 from pathlib import Path
 
 # one BLAS thread, set before numpy loads: idle BLAS workers spin, and their
@@ -41,14 +42,19 @@ def assert_kernel_modes_kept(op, phi: Field) -> None:
 def recording_objective(objectives: list):
     """A ``StepOperator.nonlinear_hat`` to patch in that also appends the
     objective of every iterate it is called on (``psd_solve`` calls it once
-    per residual) to ``objectives``."""
+    per residual) to ``objectives``; its ``seconds`` attribute sums the
+    process time the recording took, so a caller can leave it out of a
+    timing."""
     nonlinear_hat = StepOperator.nonlinear_hat
 
     def wrapped(op, phi_hat, *args):
+        t0 = time.process_time()
         grads = gradient(op.grid, phi_hat)
         objectives.append(op.objective_value(phi_hat, grads, op.rhs_hat))
+        wrapped.seconds += time.process_time() - t0
         return nonlinear_hat(op, phi_hat, *args)
 
+    wrapped.seconds = 0.0
     return wrapped
 
 

@@ -54,13 +54,14 @@ def pattern_runs():
     """The criterion-5 problem at three step sizes, records + solver stats;
     the dt = 0.05 run records the objective of every iterate of its solves
     for criterion 7a (``objectives``, one list per solve) and re-solves every
-    5th state from the copy for criterion 7b (``copy_stats``; their time is
-    not counted in ``seconds``)."""
+    5th state from the copy for criterion 7b (``copy_stats``); ``seconds``
+    counts the march alone, neither the objectives nor the re-solves."""
     runs, nonlinear_hat = {}, StepOperator.nonlinear_hat
     for dt in (0.1, 0.05, 0.025):
         cfg = acceptance_pattern(256, dt, 100.0)
         records, stats, copy_stats, resolve_seconds = [], [], [], [0.0]
         objectives, current = [], []
+        recording = recording_objective(current)
 
         def resolve_from_copy(st, dt=dt, params=cfg.params()):
             t = time.process_time()
@@ -80,7 +81,7 @@ def pattern_runs():
         t0 = time.process_time()
         with pytest.MonkeyPatch.context() as m:
             if dt == 0.05:
-                m.setattr(StepOperator, "nonlinear_hat", recording_objective(current))
+                m.setattr(StepOperator, "nonlinear_hat", recording)
             pattern_experiment(
                 cfg,
                 energy_sink=records.append,
@@ -93,7 +94,7 @@ def pattern_runs():
             "stats": stats,
             "objectives": objectives,
             "copy_stats": copy_stats,
-            "seconds": time.process_time() - t0 - resolve_seconds[0],
+            "seconds": time.process_time() - t0 - resolve_seconds[0] - recording.seconds,
         }
     return runs
 
@@ -183,14 +184,15 @@ class TestCriterion4MassConservation:
     @pytest.mark.slow
     def test_ten_thousand_steps(self):
         cfg = acceptance_pattern(64, 0.05, 500.0)
-        summary = pattern_experiment(cfg)
+        masses = []
+        final = pattern_experiment(cfg, energy_sink=lambda rec: masses.append(rec.mass))
+        drift = max(abs(m - masses[0]) for m in masses)
         bound = CLAIMS["mass_conservation"].tol
-        ok = summary.total_steps == 10000 and summary.mass_drift <= bound
+        ok = final.step_index == 10000 and drift <= bound
         report(
             ok,
             "criterion 4 (mass conservation)",
-            f"|mean drift| = {summary.mass_drift:.2e} over {summary.total_steps} steps "
-            f"(tol {bound:.2e})",
+            f"|mean drift| = {drift:.2e} over {final.step_index} steps (tol {bound:.2e})",
         )
 
 

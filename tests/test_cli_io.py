@@ -333,6 +333,22 @@ class TestCli:
         assert meta.time == pytest.approx(0.5)
         assert field.grid.n == 32
 
+    def test_simulate_summary_line_states_the_run(self, tmp_path, capsys):
+        # the run ends at its last snapshot time, so that snapshot holds the final field
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        out = tmp_path / "out"
+        records = parse_energy_log(out / "energy.csv")
+        field, meta = read_snapshot(sorted(out.glob("snap_*.spfc"))[-1])
+        assert (meta.step, meta.time) == (records[-1].step, records[-1].time) == (10, 0.5)
+        drift = max(abs(r.mass - records[0].mass) for r in records)
+        assert line == (
+            f"simulate: t = {meta.time:g} in {meta.step} steps, E = {records[-1].E:.6g}, "
+            f"phi in [{field.values.min():.4g}, {field.values.max():.4g}], "
+            f"mass drift {drift:.3e}, max H2 {max(r.h2_norm for r in records):.6g}"
+        )
+
     def test_rerun_from_resolved_config_is_bitwise(self, tmp_path):
         cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'a'}\n")
         assert main(["simulate", "--config", cfg]) == 0

@@ -217,16 +217,17 @@ class TestPatternExperiment:
         )
         records = []
         snaps = []
-        summary = pattern_experiment(
+        final = pattern_experiment(
             cfg,
             energy_sink=records.append,
-            snapshot_sink=lambda st: snaps.append(st.time),
+            snapshot_sink=snaps.append,
             snapshot_times=(0.5, 1.0),
         )
-        assert summary.total_steps == 20
-        assert summary.final_time == pytest.approx(1.0)
-        assert summary.mass_drift <= 1e-11
-        assert snaps == pytest.approx([0.5, 1.0])
+        assert final.step_index == 20 == records[-1].step
+        assert final.time == pytest.approx(1.0)
+        assert [st.time for st in snaps] == pytest.approx([0.5, 1.0])
+        assert snaps[-1] is final  # the state the last step returned
+        assert max(abs(r.mass - records[0].mass) for r in records) <= 1e-11
         energies = [r.E for r in records]
         assert energies[-1] < energies[0]
         emods = [r.E_mod for r in records]
@@ -234,8 +235,9 @@ class TestPatternExperiment:
 
     def test_schedule_with_dt_change(self):
         cfg = PatternConfig(n=32, seed=3, dt_schedule=((0.05, 0.5), (0.1, 1.0)))
-        summary = pattern_experiment(cfg)
-        assert summary.total_steps == 15
+        final = pattern_experiment(cfg)
+        assert final.step_index == 15 and final.time == pytest.approx(1.0)
+        assert final.history_dt == 0.1
 
 
 class TestVerifySuite:

@@ -203,6 +203,17 @@ class TestCubicRoot:
             solve_cubic_monotone(1.0, -1.0, 0.0, 1.0)
         with pytest.raises(NonMonotoneCubicError):
             solve_cubic_monotone(1.0, 1.0, 0.0, -1.0)
+        # c1 > 0 and c3 >= 0, but p' has real roots (c2^2 > 3 c1 c3): the
+        # first has three real roots (9.898, 0.164, -0.0617), the second is
+        # the quadratic a + 5 a^2, which falls on (-1/10, 0)
+        for coeffs in [(0.1, 1.0, -10.0, 1.0), (0.0, 1.0, 5.0, 0.0)]:
+            with pytest.raises(NonMonotoneCubicError, match="c2"):
+                solve_cubic_monotone(*coeffs)
+
+    def test_accepts_a_double_root_of_the_derivative(self):
+        # (a + 1)^3 - 2: c2^2 = 3 c1 c3, still strictly increasing
+        root = solve_cubic_monotone(-1.0, 3.0, 3.0, 1.0)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0) - 1.0, abs=1e-13)
 
     def test_residual_bound_on_random_cubics(self, rng):
         for _ in range(100):

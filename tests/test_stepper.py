@@ -94,11 +94,13 @@ class TestStep:
         g = Grid(dim=2, n=16, length=1.0)
         params = ModelParams(epsilon=0.025, reg_a=0.25)
         dt = 1e-3
+        phi_curr, phi_prev = harness.exact_field(g, 0.0), harness.exact_field(g, -dt)
         state = stepper.SimState(
-            phi_curr=harness.exact_field(g, 0.0),
-            phi_prev=harness.exact_field(g, -dt),
+            phi_curr=phi_curr,
+            phi_prev=phi_prev,
             time=0.0,
             step_index=0,
+            spectra=(g.rfft(phi_curr.values), g.rfft(phi_prev.values)),
             history_dt=dt,
         )
         src = harness.spatial_source(g, dt, dt, params)
@@ -190,10 +192,14 @@ class TestRun:
         with pytest.raises(StepFailureError, match="segment 0"):
             run([(0.05, 0.5)], state0, params, psd_cfg=PsdConfig(tol=1e-13, max_iter=1))
 
-    def test_initial_state_has_no_history(self, grid16, rng):
+    def test_initial_state_has_no_history(self, grid16, rng, monkeypatch):
         phi0 = smooth_field(grid16, rng, amplitude=0.01)
+        spec = grid16.rfft(phi0.values)
+        ffts = count_ffts(monkeypatch)
         state = initial_state(phi0, history="copy")
-        assert state.phi_prev is None and state.spectra is None and state.fluxes is None
+        assert ffts[0] == step_cost("`initial_state`", grid16.dim)
+        assert state.phi_prev is None and state.fluxes is None
+        assert len(state.spectra) == 1 and state.spectra[0].tobytes() == spec.tobytes()
         for rule in ("ghost", "bogus"):
             with pytest.raises(ValueError, match="history rule"):
                 initial_state(phi0, history=rule)
@@ -375,7 +381,8 @@ class TestCarriedSpectra:
         # planes grows about 60x every 20 steps here and passes 1e-13 near step 70
         g = Grid(dim=2, n=32, length=self.L)
         state = initial_state(band_field(g, rng))
-        assert state.spectra is None  # computed by the first step
+        (spec0,) = state.spectra  # the start's, from initial_state
+        assert spec0.tobytes() == g.rfft(state.phi_curr.values).tobytes()
         for _ in range(80):
             state, _ = step(state, 0.5, self.PARAMS)
             spec_curr, spec_prev = state.spectra
@@ -404,6 +411,32 @@ class TestCarriedSpectra:
                 modified_energy_hat(g, params, dt, e, delta_hat), rel=1e-12)
             assert rec.h2_norm == pytest.approx(
                 norm_h2_hat(g, g.rfft(st.phi_curr.values)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, n", [(2, 15), (3, 10)])
+    @pytest.mark.parametrize("history", [False, True])
+    def test_t0_row_costs_the_gradient_of_phi_curr(self, rng, monkeypatch, dim, n, history):
+        # the row reads state0's spectra, and with a history level at the
+        # first dt (a state built by hand) its delta is their difference
+        g = Grid(dim=dim, n=n, length=self.L)
+        phi_curr, phi_prev = band_field(g, rng), band_field(g, rng)
+        spectra = (g.rfft(phi_curr.values), g.rfft(phi_prev.values))
+        state0 = stepper.SimState(phi_curr, phi_prev if history else None, 0.0, 0,
+                                  spectra if history else spectra[:1], 0.05)
+        ffts, at_row, records = count_ffts(monkeypatch), [], []
+
+        def sink(rec):
+            at_row.append(ffts[0])
+            records.append(rec)
+
+        run([(0.05, 0.05)], state0, self.PARAMS, energy_sink=sink)
+        assert at_row[0] == step_cost("the `t = 0` row", dim)
+        monkeypatch.undo()
+        e = energy(phi_curr, self.PARAMS)
+        delta_hat = spectra[0] - spectra[1] if history else np.zeros_like(spectra[0])
+        assert records[0].E == pytest.approx(e, rel=1e-12)
+        assert records[0].E_mod == pytest.approx(
+            modified_energy_hat(g, self.PARAMS, 0.05, e, delta_hat), rel=1e-12)
+        assert (records[0].E_mod > records[0].E) == history
 
     @pytest.mark.parametrize("start", ["band", "constant"])
     @pytest.mark.parametrize("taken, dt", [(1, 0.05), (1, 0.1), (0, 0.05)],
@@ -559,12 +592,12 @@ class TestBdf1Start:
         cfg = harness.PatternConfig(n=64, seed=7, sites=((50.0, 50.0, 10.0),),
                                     dt_schedule=((0.05, 0.05),))
         phi0, params = harness.random_init(cfg, cfg.grid()), cfg.params()
-        stats = []
+        state0, stats = initial_state(phi0), []
         with monkeypatch.context() as m:
             ffts = count_ffts(m)
-            new, _ = step(initial_state(phi0), 0.05, params, stats_sink=stats.append)
-        # phi^k's spectrum and flux, the predictor's residual, the copy's
-        # residual formed again, the iterations and the solution
+            new, _ = step(state0, 0.05, params, stats_sink=stats.append)
+        # phi^k's flux, the predictor's gradient and residual, the copy's
+        # gradient (its residual from the same p^k), the iterations and the solution
         dim, iters = phi0.grid.dim, stats[0].iterations
         assert ffts[0] == (step_cost("a step of a march (", dim, iters)
                            + step_cost("a step whose predictor", dim)
