@@ -7,7 +7,7 @@ and ``conv-time`` (manufactured-solution convergence studies), ``verify``
 any run can be reproduced from its own output directory.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 solver or verification
-failure.
+failure, or a field too large to allocate.
 """
 
 from __future__ import annotations
@@ -193,6 +193,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except StepFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -17,22 +17,24 @@ key                   default                  meaning / constraints            
 ====================  =======================  ===============================  ============
 mode                  (from CLI subcommand)    simulate | conv_space | ...      all
 output_dir            out                      created if missing               all
-grid.n                256                      points per axis, >= 3            sim
-grid.length           100.0                    box edge length, > 0             sim
+grid.n                256                      points per axis, >= 3; a field   sim
+                                               numpy can index
+grid.length           100.0                    box edge length > 0, with        sim
+                                               (2 pi/L)^2, L^2, h^2 in range
 model.epsilon         0.5                      in (0, 1)                        sim, conv
 model.A               epsilon^2 / 16           regularization, >= 0             sim, conv
 model.scheme          bdf2_es_1                bdf2_es_1 | bdf2_es_2            sim, conv
 schedule              (required for simulate)  comma list of dt:t_end; whole    sim
-                                               steps of dt > 0, t_end rising
+                                               steps of dt > 0 (dt^2 finite),
+                                               t_end rising
 seed                  0                        RNG seed, >= 0                   sim
-snapshot_times        1,10,20,40,100,200       comma list of reals up to the    sim
-                      (those in the schedule)  schedule's end, or empty
+snapshot_times        1,10,20,40,100,200       comma list of reals from 0 to    sim
+                      (those in the schedule)  the schedule's end, or empty
 init.amplitude        0.05                     uniform noise amplitude, >= 0    sim
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
 init.site_profile     node                     node | gaussian                  sim
 solver.tol            1e-9                     in (0, 1); the floor that ends   sim
                                                every solve (``PsdConfig``)
-solver.max_iter       200                      >= 1                             sim
 ====================  =======================  ===============================  ============
 """
 
@@ -154,7 +156,6 @@ KEYS = {
             text=_joined("; ")),
         Key("init.site_profile", "pattern.site_profile", str, _SIM),
         Key("solver.tol", "solver.tol", _number, _SIM),
-        Key("solver.max_iter", "solver.max_iter", _integer, _SIM),
     )
 }
 
@@ -216,10 +217,10 @@ def parse_config(
             key = next((k for k in origin if KEYS[k].path == path), path)
             raise ConfigError(key, origin.get(key, "(default)"), str(exc)) from None
     t_end = built["pattern"].dt_schedule[-1][1]
-    late = [t for t in fields[""].get("snapshot_times", ()) if t > t_end + 1e-9]
-    if late:
-        message = f"{late[0]!r} is after the schedule ends at {t_end!r}"
-        raise ConfigError("snapshot_times", origin["snapshot_times"], message)
+    for t in fields[""].get("snapshot_times", ()):
+        if not 0.0 <= t <= t_end + 1e-9:
+            where = "before the start at 0" if t < 0.0 else f"after the schedule ends at {t_end!r}"
+            raise ConfigError("snapshot_times", origin["snapshot_times"], f"{t!r} is {where}")
     return RunConfig(**fields[""], **built)
 
 

@@ -67,9 +67,11 @@ class Grid:
     dim : int
         Spatial dimension, 2 or 3.
     n : int
-        Points per axis (identical on all axes), at least 3.
+        Points per axis (identical on all axes), at least 3, with a spectrum
+        numpy can index.
     length : float
-        Edge length ``L`` of the box ``(0, L)^dim``.
+        Edge length ``L`` of the box ``(0, L)^dim``; ``(2 pi / L)^2``,
+        ``L^dim`` and ``h^dim`` must be finite and positive.
     """
 
     dim: int
@@ -81,8 +83,15 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
-        if not 0 < self.length < float("inf"):
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+        if self.n ** (self.dim - 1) * (self.n // 2 + 1) * 16 > np.iinfo(np.intp).max:
+            raise ValueError(f"n = {self.n} gives a spectrum too large for numpy to index")
+        with np.errstate(all="ignore"):
+            length = np.float64(self.length)
+            scales = (length, (2 * np.pi / length) ** 2, length**self.dim, (length / self.n) ** self.dim)
+        if not all(0 < s < np.inf for s in scales):
+            raise ValueError(
+                f"length must keep L, (2 pi / L)^2, L^dim and h^dim finite and > 0, got {self.length}"
+            )
 
     # ------------------------------------------------------------------
     # basic geometry

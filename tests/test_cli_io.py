@@ -421,27 +421,18 @@ class TestCli:
         assert "config key 'schedule'" in capsys.readouterr().err
         assert not (tmp_path / "big").exists()
 
-    def test_solver_failure_exits_three(self, tmp_path):
-        cfg = self._write_cfg(
-            tmp_path,
-            # at n = 64 the node site is a stiff start: step 1 solves from the
-            # copy to the floor, which one iteration cannot reach
-            f"output_dir = {tmp_path / 'f'}\ngrid.n = 64\nsolver.max_iter = 1\nsolver.tol = 1e-13\n",
-        )
-        assert main(["simulate", "--config", cfg]) == 3
-        # the log is streamed: the header and the t = 0 row survive the failure
-        rows = (tmp_path / "f" / "energy.csv").read_text().splitlines()
-        assert rows[0] == "step,time,E,E_mod,mass,h2_norm,psd_iters,residual"
-        assert len(rows) == 2 and rows[1].startswith("0,0.0,")
-
     def test_stagnating_solve_exits_three_early(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path, f"output_dir = {tmp_path / 's'}\ninit.amplitude = 1e6\n"
         )
         assert main(["simulate", "--config", cfg]) == 3
         err = capsys.readouterr().err
+        assert err.startswith("solver failure: segment 0, step 1 ")
         assert "fell less than 10x over 22 iterations at iteration" in err
-        assert "did not converge" not in err
+        # the log is streamed: the header and the t = 0 row survive the failure
+        rows = (tmp_path / "s" / "energy.csv").read_text().splitlines()
+        assert rows[0] == "step,time,E,E_mod,mass,h2_norm,psd_iters,residual"
+        assert len(rows) == 2 and rows[1].startswith("0,0.0,")
 
     @pytest.mark.parametrize(
         "mode, key, value",
@@ -462,10 +453,12 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [("profile", "full"), ("grid.dim", "2")])
+    @pytest.mark.parametrize(
+        "key, value", [("profile", "full"), ("grid.dim", "2"), ("solver.max_iter", "200")])
     @pytest.mark.parametrize("mode", MODES)
     def test_removed_key_is_unknown(self, tmp_path, capsys, mode, key, value):
-        # every earlier simulate config.resolved carries grid.dim = 2
+        # every earlier simulate config.resolved carries grid.dim = 2 and
+        # solver.max_iter = 200
         text = "schedule = 0.05:0.5\n" if mode == "simulate" else ""
         with pytest.raises(ConfigError, match=rf"'{key}' \(line 2\): unknown key"):
             parse_config(f"mode = {mode}\n{key} = {value}\n" + text)
@@ -491,7 +484,6 @@ class TestCli:
             ("init.amplitude", "{}"),
             ("init.sites", "50:{}:10"),
             ("solver.tol", "{}"),
-            ("solver.max_iter", "{}"),
         ],
     )
     def test_nonfinite_number_exits_two(self, tmp_path, capsys, key, form, bad):
@@ -528,13 +520,45 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr  # the overflow is the solver's to report
 
-    def test_snapshot_time_after_the_schedule_exits_two(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match=r"'snapshot_times' \(line 3\).*5.0 is after"):
-            parse_config("mode = simulate\nschedule = 0.05:0.5\nsnapshot_times = 0.25, 5\n")
+    @pytest.mark.parametrize(
+        "times, message",
+        # a time before the start was taken at t = 0, and -1, 0 wrote one snapshot for both
+        [("0.25, 5", "5.0 is after"), ("-1, 0", "-1.0 is before the start at 0")],
+    )
+    def test_snapshot_time_after_the_schedule_exits_two(self, tmp_path, capsys, times, message):
+        with pytest.raises(ConfigError, match=rf"'snapshot_times' \(line 3\): {message}"):
+            parse_config(f"mode = simulate\nschedule = 0.05:0.5\nsnapshot_times = {times}\n")
         cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'late'}\n")
-        assert main(["simulate", "--config", cfg, "--set", "snapshot_times=5"]) == 2
-        assert "'snapshot_times' (line --set snapshot_times=5)" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--set", f"snapshot_times={times}"]) == 2
+        err = capsys.readouterr().err
+        assert f"'snapshot_times' (line --set snapshot_times={times}): {message}" in err
         assert not (tmp_path / "late").exists()
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ("grid.length=1e-300", "grid.length"),  # (2 pi / L)^2 overflows
+            ("grid.length=1e300", "grid.length"),  # L^2 and h^2 overflow
+            ("schedule=1e200:1e200", "schedule"),  # dt^2 overflows
+            ("grid.n=4294967296", "grid.n"),  # n^2 points: more than numpy can index
+        ],
+    )
+    def test_overflowing_value_exits_two(self, tmp_path, capsys, setting, key):
+        # each of these used to pass the parse, make the output directory and
+        # end in a traceback
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'big'}\n")
+        assert main(["simulate", "--config", cfg, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r} (line --set {setting}): ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "big").exists()
+
+    def test_field_too_large_to_allocate_exits_three(self, tmp_path, capsys):
+        # numpy refuses the 2 EiB field of n = 2^29 at once, touching no memory
+        cfg = self._write_cfg(tmp_path, f"output_dir = {tmp_path / 'huge'}\n")
+        assert main(["simulate", "--config", cfg, "--set", "grid.n=536870912"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
 
     def test_default_snapshot_times_follow_the_schedule(self, tmp_path):
         # the defaults (1 ... 200) are filtered to a 0.5-long schedule, and the

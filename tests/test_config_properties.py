@@ -43,7 +43,6 @@ VALUES = {
     ),
     "init.site_profile": st.sampled_from(["node", "gaussian"]),
     "solver.tol": _reals(1e-14, 0.5),
-    "solver.max_iter": st.integers(1, 1000).map(str),
 }
 
 

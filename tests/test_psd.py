@@ -55,7 +55,7 @@ def line_search_coefficients(phi, d, op):
 
 
 class TestPsdConfig:
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": 1.5}, {"max_iter": 0}])
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": 1.5}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PsdConfig(**kwargs)
@@ -271,13 +271,6 @@ class TestPsdSolve:
         with pytest.raises(MeanMismatchError):
             psd_solve(Field(grid8, op.phi_k.values + 1.0), op)
 
-    def test_max_iter_exhaustion_reports_not_converged(self, grid16, rng):
-        params = ModelParams(epsilon=0.3, reg_a=0.2)
-        op = make_step(grid16, rng, params, scale=1.0)
-        _, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13, max_iter=1))
-        assert not stats.converged
-        assert stats.iterations == 1
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_nonfinite_residual_stops_at_once(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
@@ -314,7 +307,7 @@ class TestPsdSolve:
     def test_stagnating_solve_stops_early(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params, scale=1e6)
-        # well before max_iter = 200
+        # the stall test ends it within a few windows of STALL_WINDOW
         with pytest.raises(PsdDivergenceError, match=r"fell less than 10x .* iteration \d\d:"):
             psd_solve(op.phi_k, op)
 

@@ -36,7 +36,15 @@ class TestGrid:
         modes = np.rint(g.ik[0].imag.ravel() * g.length / (2 * np.pi))
         assert sorted(modes) == list(range(-4, 5))
 
-    @pytest.mark.parametrize("dim,n,length", [(1, 8, 1.0), (2, 2, 1.0), (2, 8, -1.0), (4, 8, 1.0)])
+    @pytest.mark.parametrize(
+        "dim,n,length",
+        [
+            (1, 8, 1.0), (2, 2, 1.0), (2, 8, -1.0), (4, 8, 1.0),
+            (2, 8, 1e-300),  # (2 pi / L)^2 overflows, L^2 underflows
+            (3, 8, 1e200),  # L^3 and h^3 overflow
+            (3, 2**21, 1.0),  # a spectrum of 2^66 bytes: numpy cannot index it
+        ],
+    )
     def test_rejects_bad_parameters(self, dim, n, length):
         with pytest.raises(ValueError):
             Grid(dim=dim, n=n, length=length)

@@ -121,9 +121,9 @@ class TestStep:
 
     def test_failure_carries_step_index(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        state = initial_state(random_field(grid16, rng, scale=1.0))
-        with pytest.raises(StepFailureError, match="step 1"):
-            step(state, 0.05, params, PsdConfig(tol=1e-13, max_iter=1))
+        state = initial_state(random_field(grid16, rng, scale=1e6))  # a stalling solve
+        with pytest.raises(StepFailureError, match=r"^step 1 .*fell less than 10x"):
+            step(state, 0.05, params)
 
 
 class TestRun:
@@ -188,9 +188,9 @@ class TestRun:
 
     def test_failure_names_segment_and_step(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        state0 = initial_state(random_field(grid16, rng, scale=1.0))
-        with pytest.raises(StepFailureError, match="segment 0"):
-            run([(0.05, 0.5)], state0, params, psd_cfg=PsdConfig(tol=1e-13, max_iter=1))
+        state0 = initial_state(random_field(grid16, rng, scale=1e6))  # a stalling solve
+        with pytest.raises(StepFailureError, match=r"^segment 0, step 1 .*fell less than 10x"):
+            run([(0.05, 0.5)], state0, params)
 
     def test_initial_state_has_no_history(self, grid16, rng, monkeypatch):
         phi0 = smooth_field(grid16, rng, amplitude=0.01)
