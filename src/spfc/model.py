@@ -208,11 +208,11 @@ class StepOperator:
     ``fluxes`` holds the 4-Laplacian coefficients
     ``p = -div(|grad phi|^2 grad phi)`` of the levels, ``(p^k, p^{k-1})`` or
     ``(p^k,)``, when a march carries them; a BDF1 step built without them
-    forms ``p^k`` on first use, as it does its spectrum.  With fluxes,
-    :func:`spfc.psd.psd_solve` takes the residual of a copy of ``phi_k``
-    from ``p^k`` and starts from the linearly implicit predictor when that
-    beats the copy, else from the copy with the same ``p^k``: a step forms
-    each level's flux at most once.
+    forms ``p^k`` on first use, as it does its spectrum.  With fluxes, the
+    step's own start (``psd_solve(None, op)``) takes the residual of a copy
+    of ``phi_k`` from ``p^k`` and starts from the linearly implicit
+    predictor when that beats the copy, else from the copy with the same
+    ``p^k``: a step forms each level's flux at most once.
 
     ``N[phi] = implicit_sym phi + explicit_hat + dt p``, ``p`` the 4-Laplacian
     of ``phi``, is formed in :meth:`nonlinear_hat` alone.
@@ -231,6 +231,8 @@ class StepOperator:
         levels = 1 if phi_km1 is None else 2
         if fluxes is not None and len(fluxes) != levels:
             raise ValueError(f"a BDF{levels} step carries {levels} flux(es), got {len(fluxes)}")
+        if spectra is not None and len(spectra) != levels:
+            raise ValueError(f"a BDF{levels} step carries {levels} spectra, got {len(spectra)}")
         if phi_km1 is None:
             self.lead = 1.0
             self.implicit_sym, self.pre_inv = _step_symbols(self.grid, params, dt, self.lead)

@@ -11,25 +11,28 @@ in every iterate: search directions have no kernel content.  Every residual
 ``f - N[phi]`` is formed by :meth:`StepOperator.nonlinear_hat` from the
 iterate's flux, and the flux of the last one is the solution's.
 
-The start.  A solve from ``op.phi_k`` with ``StepOperator.fluxes`` (every
+The start is the caller's.  ``psd_solve(None, op)`` is the step's own: the
+copy ``phi^k`` of ``op.spectra[0]``.  With ``StepOperator.fluxes`` (every
 BDF1 step, whose ``p^k`` costs ``2 dim`` transforms when not carried, and a
-BDF2 step of a march) first takes the residual ``r`` of the copy ``phi^k``
-from ``p^k``.  A copy that passes the floor ``res <= tol (1 + ||f||)`` is
-returned, at the cost of its gradient alone: a state at equilibrium stays
-frozen.  Otherwise the solve moves to the linearly implicit step
-``phi_pred``, the copy plus ``(r - dt (p^k - p^{k-1})) / implicit_sym``, the
-linear part solved per mode and the flux extrapolated as ``2 p^k - p^{k-1}``;
-on a BDF1 step ``p^{k-1}`` is ``p^k``, the flux frozen.  The solve keeps the
-predictor only when its residual, which iteration 0 computes anyway, is below
-the copy's.  Otherwise it goes back to the copy and its ``p^k``, forms the
+BDF2 step of a march) it first takes the copy's residual ``r`` from ``p^k``.
+A copy that passes the floor ``res <= tol (1 + ||f||)`` is returned, at the
+cost of its gradient alone: a state at equilibrium stays frozen.  Otherwise
+the solve moves to the linearly implicit step ``phi_pred``, the copy plus
+``(r - dt (p^k - p^{k-1})) / implicit_sym``, the linear part solved per
+mode and the flux extrapolated as ``2 p^k - p^{k-1}``; on a BDF1 step
+``p^{k-1}`` is ``p^k``, the flux frozen.  The solve keeps the predictor
+only when its residual, which iteration 0 computes anyway, is below the
+copy's.  Otherwise it goes back to the copy and its ``p^k``, forms the
 copy's gradient alone, as a fixed point does, and stops at the floor only,
 bitwise as a copy-started solve of the same ``p^k`` does.  The fall-back is
-needed where a frozen flux is far off, on a
-stiff start: on the acceptance problem's one-node site of magnitude 10
-(N = 256, dt = 0.05) the BDF1 predictor's residual is 4.3e7 against the
-copy's 4.5e3, and a march that kept such a predictor moved its t = 2.5
-field from a march solved to the floor by 9.2% of its dt-vs-dt/2 gap,
-against 0.25% with the fall-back.
+needed where a frozen flux is far off, on a stiff start: on the acceptance
+problem's one-node site of magnitude 10 (N = 256, dt = 0.05) the BDF1
+predictor's residual is 4.3e7 against the copy's 4.5e3, and a march that
+kept such a predictor moved its t = 2.5 field from a march solved to the
+floor by 9.2% of its dt-vs-dt/2 gap, against 0.25% with the fall-back.
+A given start, any ``Field`` on the mass hyperplane of ``phi^k``, is
+transformed and solved to the floor with no predictor; the step problem is
+strictly convex, so PSD reaches its one solution from any start.
 
 Stopping.  Every solve stops at the floor.  A solve that keeps its predictor
 also stops, from iteration 1 on, at the step's own truncation error, when both
@@ -115,7 +118,11 @@ __all__ = [
 ]
 
 
-STALL_WINDOW = 22  # each window must cut the residual 10x: twice the most a tested solve needs (11)
+# each window must cut the residual 10x: twice the most (11) a solve of the
+# tests or the benchmark needs, all near the paper's point.  Off it, scheme 2
+# at eps 0.1, dt 100, N 64 with a node site needs about 21 per 10x: its worst
+# window cut the residual to 0.0886 of its start, against the test's 0.1.
+STALL_WINDOW = 22
 KAPPA = 0.05  # the iteration error's largest share of the truncation-error estimate
 THETA = 0.5  # the residual work's largest share of ||delta||_{-1}^2 (see the module docstring)
 
@@ -150,7 +157,7 @@ class SolveStats:
     """Per-solve diagnostics.
 
     ``contraction_ratios`` holds ``r_{n+1} / r_n`` starting from the second
-    residual pair (the first ratio reflects the initial guess, not the
+    residual pair (the first ratio reflects the start, not the
     iteration).  ``stopped_by``, set on every return, names the test that
     ended the solve: ``"floor"`` or ``"truncation"``.  ``converged`` is
     True on every return; it stays only for ``benchmarks/run.py``.
@@ -245,15 +252,15 @@ def _truncated(op: StepOperator, phi_hat, r_hat, d_hat, update) -> bool:
 
 
 def psd_solve(
-    phi_guess: Field,
+    start: Optional[Field],
     op: StepOperator,
     cfg: Optional[PsdConfig] = None,
     final_sink: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[Field, SolveStats]:
-    """Solve the step ``op``, ``N[phi] = f``, from a guess on the mass
-    hyperplane of ``op.phi_k``, with every kernel mode of ``-lap`` taken
-    from ``op.phi_k``; the guess ``op.phi_k`` itself, with ``op.fluxes``,
-    starts as the module docstring says.
+    """Solve the step ``op``, ``N[phi] = f``, with every kernel mode of
+    ``-lap`` taken from ``op.phi_k``, from ``start``: ``None`` for the
+    step's own start, or a given ``Field`` on the mass hyperplane of
+    ``op.phi_k``, solved to the floor (module docstring).
 
     Returns the solution and the iteration diagnostics at one of the stops
     of the module docstring, and raises :class:`PsdDivergenceError` on any
@@ -264,13 +271,12 @@ def psd_solve(
     transform of its own.
     """
     cfg = cfg or PsdConfig()
-    _require_same_mass(phi_guess, op.phi_k, "initial guess is off the mass hyperplane")
     grid = op.grid
-    fluxes = op.fluxes if phi_guess is op.phi_k else None  # p^k before the work arrays
-    if phi_guess is op.phi_k:
-        phi_hat = op.spectra[0].copy()
+    if start is None:  # the step's own start; p^k before the work arrays
+        fluxes, phi_hat = op.fluxes, op.spectra[0].copy()
     else:
-        phi_hat = grid.rfft(phi_guess.values)
+        _require_same_mass(start, op.phi_k, "the start is off the mass hyperplane")
+        fluxes, phi_hat = None, grid.rfft(start.values)
     # the step's rows on the kernel of -lap (the mass, and the pure-Nyquist
     # modes of even grids) keep those modes at phi^k; no direction moves them
     kernel = np.nonzero(grid.kernel_mask)
@@ -322,7 +328,7 @@ def psd_solve(
                 np.copyto(phi_hat, op.spectra[0])
                 np.copyto(p_hat, fluxes[0])
                 res, update, g = residual(), None, None
-    if g is None:  # the guess itself
+    if g is None:  # the start itself
         g = gradient(grid, phi_hat, d_hat)
         if fluxes is None:
             res = residual(g)

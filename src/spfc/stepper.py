@@ -134,9 +134,7 @@ def step(
     op = StepOperator(state.phi_curr, phi_km1, dt, params, source, state.spectra[:levels], fluxes)
     final: list = []
     try:
-        phi_new, stats = psd_solve(
-            state.phi_curr, op, psd_cfg, lambda *solution: final.extend(solution)
-        )
+        phi_new, stats = psd_solve(None, op, psd_cfg, lambda *solution: final.extend(solution))
     except RuntimeError as exc:
         raise StepFailureError(f"step {state.step_index + 1} (t -> {state.time + dt:g}): {exc}") from exc
     if stats_sink is not None:
@@ -202,8 +200,14 @@ def run(
     records are emitted every step (the ``t = 0`` row, from ``state0``'s
     spectra, has E_mod = E where ``state0`` has no history at the first
     ``dt``), snapshots at the first state reaching each requested time.
+    Raises ``ValueError`` before the first step for a snapshot time before
+    ``state0.time`` or after the last ``t_end`` (1e-9 slack).
     """
     steps = segment_steps(schedule, state0.time)
+    for t in snapshot_times:
+        if not state0.time - 1e-9 <= t <= schedule[-1][1] + 1e-9:
+            raise ValueError(f"snapshot time {t!r} is outside the schedule "
+                             f"[{state0.time!r}, {schedule[-1][1]!r}]")
     if not params.stable_guarantee:
         warnings.warn(
             f"A = {params.reg_a:g} < eps^2/16 = {params.epsilon ** 2 / 16:g}: "

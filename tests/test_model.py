@@ -380,10 +380,11 @@ class TestNonlinearOperatorAndRhs:
         c = Field(grid8, np.full(grid8.shape, 0.6))
         zero = np.zeros(grid8.rshape, dtype=complex)
         params = ModelParams(epsilon=0.3, reg_a=0.2)
-        with pytest.raises(ValueError, match="BDF1 step carries 1 flux"):
-            StepOperator(c, None, 0.1, params, fluxes=(zero, zero))
-        with pytest.raises(ValueError, match="BDF2 step carries 2 flux"):
-            StepOperator(c, c.copy(), 0.1, params, fluxes=(zero,))
+        for key, what in (("fluxes", "flux"), ("spectra", "spectra")):
+            with pytest.raises(ValueError, match=f"BDF1 step carries 1 {what}"):
+                StepOperator(c, None, 0.1, params, **{key: (zero, zero)})
+            with pytest.raises(ValueError, match=f"BDF2 step carries 2 {what}"):
+                StepOperator(c, c.copy(), 0.1, params, **{key: (zero,)})
         assert StepOperator(c, None, 0.1, params, fluxes=(zero,)).fluxes == (zero,)
 
     def test_bdf1_step_forms_its_flux_and_bdf2_does_not(self, grid8, rng):

@@ -159,6 +159,17 @@ class TestRun:
         )
         assert seen == pytest.approx([0.0, 0.3, 0.7, 1.0])
 
+    @pytest.mark.parametrize("t0, times, bad", [(0.0, [-1.0, 0.0, 0.2], -1.0),
+                                                (0.0, [0.1, 5.0], 5.0), (0.1, [0.0, 0.2], 0.0)])
+    def test_snapshot_time_outside_the_schedule_raises(self, grid16, t0, times, bad):
+        # before the start state or after the last t_end, before any step
+        state0 = initial_state(Field(grid16, np.full(grid16.shape, 0.1)))
+        state0.time, calls = t0, []
+        with pytest.raises(ValueError, match=f"snapshot time {bad!r} is outside"):
+            run([(0.1, 0.2)], state0, ModelParams(epsilon=0.5, reg_a=0.015625),
+                energy_sink=calls.append, snapshot_sink=calls.append, snapshot_times=times)
+        assert calls == []
+
     def test_mass_conservation_short_run(self, grid16, rng):
         params = ModelParams(epsilon=0.5, reg_a=0.015625)
         state0 = initial_state(smooth_field(grid16, rng))
@@ -307,7 +318,7 @@ class TestStartRule:
         for dt, phi_km1, levels in ((0.1, None, 1), (0.05, state.phi_prev, 2)):
             op = StepOperator(state.phi_curr, phi_km1, dt, params, None,
                               state.spectra[:levels], state.fluxes[:levels])
-            expected, _ = psd_solve(state.phi_curr, op)
+            expected, _ = psd_solve(None, op)
             new, _ = step(state, dt, params)
             assert new.phi_curr.values.tobytes() == expected.values.tobytes()
 
@@ -535,7 +546,7 @@ class TestPredictorStart:
         frozen = 0
         for st in states:
             op = StepOperator(st.phi_curr, st.phi_prev, 0.1, params, None, st.spectra)
-            copy, stats = psd_solve(st.phi_curr, op)
+            copy, stats = psd_solve(None, op)
             if stats.iterations == 0:
                 frozen += 1
                 new, rec = step(st, 0.1, params)
@@ -552,9 +563,9 @@ class TestPredictorStart:
             state, _ = step(state, 0.5, params)
         op = StepOperator(state.phi_curr, state.phi_prev, 0.5, params, None, state.spectra,
                           state.fluxes)
-        exact, copy_stats = psd_solve(state.phi_curr.copy(), op, PsdConfig(tol=1e-10))
+        exact, copy_stats = psd_solve(state.phi_curr, op, PsdConfig(tol=1e-10))
         ffts = count_ffts(monkeypatch)
-        predicted, stats = psd_solve(state.phi_curr, op)
+        predicted, stats = psd_solve(None, op)
         assert stats.converged and stats.stopped_by == "truncation"
         assert 0 < stats.iterations < copy_stats.iterations
         assert stats.residual_history[0] < 1e-2 * copy_stats.residual_history[0]
@@ -582,7 +593,7 @@ class TestBdf1Start:
         phi0 = noise_start_3d()
         stats = []
         step(initial_state(phi0), 0.05, self.PARAMS, stats_sink=stats.append)
-        _, copy_stats = psd_solve(phi0.copy(), StepOperator(phi0, None, 0.05, self.PARAMS))
+        _, copy_stats = psd_solve(phi0, StepOperator(phi0, None, 0.05, self.PARAMS))
         assert stats[0].stopped_by == "truncation"
         assert 0 < stats[0].iterations < copy_stats.iterations
 
@@ -602,11 +613,40 @@ class TestBdf1Start:
         assert ffts[0] == (step_cost("a step of a march (", dim, iters)
                            + step_cost("a step whose predictor", dim)
                            + step_cost("the first step", dim))
-        copy, copy_stats = psd_solve(phi0.copy(), StepOperator(phi0, None, 0.05, params))
+        copy, copy_stats = psd_solve(phi0, StepOperator(phi0, None, 0.05, params))
         assert stats[0].stopped_by == copy_stats.stopped_by == "floor"
         assert stats[0].iterations == copy_stats.iterations
         assert stats[0].residual_history == copy_stats.residual_history
         assert new.phi_curr.values.tobytes() == copy.values.tobytes()
+
+
+    def test_the_caller_names_the_start(self, rng, monkeypatch):
+        # a given field is transformed and solved to the floor, whatever
+        # object it is (op.phi_k once kept a predictor that stops at its
+        # truncation error, 2 iterations here against the floor's 10), and
+        # None is the start a step of a march takes
+        g = Grid(dim=2, n=32, length=8.0 * np.pi)
+        state = initial_state(band_field(g, rng))
+        op = StepOperator(state.phi_curr, None, 0.5, self.PARAMS, None, state.spectra)
+        with monkeypatch.context() as m:
+            ffts = count_ffts(m)
+            a, stats_a = psd_solve(op.phi_k, op)
+        b, stats_b = psd_solve(op.phi_k.copy(), op)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert stats_a.stopped_by == stats_b.stopped_by == "floor"
+        assert stats_a.iterations == stats_b.iterations
+        assert stats_a.residual_history == stats_b.residual_history
+        assert ffts[0] == step_cost("a `psd_solve` from a given", 2, stats_a.iterations)
+        seen = []
+        for _ in range(3):  # a BDF1 first step, then BDF2 steps with carried fluxes
+            op = StepOperator(state.phi_curr, state.phi_prev, 0.5, self.PARAMS, None,
+                              state.spectra, state.fluxes)
+            sol, stats = psd_solve(None, op)
+            state, _ = step(state, 0.5, self.PARAMS, stats_sink=seen.append)
+            assert sol.values.tobytes() == state.phi_curr.values.tobytes()
+            assert stats.residual_history == seen[-1].residual_history
+            assert stats.stopped_by == seen[-1].stopped_by
+        assert seen[0].stopped_by == "truncation"
 
 
 class TestSingleThreadedReductions:
