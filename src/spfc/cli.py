@@ -123,7 +123,7 @@ def _run_simulate(cfg: RunConfig) -> int:
             energy_sink=log_row,
             snapshot_sink=snapshot_sink,
             snapshot_times=cfg.snapshot_times,
-            psd_cfg=cfg.solver,
+            tol=cfg.tol,
         )
     phi = final.phi_curr.values
     print(

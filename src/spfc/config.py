@@ -6,9 +6,10 @@ Format
 UTF-8 text, one ``key = value`` assignment per line; ``#`` starts a comment;
 blank lines are ignored.  Keys use dotted section prefixes.  Unknown keys are
 errors (typo protection), and so is a key the run's mode does not read.
-Numbers must be finite.  Each key sets a field of :class:`RunConfig`, of its
-``pattern`` (:class:`spfc.harness.PatternConfig`) or of its ``solver``
-(:class:`spfc.psd.PsdConfig`), whose constructors hold the range checks.
+Numbers must be finite.  Each key sets a field of :class:`RunConfig` or of
+its ``pattern`` (:class:`spfc.harness.PatternConfig`, whose constructor holds
+the range checks); ``solver.tol`` sets ``RunConfig.tol``, range-checked as it
+is parsed (:func:`spfc.psd.check_tol`).
 The keys, their defaults and the modes that read them (*sim* is
 ``simulate``, *conv* is ``conv_space`` and ``conv_time``):
 
@@ -34,7 +35,7 @@ init.amplitude        0.05                     uniform noise amplitude, >= 0    
 init.sites            (empty)                  x:y:magnitude; ... inside box    sim
 init.site_profile     node                     node | gaussian                  sim
 solver.tol            1e-9                     in (0, 1); the floor that ends   sim
-                                               every solve (``PsdConfig``)
+                                               every solve (``spfc.psd``)
 ====================  =======================  ===============================  ============
 """
 
@@ -48,7 +49,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .harness import DEFAULT_SNAPSHOT_TIMES, PatternConfig
 from .model import Scheme
-from .psd import PsdConfig
+from .psd import TOL, check_tol
 
 __all__ = ["RunConfig", "ConfigError", "KEYS", "parse_config", "render_config"]
 
@@ -66,11 +67,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A parsed run: its mode, the problem and solver it runs, and its output."""
+    """A parsed run: its mode, the problem it runs, its solver's floor and
+    its output."""
 
     mode: str
     pattern: PatternConfig = field(default_factory=PatternConfig)
-    solver: PsdConfig = field(default_factory=PsdConfig)
+    tol: float = TOL
     output_dir: str = "out"
     snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
 
@@ -155,7 +157,7 @@ KEYS = {
         Key("init.sites", "pattern.sites", _list(";", "x:y:magnitude"), _SIM,
             text=_joined("; ")),
         Key("init.site_profile", "pattern.site_profile", str, _SIM),
-        Key("solver.tol", "solver.tol", _number, _SIM),
+        Key("solver.tol", "tol", lambda raw: check_tol(_number(raw)), _SIM),
     )
 }
 
@@ -184,7 +186,7 @@ def parse_config(
         key, _, value = item.partition("=")
         assignments.append((key.strip(), value.strip(), f"--set {item}"))
 
-    fields: dict = {"": {}, "pattern": {}, "solver": {}}
+    fields: dict = {"": {}, "pattern": {}}
     origin = {}  # key -> where it was last set
     for key, value, line in assignments:
         spec = KEYS.get(key)
@@ -207,21 +209,19 @@ def parse_config(
             raise ConfigError(key, line, f"not read in mode {run_mode!r}")
     if run_mode == "simulate" and "schedule" not in origin:
         raise ConfigError("schedule", "(missing)", "simulate needs a schedule")
-    built = {}
-    for owner, cls in (("pattern", PatternConfig), ("solver", PsdConfig)):
-        try:
-            built[owner] = cls(**fields[owner])
-        except ValueError as exc:
-            # the constructors name the offending field first
-            path = owner + "." + re.match(r"\w*", str(exc)).group()
-            key = next((k for k in origin if KEYS[k].path == path), path)
-            raise ConfigError(key, origin.get(key, "(default)"), str(exc)) from None
-    t_end = built["pattern"].dt_schedule[-1][1]
+    try:
+        pattern = PatternConfig(**fields["pattern"])
+    except ValueError as exc:
+        # the constructor names the offending field first
+        path = "pattern." + re.match(r"\w*", str(exc)).group()
+        key = next((k for k in origin if KEYS[k].path == path), path)
+        raise ConfigError(key, origin.get(key, "(default)"), str(exc)) from None
+    t_end = pattern.dt_schedule[-1][1]
     for t in fields[""].get("snapshot_times", ()):
         if not 0.0 <= t <= t_end + 1e-9:
             where = "before the start at 0" if t < 0.0 else f"after the schedule ends at {t_end!r}"
             raise ConfigError("snapshot_times", origin["snapshot_times"], f"{t!r} is {where}")
-    return RunConfig(**fields[""], **built)
+    return RunConfig(**fields[""], pattern=pattern)
 
 
 def render_config(cfg: RunConfig) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import Grid, sum_product
 from .model import ModelParams, Scheme, StepOperator, grad_sq, gradient, p_laplacian_hat
-from .psd import PsdConfig, psd_solve
+from .psd import TOL, SolveStats, psd_solve
 from .spectral import Field, norm_h2_hat, norm_l2
 from .stepper import EnergyRecord, SimState, initial_state, run, segment_steps
 
@@ -229,7 +229,7 @@ def _manufactured_run(
     with :func:`temporal_source` (solver tol 1e-11) or :func:`spatial_source`
     (tol 1e-12), and return the final L2 error and, for the temporal study,
     the ``l2(0, T; H3)`` seminorm error against :func:`exact_field`."""
-    psd_cfg = PsdConfig(tol=1e-11 if temporal else 1e-12)
+    tol = 1e-11 if temporal else 1e-12
     phi_curr, phi_prev = exact_field(grid, 0.0), exact_field(grid, -dt)
     h3_acc = 0.0
     for k in range(n_steps):
@@ -239,9 +239,9 @@ def _manufactured_run(
         else:
             src = spatial_source(grid, t_new, dt, params)
         op = StepOperator(phi_curr, phi_prev, dt, params, src)
-        # cfg goes third and positionally: benchmarks/run.py wraps this binding
+        # tol goes third and positionally: benchmarks/run.py wraps this binding
         # as (phi_guess, op, f=None, cfg=None) and forwards all four in order
-        phi_new, _ = psd_solve(None, op, psd_cfg)
+        phi_new, _ = psd_solve(None, op, tol)
         phi_prev, phi_curr = phi_curr, phi_new
         if temporal:
             err_hat = grid.rfft(phi_curr.values - exact_field(grid, t_new).values)
@@ -289,18 +289,19 @@ def pattern_experiment(
     energy_sink: Optional[Callable[[EnergyRecord], None]] = None,
     snapshot_sink: Optional[Callable[[SimState], None]] = None,
     snapshot_times: Sequence[float] = DEFAULT_SNAPSHOT_TIMES,
-    psd_cfg: Optional[PsdConfig] = None,
-    stats_sink=None,
+    tol: float = TOL,
+    stats_sink: Optional[Callable[[SolveStats], None]] = None,
 ) -> SimState:
     """Run the seeded pattern-formation problem through its dt schedule and
-    return its final state (:func:`spfc.stepper.run`).  Snapshot times
-    after the schedule's end are dropped, so the default times suit any
-    schedule; one before the start raises, as in ``run``."""
+    return its final state (:func:`spfc.stepper.run`, every solve to the
+    floor ``tol``).  Snapshot times after the schedule's end are dropped, so
+    the default times suit any schedule; one before the start raises, as in
+    ``run``."""
     return run(
         list(cfg.dt_schedule),
         initial_state(random_init(cfg, cfg.grid())),
         cfg.params(),
-        psd_cfg=psd_cfg,
+        tol=tol,
         energy_sink=energy_sink,
         snapshot_sink=snapshot_sink,
         snapshot_times=[t for t in snapshot_times if t <= cfg.dt_schedule[-1][1] + 1e-9],
@@ -462,8 +463,8 @@ def mesh_iteration_counts(ns: Sequence[int]) -> dict:
         grid = Grid(dim=2, n=n, length=100.0)
         x, y = grid.coords()
         phi0 = Field(grid, 0.05 * (np.cos(3 * tau * x) * np.cos(2 * tau * y) + np.sin(5 * tau * y)))
-        op = StepOperator(phi0, phi0.copy(), 0.05, ModelParams(epsilon=0.5, reg_a=0.015625))
-        counts[n] = psd_solve(None, op, PsdConfig(tol=1e-9))[1].iterations
+        op = StepOperator(phi0, phi0, 0.05, ModelParams(epsilon=0.5, reg_a=0.015625))
+        counts[n] = psd_solve(None, op, 1e-9)[1].iterations
     return counts
 
 
@@ -472,12 +473,12 @@ def multistart_gap(n: int) -> float:
     and from a seeded perturbation of it (the operator carries no spectra)."""
     dt = 0.05
     cfg = acceptance_pattern(n, dt, 10 * dt)
-    grid, params = cfg.grid(), cfg.params()
-    state = run(list(cfg.dt_schedule), initial_state(random_init(cfg, grid)), params)
-    op = StepOperator(state.phi_curr, state.phi_prev, dt, params)
+    state = pattern_experiment(cfg, snapshot_times=())
+    grid = state.phi_curr.grid
+    op = StepOperator(state.phi_curr, state.phi_prev, dt, cfg.params())
     noise = _mean_zero(0.1 * np.random.default_rng(SEED + 1).standard_normal(grid.shape))
     sol_a, sol_b = (
-        psd_solve(start, op, PsdConfig(tol=1e-9))[0]
+        psd_solve(start, op, 1e-9)[0]
         for start in (None, Field(grid, state.phi_curr.values + noise))
     )
     return norm_l2(Field(grid, sol_a.values - sol_b.values))
@@ -521,8 +522,8 @@ def verify_suite() -> VerifyReport:
     check("psd_multistart_uniqueness", gap, f"solution gap {gap:.2e} between two starts at N={n}")
 
     c = Field(grid, np.full(grid.shape, 0.37))  # a fixed point of both schemes
-    ops = [StepOperator(c, c.copy(), 0.1, ModelParams(0.5, 0.015625, s)) for s in Scheme]
-    sols = [psd_solve(None, op, PsdConfig(tol=1e-12))[0] for op in ops]
+    ops = [StepOperator(c, c, 0.1, ModelParams(0.5, 0.015625, s)) for s in Scheme]
+    sols = [psd_solve(None, op, 1e-12)[0] for op in ops]
     worst = max(float(np.max(np.abs(sol.values - 0.37))) for sol in sols)
     check("constant_fixed_point", worst, f"worst drift {worst:.2e}")
 

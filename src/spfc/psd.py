@@ -34,7 +34,9 @@ A given start, any ``Field`` on the mass hyperplane of ``phi^k``, is
 transformed and solved to the floor with no predictor; the step problem is
 strictly convex, so PSD reaches its one solution from any start.
 
-Stopping.  Every solve stops at the floor.  A solve that keeps its predictor
+Stopping.  Every solve stops at the floor ``res <= tol (1 + ||f||)``, ``res``
+the l2 norm of the residual off the kernel of ``-lap`` and ``tol`` the
+solver's one setting (:func:`check_tol`).  A solve that keeps its predictor
 also stops, from iteration 1 on, at the step's own truncation error, when both
 
 * ``||pre_inv r|| <= KAPPA ||phi - phi_pred||`` (truncation test): the
@@ -109,7 +111,8 @@ from .model import StepOperator, _require_same_mass, grad_sq, gradient, p_laplac
 from .spectral import Field
 
 __all__ = [
-    "PsdConfig",
+    "TOL",
+    "check_tol",
     "SolveStats",
     "PsdDivergenceError",
     "NonMonotoneCubicError",
@@ -125,6 +128,7 @@ __all__ = [
 STALL_WINDOW = 22
 KAPPA = 0.05  # the iteration error's largest share of the truncation-error estimate
 THETA = 0.5  # the residual work's largest share of ||delta||_{-1}^2 (see the module docstring)
+TOL = 1e-9  # the default floor of every solve (check_tol)
 
 
 class PsdDivergenceError(RuntimeError):
@@ -135,21 +139,13 @@ class NonMonotoneCubicError(RuntimeError):
     """Line-search cubic is not strictly increasing; upstream operator bug."""
 
 
-@dataclass(frozen=True)
-class PsdConfig:
-    """Solver knobs.
-
-    ``tol`` sets the floor ``res <= tol (1 + ||f||)``, which ends every solve;
-    a predictor-started solve may stop earlier, at its truncation error (see
-    the module docstring); ``res`` is the l2 norm of the nonlinear residual
-    off the kernel of ``-lap``.
-    """
-
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
+def check_tol(tol: float) -> float:
+    """``tol`` if it lies in ``(0, 1)``, else raises ``ValueError``: the
+    rule of the floor that ends every solve (module docstring), applied by
+    :func:`psd_solve`, :func:`spfc.stepper.run` and the ``solver.tol`` parser."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    return tol
 
 
 @dataclass
@@ -254,13 +250,14 @@ def _truncated(op: StepOperator, phi_hat, r_hat, d_hat, update) -> bool:
 def psd_solve(
     start: Optional[Field],
     op: StepOperator,
-    cfg: Optional[PsdConfig] = None,
+    tol: float = TOL,
     final_sink: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[Field, SolveStats]:
     """Solve the step ``op``, ``N[phi] = f``, with every kernel mode of
     ``-lap`` taken from ``op.phi_k``, from ``start``: ``None`` for the
     step's own start, or a given ``Field`` on the mass hyperplane of
-    ``op.phi_k``, solved to the floor (module docstring).
+    ``op.phi_k``, solved to the floor ``tol`` (:func:`check_tol`; module
+    docstring).
 
     Returns the solution and the iteration diagnostics at one of the stops
     of the module docstring, and raises :class:`PsdDivergenceError` on any
@@ -270,7 +267,7 @@ def psd_solve(
     coefficients (zero on the kernel modes), so the caller needs no
     transform of its own.
     """
-    cfg = cfg or PsdConfig()
+    check_tol(tol)  # before any transform
     grid = op.grid
     if start is None:  # the step's own start; p^k before the work arrays
         fluxes, phi_hat = op.fluxes, op.spectra[0].copy()
@@ -284,7 +281,7 @@ def psd_solve(
 
     f_hat = op.rhs_hat
     f_norm = math.sqrt(grid.spectral_norm2_sq(np.where(grid.kernel_mask, 0.0, f_hat)))
-    target = cfg.tol * (1.0 + f_norm)
+    target = tol * (1.0 + f_norm)
 
     # work arrays of the whole solve, updated in place
     r_hat, d_hat, p_hat = (np.empty_like(phi_hat) for _ in range(3))

@@ -53,12 +53,11 @@ class SnapshotMeta:
     epsilon: float
     reg_a: float
     seed: int
-    version: int = FORMAT_VERSION
 
 
 def _header_line(meta: SnapshotMeta) -> str:
     return (
-        f"{MAGIC} version={meta.version} dim={meta.dim} n={meta.n} "
+        f"{MAGIC} version={FORMAT_VERSION} dim={meta.dim} n={meta.n} "
         f"length={meta.length!r} time={meta.time!r} step={meta.step} "
         f"scheme={meta.scheme} epsilon={meta.epsilon!r} A={meta.reg_a!r} "
         f"seed={meta.seed}\n"
@@ -93,13 +92,11 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
         raise SnapshotError(f"header is not UTF-8: {exc}") from exc
     if not parts or parts[0] != MAGIC:
         raise SnapshotError(f"bad magic; expected {MAGIC!r}")
-    kv = {}
-    for part in parts[1:]:
-        key, _, value = part.partition("=")
-        kv[key] = value
+    kv = dict(part.partition("=")[::2] for part in parts[1:])
+    if kv.get("version") != str(FORMAT_VERSION):
+        raise SnapshotError(f"unsupported format version {kv.get('version')}")
     try:
         meta = SnapshotMeta(
-            version=int(kv["version"]),
             dim=int(kv["dim"]),
             n=int(kv["n"]),
             length=float(kv["length"]),
@@ -112,8 +109,6 @@ def read_snapshot(path) -> tuple[Field, SnapshotMeta]:
         )
     except (KeyError, ValueError) as exc:
         raise SnapshotError(f"malformed header: {exc}") from exc
-    if meta.version != FORMAT_VERSION:
-        raise SnapshotError(f"unsupported format version {meta.version}")
     try:
         grid = Grid(dim=meta.dim, n=meta.n, length=meta.length)
         ModelParams(meta.epsilon, meta.reg_a, Scheme(meta.scheme))

@@ -28,7 +28,7 @@ from .model import (
     gradient,
     modified_energy_hat,
 )
-from .psd import PsdConfig, SolveStats, psd_solve
+from .psd import TOL, SolveStats, check_tol, psd_solve
 from .spectral import Field, norm_h2_hat
 
 __all__ = [
@@ -119,22 +119,22 @@ def step(
     state: SimState,
     dt: float,
     params: ModelParams,
-    psd_cfg: Optional[PsdConfig] = None,
+    tol: float = TOL,
     source: Optional[Field] = None,
     stats_sink: Optional[Callable[[SolveStats], None]] = None,
 ) -> tuple[SimState, EnergyRecord]:
     """Advance one step, the :class:`StepOperator` of ``state`` (BDF1 when it
-    has no history level at ``dt``) solved by :func:`psd_solve`; returns the
-    new state and its diagnostics row, which comes from the solver's final
-    spectrum with no transform of its own.  Raises :class:`StepFailureError`,
-    naming the step, when the solve raises."""
+    has no history level at ``dt``) solved by :func:`psd_solve` to the floor
+    ``tol``; returns the new state and its diagnostics row, which comes from
+    the solver's final spectrum with no transform of its own.  Raises
+    :class:`StepFailureError`, naming the step, when the solve raises."""
     phi_km1 = _history_level(state, dt)
     levels = 1 if phi_km1 is None else 2
     fluxes = None if state.fluxes is None else state.fluxes[:levels]
     op = StepOperator(state.phi_curr, phi_km1, dt, params, source, state.spectra[:levels], fluxes)
     final: list = []
     try:
-        phi_new, stats = psd_solve(None, op, psd_cfg, lambda *solution: final.extend(solution))
+        phi_new, stats = psd_solve(None, op, tol, lambda *solution: final.extend(solution))
     except RuntimeError as exc:
         raise StepFailureError(f"step {state.step_index + 1} (t -> {state.time + dt:g}): {exc}") from exc
     if stats_sink is not None:
@@ -187,7 +187,7 @@ def run(
     schedule: Sequence[tuple[float, float]],
     state0: SimState,
     params: ModelParams,
-    psd_cfg: Optional[PsdConfig] = None,
+    tol: float = TOL,
     energy_sink: Optional[Callable[[EnergyRecord], None]] = None,
     snapshot_sink: Optional[Callable[[SimState], None]] = None,
     snapshot_times: Sequence[float] = (),
@@ -200,9 +200,11 @@ def run(
     records are emitted every step (the ``t = 0`` row, from ``state0``'s
     spectra, has E_mod = E where ``state0`` has no history at the first
     ``dt``), snapshots at the first state reaching each requested time.
-    Raises ``ValueError`` before the first step for a snapshot time before
-    ``state0.time`` or after the last ``t_end`` (1e-9 slack).
+    Every solve stops at the floor ``tol``.  Raises ``ValueError`` before
+    the first step for a ``tol`` outside ``(0, 1)``, or a snapshot time
+    before ``state0.time`` or after the last ``t_end`` (1e-9 slack).
     """
+    check_tol(tol)
     steps = segment_steps(schedule, state0.time)
     for t in snapshot_times:
         if not state0.time - 1e-9 <= t <= schedule[-1][1] + 1e-9:
@@ -240,7 +242,7 @@ def run(
         t_start = state.time
         for j in range(n_steps):
             try:
-                state, record = step(state, dt, params, psd_cfg, stats_sink=stats_sink)
+                state, record = step(state, dt, params, tol, stats_sink=stats_sink)
             except StepFailureError as exc:
                 raise StepFailureError(f"segment {seg_index}, {exc}") from exc
             state.time = t_start + (j + 1) * dt  # avoid additive drift

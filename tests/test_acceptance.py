@@ -36,7 +36,7 @@ from spfc.harness import (
     temporal_convergence_study,
 )
 from spfc.model import StepOperator
-from spfc.psd import PsdConfig, psd_solve
+from spfc.psd import psd_solve
 
 
 def report(ok: bool, label: str, detail: str) -> None:
@@ -68,7 +68,7 @@ def pattern_runs():
             op = StepOperator(st.phi_curr, st.phi_prev, dt, params, None, st.spectra)
             with pytest.MonkeyPatch.context() as m:  # the march's solves alone record
                 m.setattr(StepOperator, "nonlinear_hat", nonlinear_hat)
-                copy_stats.append(psd_solve(None, op, PsdConfig())[1])
+                copy_stats.append(psd_solve(None, op)[1])
             resolve_seconds[0] += time.process_time() - t
 
         def on_stats(solve_stats, objectives=objectives, current=current):

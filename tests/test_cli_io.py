@@ -12,7 +12,7 @@ import pytest
 
 import spfc
 from conftest import random_field
-from spfc import Field, Grid, Scheme, energy, ModelParams, PsdConfig
+from spfc import Field, Grid, Scheme, energy, ModelParams
 from spfc.cli import main
 from spfc.config import MODES, ConfigError, parse_config, render_config
 from spfc.harness import DEFAULT_SNAPSHOT_TIMES
@@ -47,7 +47,7 @@ class TestParseConfig:
         assert params.reg_a == pytest.approx(0.5**2 / 16.0)
         assert params.stable_guarantee
         assert cfg.pattern.dt_schedule == ((0.05, 1.0),)
-        assert cfg.solver == PsdConfig()
+        assert cfg.tol == 1e-9
         assert cfg.snapshot_times == DEFAULT_SNAPSHOT_TIMES == (1.0, 10.0, 20.0, 40.0, 100.0, 200.0)
 
     def test_paper_parameters_are_stable(self):
@@ -89,10 +89,16 @@ class TestParseConfig:
             ("init.site_profile = box", "init.site_profile"),
             ("solver.residual_norm = l2", "solver.residual_norm"),
             ("model.A = -1", "model.A"),
+            ("schedule = -0.05:1.0", "schedule"),
+            ("grid.length = ten", "grid.length"),
+            ("mode = bogus", "mode"),
+            ("grid.n 64", "grid.n 64"),  # no "=": the line is named in place of a key
+            ("solver.tol = 0", "solver.tol"),
+            ("solver.tol = 1.5", "solver.tol"),
         ],
     )
     def test_constructor_check_names_key_and_line(self, line, key):
-        # each of these used to parse, then fail or be ignored once the run started
+        # a bad value fails the parse, before the run starts
         text = f"mode = simulate\n{line}\n"
         if key != "schedule":
             text += "schedule = 0.05:1.0\n"
@@ -102,6 +108,10 @@ class TestParseConfig:
     def test_simulate_requires_schedule(self):
         with pytest.raises(ConfigError, match="schedule"):
             parse_config("mode = simulate\n")
+
+    def test_mode_is_required(self):
+        with pytest.raises(ConfigError, match=r"'mode' \(line \(missing\)\): mode is required"):
+            parse_config("seed = 1\n")
 
     def test_mode_conflict_with_subcommand(self):
         with pytest.raises(ConfigError, match="conflicts"):
@@ -116,9 +126,10 @@ class TestParseConfig:
         assert cfg.pattern.seed == 7
         assert cfg.pattern.sites == ((25.0, 25.0, 10.0), (75.0, 75.0, 10.0))
 
-    def test_override_error_names_override(self):
-        with pytest.raises(ConfigError, match=r"--set"):
-            parse_config(MINIMAL, overrides=("model.epsilon=2",))
+    @pytest.mark.parametrize("override", ["model.epsilon=2", "model.epsilon"])
+    def test_override_error_names_override(self, override):
+        with pytest.raises(ConfigError, match=r"'model.epsilon' \(line --set"):
+            parse_config(MINIMAL, overrides=(override,))
 
     def test_site_outside_box(self):
         with pytest.raises(ConfigError, match="outside"):
@@ -150,6 +161,7 @@ class TestSnapshotFormat:
         )
         path = tmp_path / "f.spfc"
         write_snapshot(f, meta, path)
+        assert path.read_bytes().startswith(b"spfcfield version=1 dim=2 n=16 ")  # the one format
         g, meta2 = read_snapshot(path)
         assert np.array_equal(g.values, f.values)
         assert meta2 == meta
@@ -203,7 +215,8 @@ class TestSnapshotFormat:
     def _file(payload=np.zeros(64), tail=b"", **fields):
         values = {"n": "8", "length": "1.0", "time": "0.0", "step": "0", "scheme": "bdf2_es_1",
                   "epsilon": "0.5", "A": "0.1", "seed": "0"} | fields
-        header = "spfcfield version=1 dim=2 " + " ".join(f"{k}={v}" for k, v in values.items())
+        header = "spfcfield version=1 dim=2 " + " ".join(
+            f"{k}={v}" for k, v in values.items() if v is not None)  # None: left out
         return header.encode() + tail + b"\n" + np.asarray(payload, dtype="<f8").tobytes()
 
     @pytest.mark.parametrize(
@@ -226,15 +239,17 @@ class TestSnapshotFormat:
             {"seed": "-2"},
             {"length": "inf", "time": "nan", "step": "-3", "scheme": "bogus", "epsilon": "7",
              "A": "-1", "seed": "-2"},
+            {"seed": None},
         ],
         ids=["n=2", "length=nan", "length=inf", "n=-4", "nan-payload", "non-utf8", "time=nan",
              "time=inf", "step=-3", "scheme=bogus", "epsilon=7", "epsilon=0", "A=-1", "A=nan",
-             "seed=-2", "all-bad"],
+             "seed=-2", "all-bad", "no-seed"],
     )
     def test_malformed_file_raises_snapshot_error(self, tmp_path, kwargs):
         path = tmp_path / "m.spfc"
         path.write_bytes(self._file(**kwargs))
-        with pytest.raises(SnapshotError):
+        missing = [key for key, value in kwargs.items() if value is None]
+        with pytest.raises(SnapshotError, match=f"'{missing[0]}'" if missing else None):
             read_snapshot(path)
         path.write_bytes(self._file())  # the same file, well formed
         assert read_snapshot(path)[1].n == 8
@@ -402,8 +417,14 @@ class TestCli:
         assert main(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
 
-    def test_missing_config_exits_two(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+    @pytest.mark.parametrize("config, message", [
+        (["--config", "nope.cfg"], "No such file"),
+        ([], "config key '--config' (line (cli)): simulate requires a config file"),
+    ])
+    def test_missing_config_exits_two(self, tmp_path, monkeypatch, capsys, config, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", *config]) == 2
+        assert message in capsys.readouterr().err
 
     def test_config_error_exits_two(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

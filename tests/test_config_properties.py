@@ -67,7 +67,7 @@ def test_mode_keys_round_trip(mode, data):
     assert render_config(again) == render_config(cfg)
     assert again.pattern.grid() == cfg.pattern.grid()
     assert again.pattern.params() == cfg.pattern.params()
-    assert again.solver == cfg.solver
+    assert again.tol == cfg.tol
     assert (again.output_dir, again.snapshot_times) == (cfg.output_dir, cfg.snapshot_times)
 
 

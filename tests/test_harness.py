@@ -19,7 +19,6 @@ from spfc.harness import (
     verify_suite,
 )
 from spfc.model import gradient, p_laplacian_hat
-from spfc.psd import PsdConfig
 
 
 class TestRandomInit:
@@ -162,7 +161,7 @@ class TestManufacturedSolution:
         dt = 1e-3
         src = spatial_source(g, dt, dt, params)
         op = StepOperator(exact_field(g, 0.0), exact_field(g, -dt), dt, params, src)
-        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13))
+        sol, stats = psd_solve(op.phi_k, op, 1e-13)
         assert stats.converged
         assert np.max(np.abs(sol.values - exact_field(g, dt).values)) < 1e-10
 
@@ -183,7 +182,7 @@ class TestStudiesDeskScale:
 
     def test_wrapped_solver_binding_gets_the_config(self, monkeypatch):
         # the benchmark wraps harness.psd_solve with this signature and
-        # forwarding; the study's PsdConfig must reach the solver through it
+        # forwarding; the study's tol must reach the solver through it
         args = ([6], 1e-4, ModelParams(0.025, 0.25), 4e-4)
         expected = spatial_convergence_study(*args)
         solve, calls = harness.psd_solve, []

@@ -14,7 +14,7 @@ from spfc.model import (
     gradient,
     p_laplacian_hat,
 )
-from spfc.psd import PsdConfig, psd_solve
+from spfc.psd import psd_solve
 
 
 def make_step(grid, rng, params, dt=0.05, scale=0.2, bdf1=False):
@@ -104,6 +104,18 @@ class TestStepOperator:
             StepOperator(Field(grid8, np.full(grid8.shape, 1.0)),
                          Field(grid8, np.full(grid8.shape, 1.1)), 0.1, params)
 
+    @pytest.mark.parametrize("level, message", [
+        ("source", "source lives on a different grid"),
+        ("phi_km1", "history levels live on different grids"),
+    ])
+    def test_rejects_a_level_on_another_grid(self, grid8, level, message):
+        c = Field(grid8, np.full(grid8.shape, 1.0))
+        other = Field(Grid(dim=2, n=8, length=2.0), np.full(grid8.shape, 1.0))
+        levels = {"phi_km1": c, "source": None} | {level: other}
+        with pytest.raises(ValueError, match=message):
+            StepOperator(c, levels["phi_km1"], 0.1, ModelParams(epsilon=0.5, reg_a=0.1),
+                         levels["source"])
+
     def test_rejects_nonpositive_dt(self, grid8):
         params = ModelParams(epsilon=0.5, reg_a=0.1)
         c = Field(grid8, np.full(grid8.shape, 1.0))
@@ -177,7 +189,7 @@ class TestThreeDimensional:
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         phi_k = Field(g, 0.1 * rng.standard_normal(g.shape))
         op = StepOperator(phi_k, phi_k.copy(), 0.05, params)
-        sol, stats = psd_solve(phi_k, op, PsdConfig(tol=1e-11))
+        sol, stats = psd_solve(phi_k, op, 1e-11)
         assert stats.converged
         residual = step_residual(op, sol)
         f = g.irfft(op.rhs_hat)
@@ -400,7 +412,7 @@ class TestNonlinearOperatorAndRhs:
     def test_solved_step_satisfies_operator_equation(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-12))
+        sol, stats = psd_solve(op.phi_k, op, 1e-12)
         assert stats.converged
         residual = step_residual(op, sol)
         f = grid8.irfft(op.rhs_hat)
@@ -442,7 +454,7 @@ class TestObjective:
     def test_minimizer_satisfies_first_order_optimality(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, _ = psd_solve(op.phi_k, op, PsdConfig(tol=1e-12))
+        sol, _ = psd_solve(op.phi_k, op, 1e-12)
         for _ in range(5):
             d = rng.standard_normal(grid8.shape)
             d -= d.mean()

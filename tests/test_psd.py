@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from conftest import assert_kernel_modes_kept, random_field, recording_objective
+from test_stepper import count_ffts
 from spfc import Field, Grid, ModelParams, Scheme, norm_l2, psd_solve, solve_cubic_monotone
 from spfc import initial_state, psd, run, step
 from spfc.model import (
@@ -21,7 +22,6 @@ from spfc.model import (
 )
 from spfc.psd import (
     NonMonotoneCubicError,
-    PsdConfig,
     STALL_WINDOW,
     PsdDivergenceError,
     _diverged,
@@ -54,11 +54,24 @@ def line_search_coefficients(phi, d, op):
     return op.line_coefficients(grad_phi, gsq, gradient(g, d_hat), d_hat, c0)
 
 
-class TestPsdConfig:
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": 1.5}])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            PsdConfig(**kwargs)
+class TestTol:
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 1.5, -1e-9])
+    def test_tol_outside_the_unit_interval_raises_before_any_fft(
+        self, grid16, rng, monkeypatch, tol
+    ):
+        params = ModelParams(epsilon=0.3, reg_a=0.2)
+        phi = random_field(grid16, rng, scale=0.2)
+        op = StepOperator(phi, None, 0.05, params)  # forms its spectrum and p^k on first use
+        state0, calls = initial_state(phi), []
+        ffts = count_ffts(monkeypatch)
+        for solve in (
+            lambda: psd_solve(None, op, tol),
+            lambda: psd_solve(phi, op, tol),
+            lambda: run([(0.05, 0.1)], state0, params, tol, energy_sink=calls.append),
+        ):
+            with pytest.raises(ValueError, match=f"tol must lie in \\(0, 1\\), got {tol}"):
+                solve()
+        assert ffts[0] == 0 and calls == []
 
 
 class TestPreconditionSolve:
@@ -146,7 +159,7 @@ class TestLineSearchCoefficients:
     def test_solution_has_zero_c0(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, _ = psd_solve(op.phi_k, op, PsdConfig(tol=1e-13))
+        sol, _ = psd_solve(op.phi_k, op, 1e-13)
         assert_kernel_modes_kept(op, sol)
         # a direction the solver can take: no content on the kernel of -lap
         d_hat = grid8.rfft(random_field(grid8, rng).values)
@@ -230,28 +243,28 @@ class TestPsdSolve:
     def test_exact_guess_converges_immediately(self, grid8, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid8, rng, params)
-        sol, _ = psd_solve(op.phi_k, op, PsdConfig(tol=1e-12))
-        _, stats = psd_solve(sol, op, PsdConfig(tol=1e-9))
+        sol, _ = psd_solve(op.phi_k, op, 1e-12)
+        _, stats = psd_solve(sol, op, 1e-9)
         assert stats.iterations <= 1
 
     def test_constant_steady_state(self, grid8):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         c = Field(grid8, np.full(grid8.shape, 0.4))
         op = StepOperator(c, c.copy(), 0.1, params)
-        sol, stats = psd_solve(c, op, PsdConfig(tol=1e-9))
+        sol, stats = psd_solve(c, op, 1e-9)
         assert stats.converged and stats.iterations == 0
         assert np.max(np.abs(sol.values - 0.4)) < 1e-13
 
     def test_multistart_uniqueness(self, grid16, rng):
         params = ModelParams(epsilon=0.3, reg_a=0.2)
         op = make_step(grid16, rng, params)
-        cfg = PsdConfig(tol=1e-11)
-        sol_a, _ = psd_solve(op.phi_k, op, cfg)
+        tol = 1e-11
+        sol_a, _ = psd_solve(op.phi_k, op, tol)
         other = Field(
             grid16,
             op.phi_k.mean() + (lambda v: v - v.mean())(rng.standard_normal(grid16.shape)),
         )
-        sol_b, _ = psd_solve(other, op, cfg)
+        sol_b, _ = psd_solve(other, op, tol)
         assert norm_l2(Field(grid16, sol_a.values - sol_b.values)) < 1e-8
 
     def test_objective_monotone_and_mean_preserved(self, grid16, rng):
@@ -260,7 +273,7 @@ class TestPsdSolve:
         hist = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(StepOperator, "nonlinear_hat", recording_objective(hist))
-            sol, stats = psd_solve(op.phi_k, op, PsdConfig(tol=1e-11))
+            sol, stats = psd_solve(op.phi_k, op, 1e-11)
         assert len(hist) == stats.iterations + 1 > 1  # one residual per iterate
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(hist, hist[1:]))
         assert abs(sol.mean() - op.phi_k.mean()) <= 1e-12
@@ -283,7 +296,7 @@ class TestPsdSolve:
         params = ModelParams(epsilon=0.5, reg_a=0.015625)
         phi_k = Field(g, 0.05 * (2 * rng.random(g.shape) - 1.0))
         op = StepOperator(phi_k, phi_k.copy(), 0.05, params)
-        _, stats = psd_solve(phi_k, op, PsdConfig(tol=1e-12))
+        _, stats = psd_solve(phi_k, op, 1e-12)
         assert stats.converged
         assert all(r <= 0.95 for r in stats.contraction_ratios[1:])
 
@@ -440,7 +453,7 @@ class TestTruncationStop:
         for theta in (psd.THETA, np.inf):
             monkeypatch.setattr(psd, "THETA", theta)
             stats, records = [], []
-            run([(10.0, 30.0)], state0, params, PsdConfig(tol=1e-13),
+            run([(10.0, 30.0)], state0, params, 1e-13,
                 energy_sink=records.append, stats_sink=stats.append)
             assert stats[0].stopped_by == "truncation"
             runs.append((stats, records))

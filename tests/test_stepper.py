@@ -26,7 +26,6 @@ from spfc.model import (
     p_laplacian_hat,
 )
 from spfc.spectral import norm_h2_hat
-from spfc.psd import PsdConfig
 from spfc import harness, psd, stepper
 from spfc.stepper import StepFailureError
 
@@ -104,7 +103,7 @@ class TestStep:
             history_dt=dt,
         )
         src = harness.spatial_source(g, dt, dt, params)
-        new_state, _ = step(state, dt, params, PsdConfig(tol=1e-13), source=src)
+        new_state, _ = step(state, dt, params, 1e-13, source=src)
         exact = harness.exact_field(g, dt)
         assert np.max(np.abs(new_state.phi_curr.values - exact.values)) < 1e-10
 
@@ -235,7 +234,7 @@ class TestStartRule:
         phi0 = self.smooth_start() if phi0 is None else phi0
         params = ModelParams(epsilon=0.5, reg_a=0.5**2 / 16.0)
         state = run(schedule, initial_state(phi0), params,
-                    psd_cfg=PsdConfig(tol=1e-12), stats_sink=stats_sink)
+                    tol=1e-12, stats_sink=stats_sink)
         return state.phi_curr.values
 
     @pytest.mark.parametrize(
@@ -253,7 +252,7 @@ class TestStartRule:
         assert harness.order_fit(gaps, [1.0 / n for n in ns[:-1]]) >= 1.9
 
     def test_second_order_on_smooth_pattern_data(self):
-        # the production march (default PsdConfig: predictor start and
+        # the production march (default tol: predictor start and
         # truncation stop) on the pattern problem with a Gaussian site, the
         # RMS gap at T = 2 over dt = 0.1 ... 0.00625; with the acceptance
         # problem's one-node site, an impulse no practical dt resolves, the
@@ -563,7 +562,7 @@ class TestPredictorStart:
             state, _ = step(state, 0.5, params)
         op = StepOperator(state.phi_curr, state.phi_prev, 0.5, params, None, state.spectra,
                           state.fluxes)
-        exact, copy_stats = psd_solve(state.phi_curr, op, PsdConfig(tol=1e-10))
+        exact, copy_stats = psd_solve(state.phi_curr, op, 1e-10)
         ffts = count_ffts(monkeypatch)
         predicted, stats = psd_solve(None, op)
         assert stats.converged and stats.stopped_by == "truncation"
